@@ -14,10 +14,8 @@ from .detection import (
 )
 from .features import (
     FeatureConfig,
-    FeatureVector,
     FilterBank,
     Scaler,
-    apply_scaler,
     build_filterbank,
     extract_features,
     fit_scaler,
@@ -27,10 +25,8 @@ from .svm import (
     KernelParams,
     SvmModel,
     TrainingProblem,
-    decision_value,
     fit_calibration,
     grid_search,
-    rbf_kernel,
     train,
 )
 
@@ -38,10 +34,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioClip", "load_wav", "resample", "normalize_duration", "slide_windows",
-    "FeatureConfig", "FeatureVector", "FilterBank", "Scaler",
-    "build_filterbank", "extract_features", "fit_scaler", "apply_scaler",
+    "FeatureConfig", "FilterBank", "Scaler",
+    "build_filterbank", "extract_features", "fit_scaler",
     "KernelParams", "TrainingProblem", "SvmModel",
-    "rbf_kernel", "train", "decision_value", "fit_calibration", "grid_search",
+    "train", "fit_calibration", "grid_search",
     "RuleModel", "Detection", "DetectionReport",
     "predict_window", "detect", "calibrate_thresholds", "evaluate",
     "ManifestEntry", "ReviewRecord", "load_manifest", "save_manifest", "split",

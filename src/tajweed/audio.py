@@ -35,10 +35,6 @@ class AudioClip:
         if self.sample_rate_hz < 1:
             raise ValueError("sample_rate_hz must be positive")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -119,6 +115,14 @@ def write_wav(path, clip: AudioClip) -> None:
     header += b"data" + struct.pack("<I", len(payload))
     with open(path, "wb") as fh:
         fh.write(header + payload)
+
+
+def load_clip(path, rate_hz: int) -> AudioClip:
+    """load_wav, resampled to rate_hz when the file's rate differs."""
+    clip = load_wav(path)
+    if clip.sample_rate_hz != rate_hz:
+        clip = resample(clip, rate_hz)
+    return clip
 
 
 def _lowpass_taps(cutoff_hz: float, rate_hz: int, n_taps: int = 63) -> np.ndarray:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     FeatureError,
     IoError,
     MissingStratum,
+    ParseError,
     PersistenceError,
     SvmError,
     TajweedError,
@@ -44,18 +45,24 @@ EXIT_CODES = (
 CAL_HOLDOUT_FRACTION = 0.2
 
 
-def _load_exemplar(path, config):
-    clip = audio.load_wav(path)
-    if clip.sample_rate_hz != config.sample_rate_hz:
-        clip = audio.resample(clip, config.sample_rate_hz)
-    return audio.normalize_duration(clip, detection.WINDOW_S, seed=0)
-
-
 def _entry_rows(entries):
     return "\n".join(
         f"{e.path},{e.rule_id},{e.polarity or ''},{e.onset_s if e.onset_s is not None else ''}"
         for e in entries
     )
+
+
+def _train_exemplars(entries, root, rule_id, config):
+    """A rule's train-split exemplars: (entries, 4 s clips, feature rows, labels)."""
+    chosen = [e for e in entries
+              if e.rule_id == rule_id and e.split == "train"
+              and e.polarity in dataset.POLARITIES and e.onset_s is None]
+    if not chosen:
+        raise MissingStratum(f"manifest has no train-split exemplars for {rule_id}")
+    clips = [detection.load_exemplar(dataset.resolve_path(root, e.path), config) for e in chosen]
+    X = np.vstack([features.extract_features(c, config) for c in clips])
+    y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
+    return chosen, clips, X, y
 
 
 def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
@@ -65,23 +72,10 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     train-split rule-free windows. Returns (RuleModel, summary dict).
     """
     config = config or features.FeatureConfig()
-    train_entries = [e for e in entries
-                     if e.rule_id == rule_id and e.split == "train"
-                     and e.polarity in dataset.POLARITIES and e.onset_s is None]
-    if not train_entries:
-        raise MissingStratum(f"manifest has no train-split exemplars for {rule_id}")
+    train_entries, clips, X, y = _train_exemplars(entries, audio_root, rule_id, config)
     for polarity in dataset.POLARITIES:
         if not any(e.polarity == polarity for e in train_entries):
             raise MissingStratum(f"no train-split {polarity} exemplars for {rule_id}")
-
-    bank = features.build_filterbank(config)
-    clips, labels = [], []
-    for e in train_entries:
-        clip = _load_exemplar(dataset.resolve_path(audio_root, e.path), config)
-        clips.append(clip)
-        labels.append(1.0 if e.polarity == "Right" else -1.0)
-    X = np.vstack([features.extract_features(c, config, bank).values for c in clips])
-    y = np.array(labels)
 
     # stratified calibration holdout, never used to fit the SVM
     rng = np.random.default_rng(seed)
@@ -103,9 +97,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
                    if e.rule_id == rule_id and e.split == "train" and e.polarity is None]
     negatives = []
     for e in neg_entries:
-        clip = audio.load_wav(dataset.resolve_path(audio_root, e.path))
-        if clip.sample_rate_hz != config.sample_rate_hz:
-            clip = audio.resample(clip, config.sample_rate_hz)
+        clip = audio.load_clip(dataset.resolve_path(audio_root, e.path), config.sample_rate_hz)
         negatives.extend(w for _, w in audio.slide_windows(clip))
     positives = [clips[i] for i in np.flatnonzero(hold & (y > 0))]
 
@@ -192,21 +184,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     entries = dataset.load_manifest(args.manifest)
-    config = _feature_config(args)
-    root = _manifest_root(args.manifest)
-    train_entries = [e for e in entries
-                     if e.rule_id == args.rule and e.split == "train"
-                     and e.polarity in dataset.POLARITIES and e.onset_s is None]
-    if not train_entries:
-        raise MissingStratum(f"manifest has no train-split exemplars for {args.rule}")
-    bank = features.build_filterbank(config)
-    X = np.vstack([
-        features.extract_features(
-            _load_exemplar(dataset.resolve_path(root, e.path), config), config, bank
-        ).values
-        for e in train_entries
-    ])
-    y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in train_entries])
+    _, _, X, y = _train_exemplars(entries, _manifest_root(args.manifest), args.rule,
+                                  _feature_config(args))
     scaler = features.fit_scaler(X)
     problem = svm.TrainingProblem(scaler.apply(X), y)
     result = svm.grid_search(
@@ -245,9 +224,7 @@ def _cmd_detect(args) -> int:
     rule = persistence.load_model(args.model)
     if args.rule != rule.rule_id:
         raise DetectionError(f"model is for {rule.rule_id}, not {args.rule}")
-    clip = audio.load_wav(args.audio)
-    if clip.sample_rate_hz != rule.feature_config.sample_rate_hz:
-        clip = audio.resample(clip, rule.feature_config.sample_rate_hz)
+    clip = audio.load_clip(args.audio, rule.feature_config.sample_rate_hz)
     report = detection.detect(rule, clip)
 
     if report.verdict is None:
@@ -263,11 +240,7 @@ def _cmd_detect(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
     if args.verdict_out:
-        verdict = None
-        if report.verdict is not None:
-            v = report.verdict
-            verdict = {"offset_s": v.offset_s, "polarity": v.polarity,
-                       "score": v.score, "closeness_pct": v.closeness_pct}
+        verdict = asdict(report.verdict) if report.verdict is not None else None
         with open(args.verdict_out, "w", encoding="utf-8") as fh:
             json.dump({"audio_path": args.audio, "rule_id": rule.rule_id,
                        "verdict": verdict}, fh, sort_keys=True)
@@ -279,6 +252,8 @@ def _cmd_review(args) -> int:
     if args.review_cmd == "append":
         with open(args.verdict, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not (isinstance(payload, dict) and {"audio_path", "rule_id"} <= payload.keys()):
+            raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id")
         record = dataset.ReviewRecord(
             record_id=None,
             audio_path=payload["audio_path"],
@@ -289,12 +264,7 @@ def _cmd_review(args) -> int:
         print(f"record {stored.record_id} appended")
     elif args.review_cmd == "list":
         for r in dataset.review_list(args.queue, status=args.status):
-            print(json.dumps({
-                "record_id": r.record_id, "audio_path": r.audio_path,
-                "rule_id": r.rule_id, "status": r.status,
-                "corrected_label": r.corrected_label, "verdict": r.verdict,
-                "created_at": r.created_at,
-            }, sort_keys=True))
+            print(json.dumps(asdict(r), sort_keys=True))
     else:
         r = dataset.review_label(args.queue, args.id, args.status,
                                  label=args.label, force=args.force)

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -34,7 +35,6 @@ from .errors import (
     UnknownRecord,
 )
 
-RULE_IDS = ("edgham_meem", "ekhfaa_meem", "tafkheem_lam", "tarqeeq_lam")
 POLARITIES = ("Right", "Wrong")
 SPLITS = ("train", "test", "unassigned")
 
@@ -355,25 +355,17 @@ class ReviewRecord:
     corrected_label: str | None = None
 
 
-def _read_queue(path) -> dict[int, ReviewRecord]:
+def _parse_queue(fh) -> dict[int, ReviewRecord]:
     records: dict[int, ReviewRecord] = {}
-    if not os.path.exists(path):
-        return records
-    with open(path, encoding="utf-8") as fh:
+    line_no = 1
+    try:
         header = fh.readline()
-        if not header:
-            return records
-        meta = json.loads(header)
-        if meta.get("schema_version") != QUEUE_SCHEMA_VERSION:
-            raise ParseError(f"unsupported queue schema {meta.get('schema_version')}",
-                             line_number=1)
+        if header and json.loads(header)["schema_version"] != QUEUE_SCHEMA_VERSION:
+            raise ParseError(f"unsupported queue schema {header.strip()}", line_number=1)
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad queue line: {exc}", line_number=line_no)
+            event = json.loads(line)
             rid = int(event["record_id"])
             if event["kind"] == "record":
                 if rid not in records:
@@ -384,50 +376,69 @@ def _read_queue(path) -> dict[int, ReviewRecord]:
                         verdict=event.get("verdict"),
                         created_at=event.get("created_at", ""),
                     )
-            elif event["kind"] == "label":
-                if rid not in records:
-                    raise ParseError(f"label for unknown record {rid}", line_number=line_no)
+            elif event["kind"] == "label" and rid in records:
                 records[rid] = replace(
                     records[rid], status=event["status"], corrected_label=event.get("label")
                 )
+            else:
+                raise ParseError(f"unexpected {event['kind']!r} event for record {rid}",
+                                 line_number=line_no)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"bad queue line: {exc!r}", line_number=line_no) from exc
     return records
 
 
-def _append_event(path, event: dict) -> None:
-    line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-    new = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as fh:
+def _read_queue(path) -> dict[int, ReviewRecord]:
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
+        return _parse_queue(fh)
+
+
+@contextmanager
+def _locked_queue(path):
+    """Yield the queue's records and an append function under one exclusive
+    lock, so concurrent writers never read stale ids. Closing unlocks."""
+    try:
+        fh = open(path, "a+", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot open review queue {path}: {exc}") from exc
+    with fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        try:
-            if new:
+        fh.seek(0)
+        records = _parse_queue(fh)
+
+        def append(event: dict) -> None:
+            if os.fstat(fh.fileno()).st_size == 0:
                 fh.write(json.dumps({"schema_version": QUEUE_SCHEMA_VERSION}) + "\n")
-            fh.write(line + "\n")
+            fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        finally:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+
+        yield records, append
 
 
 def review_append(queue_path, record: ReviewRecord) -> ReviewRecord:
     """Durably append a record; ids are assigned monotonically when absent,
     and re-appending an existing id is a no-op (idempotent retry).
     """
-    records = _read_queue(queue_path)
-    if record.record_id is not None and record.record_id in records:
-        return records[record.record_id]
-    rid = record.record_id if record.record_id is not None else (
-        max(records, default=0) + 1
-    )
-    created = record.created_at or datetime.now(timezone.utc).isoformat(timespec="seconds")
-    stored = replace(record, record_id=rid, created_at=created, status="pending")
-    _append_event(queue_path, {
-        "kind": "record",
-        "record_id": rid,
-        "audio_path": stored.audio_path,
-        "rule_id": stored.rule_id,
-        "verdict": stored.verdict,
-        "created_at": stored.created_at,
-    })
+    with _locked_queue(queue_path) as (records, append):
+        if record.record_id is not None and record.record_id in records:
+            return records[record.record_id]
+        rid = record.record_id if record.record_id is not None else (
+            max(records, default=0) + 1
+        )
+        created = record.created_at or datetime.now(timezone.utc).isoformat(timespec="seconds")
+        stored = replace(record, record_id=rid, created_at=created, status="pending")
+        append({
+            "kind": "record",
+            "record_id": rid,
+            "audio_path": stored.audio_path,
+            "rule_id": stored.rule_id,
+            "verdict": stored.verdict,
+            "created_at": stored.created_at,
+        })
     return stored
 
 
@@ -447,20 +458,20 @@ def review_label(queue_path, record_id: int, status: str,
         raise ValueError("status must be approved or corrected")
     if status == "corrected" and label not in POLARITIES:
         raise ValueError("corrected records need a Right/Wrong label")
-    records = _read_queue(queue_path)
-    if record_id not in records:
-        raise UnknownRecord(f"no review record {record_id}")
-    current = records[record_id]
-    if current.status != "pending" and not force:
-        raise InvalidTransition(
-            f"record {record_id} is already {current.status}; pass force to relabel"
-        )
-    _append_event(queue_path, {
-        "kind": "label",
-        "record_id": record_id,
-        "status": status,
-        "label": label,
-    })
+    with _locked_queue(queue_path) as (records, append):
+        if record_id not in records:
+            raise UnknownRecord(f"no review record {record_id}")
+        current = records[record_id]
+        if current.status != "pending" and not force:
+            raise InvalidTransition(
+                f"record {record_id} is already {current.status}; pass force to relabel"
+            )
+        append({
+            "kind": "label",
+            "record_id": record_id,
+            "status": status,
+            "label": label,
+        })
     return replace(current, status=status, corrected_label=label)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import audio, features, svm
+from . import audio, dataset, features, svm
 from .errors import ConfigMismatch, EmptyNegatives, MissingModel
 
 WINDOW_S = 4.0
@@ -47,6 +47,8 @@ class RuleModel:
             raise ValueError("tau_right must lie in [0.5, 1]")
         if not (THRESHOLD_FLOOR <= self.tau_wrong <= 1.0):
             raise ValueError("tau_wrong must lie in [0.5, 1]")
+        if self.feature_config.fingerprint() != self.config_fingerprint:
+            raise ConfigMismatch(f"model for {self.rule_id} carries a stale feature fingerprint")
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,23 @@ class DetectionReport:
     window_scores: tuple[tuple[float, float], ...]   # (offset_s, p_right)
 
 
+def load_exemplar(path, config: features.FeatureConfig) -> audio.AudioClip:
+    """A WAV file as one analysis window: at the config's rate, cut or
+    zero-padded to 4 s (seed 0)."""
+    clip = audio.load_clip(path, config.sample_rate_hz)
+    return audio.normalize_duration(clip, WINDOW_S, seed=0)
+
+
 def predict_window(rule: RuleModel, window: audio.AudioClip) -> float:
     """Calibrated p_right for one analysis window."""
-    if rule.feature_config.fingerprint() != rule.config_fingerprint:
-        raise ConfigMismatch(
-            f"model for {rule.rule_id} carries a stale feature fingerprint"
-        )
-    vec = features.extract_features(window, rule.feature_config)
-    f = svm.decision_value(rule.svm, vec.values)
-    return float(svm.calibrated_probability(f, rule.calibration))
+    f = svm.decision_values(rule.svm, features.extract_features(window, rule.feature_config))
+    return float(svm.calibrated_probability(f, rule.calibration)[0])
+
+
+def _gated(rule: RuleModel, p: float):
+    """(polarity, score) for each side of p_right that clears its threshold."""
+    sides = (("Right", p, rule.tau_right), ("Wrong", 1.0 - p, rule.tau_wrong))
+    return [(polarity, score) for polarity, score, tau in sides if score >= tau]
 
 
 def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
@@ -83,9 +93,8 @@ def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
     verdict = None
     best = -1.0
     for offset, p in scores:
-        for polarity, gated in (("Right", p), ("Wrong", 1.0 - p)):
-            tau = rule.tau_right if polarity == "Right" else rule.tau_wrong
-            if gated >= tau and gated > best:
+        for polarity, gated in _gated(rule, p):
+            if gated > best:
                 best = gated
                 verdict = Detection(
                     offset_s=offset,
@@ -162,8 +171,6 @@ def evaluate(rules, entries, audio_root, predict_fn=None) -> EvaluationResult:
     model's raw vote, ungated). `predict_fn(entry, clip) -> "Right"|"Wrong"`
     overrides the model, e.g. for echo-oracle sanity checks.
     """
-    from . import dataset  # local import: dataset also imports detection types
-
     by_rule = {r.rule_id: r for r in rules}
     counts = {rid: [0, 0, 0, 0] for rid in by_rule}  # tp, fp, tn, fn
     for entry in entries:
@@ -172,10 +179,7 @@ def evaluate(rules, entries, audio_root, predict_fn=None) -> EvaluationResult:
         if entry.rule_id not in by_rule:
             raise MissingModel(f"no model for rule {entry.rule_id}")
         rule = by_rule[entry.rule_id]
-        clip = audio.load_wav(dataset.resolve_path(audio_root, entry.path))
-        if clip.sample_rate_hz != rule.feature_config.sample_rate_hz:
-            clip = audio.resample(clip, rule.feature_config.sample_rate_hz)
-        clip = audio.normalize_duration(clip, WINDOW_S, seed=0)
+        clip = load_exemplar(dataset.resolve_path(audio_root, entry.path), rule.feature_config)
         if predict_fn is not None:
             predicted = predict_fn(entry, clip)
         else:
@@ -223,13 +227,12 @@ def timeline_rows(report: DetectionReport, rule: RuleModel, truth_s: float | Non
     rows = []
     verdict_offset = report.verdict.offset_s if report.verdict else None
     for offset, p in report.window_scores:
-        gated = int(p >= rule.tau_right or (1.0 - p) >= rule.tau_wrong)
         row = {
             "offset_s": offset,
             "p_right": p,
             "tau_right": rule.tau_right,
             "tau_wrong": rule.tau_wrong,
-            "gated": gated,
+            "gated": int(bool(_gated(rule, p))),
             "verdict": int(verdict_offset == offset),
         }
         if truth_s is not None:

@@ -1,10 +1,11 @@
 """Filter-bank feature extraction.
 
 A 4 s clip is cut into 25 ms frames with a 10 ms hop, each frame is Hamming
-windowed, transformed with a radix-2 FFT, and pushed through 70 triangular
-band-pass filters spaced on the mel scale. Log energies are then pooled
-into a fixed-length vector (per-filter mean and standard deviation by
-default, or the raw frame-by-filter matrix flattened row-major).
+windowed, zero-padded to the FFT size and transformed with numpy's real FFT,
+and pushed through 70 triangular band-pass filters spaced on the mel scale.
+Log energies are then pooled into a fixed-length vector (per-filter mean
+and standard deviation by default, or the raw frame-by-filter matrix
+flattened row-major).
 
 Everything here is deterministic: identical input and config produce
 byte-identical features.
@@ -76,10 +77,6 @@ class FeatureConfig:
             "aggregation": self.aggregation,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(**d)
-
     def fingerprint(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("ascii")).hexdigest()
@@ -91,12 +88,6 @@ class FilterBank:
 
     weights: np.ndarray
     center_freqs_hz: np.ndarray
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    config_fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -153,34 +144,6 @@ def frame_signal(samples, config: FeatureConfig) -> np.ndarray:
     return samples[idx]
 
 
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT along the last axis.
-
-    Accepts real or complex input of power-of-two length; batches along
-    leading axes are transformed independently.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n == 0 or n & (n - 1):
-        raise ValueError("FFT length must be a power of two")
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    out = x[..., rev].astype(np.complex128)
-
-    m = 2
-    while m <= n:
-        tw = np.exp(-2j * np.pi * np.arange(m // 2) / m)
-        shaped = out.reshape(out.shape[:-1] + (n // m, m))
-        even = shaped[..., : m // 2]
-        odd = shaped[..., m // 2:] * tw
-        out = np.concatenate([even + odd, even - odd], axis=-1).reshape(out.shape)
-        m *= 2
-    return out
-
-
 def power_spectrum(frame, fft_size: int) -> np.ndarray:
     """One-sided power spectrum P[k] = |X[k]|^2 / fft_size, k = 0..fft_size/2.
 
@@ -190,12 +153,8 @@ def power_spectrum(frame, fft_size: int) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
         raise ValueError("frame longer than fft_size")
-    if frame.shape[-1] < fft_size:
-        pad = [(0, 0)] * (frame.ndim - 1) + [(0, fft_size - frame.shape[-1])]
-        frame = np.pad(frame, pad)
-    spectrum = fft_radix2(frame)
-    power = (spectrum.real ** 2 + spectrum.imag ** 2) / fft_size
-    return power[..., : fft_size // 2 + 1]
+    spectrum = np.fft.rfft(frame, fft_size)
+    return (spectrum.real ** 2 + spectrum.imag ** 2) / fft_size
 
 
 def build_filterbank(config: FeatureConfig) -> FilterBank:
@@ -232,51 +191,34 @@ def _cached_filterbank(config: FeatureConfig) -> FilterBank:
     return build_filterbank(config)
 
 
-def extract_features(clip: AudioClip, config: FeatureConfig,
-                     bank: FilterBank | None = None) -> FeatureVector:
-    """Full chain: frame, window, FFT, filter-bank energies, log, pool.
+def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
+    """Full chain: frame, window, real FFT, filter-bank energies, log, pool.
 
-    Callers normalize clips to the 4 s analysis length first. Passing a
-    prebuilt bank avoids rebuilding it per clip; it must come from the
-    same config.
+    Callers normalize clips to the 4 s analysis length first. The filter
+    bank is built once per config and shared.
     """
     if clip.sample_rate_hz != config.sample_rate_hz:
         raise WrongRate(
             f"clip at {clip.sample_rate_hz} Hz, config expects {config.sample_rate_hz} Hz"
         )
-    if bank is None:
-        bank = _cached_filterbank(config)
-
     frames = frame_signal(clip.samples, config)
     frames = frames * hamming_window(config.frame_len)
     power = power_spectrum(frames, config.fft_size)
-    energies = power @ bank.weights.T
+    energies = power @ _cached_filterbank(config).weights.T
     log_energies = np.log(np.maximum(energies, config.log_floor))
 
     if config.aggregation == "mean_std_pool":
         std = log_energies.std(axis=0)
         # a constant column has zero spread; np.std leaves rounding dust
         std[np.ptp(log_energies, axis=0) == 0.0] = 0.0
-        values = np.concatenate([log_energies.mean(axis=0), std])
-    else:
-        values = log_energies.reshape(-1)
-    return FeatureVector(values=values, config_fingerprint=config.fingerprint())
+        return np.concatenate([log_energies.mean(axis=0), std])
+    return log_energies.reshape(-1)
 
 
-def _as_matrix(vectors) -> np.ndarray:
-    rows = [v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-            for v in vectors]
-    return np.vstack(rows)
-
-
-def fit_scaler(vectors) -> Scaler:
-    """Per-dimension mean/std over training vectors (FeatureVectors or rows)."""
-    matrix = _as_matrix(vectors)
+def fit_scaler(rows) -> Scaler:
+    """Per-dimension mean/std over training feature rows."""
+    matrix = np.vstack(rows).astype(np.float64)
     if matrix.shape[0] < 2:
         raise TooFewVectors("need at least 2 vectors to fit a scaler")
     return Scaler(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
 
-
-def apply_scaler(v, scaler: Scaler) -> np.ndarray:
-    values = v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-    return scaler.apply(values)

@@ -12,8 +12,10 @@ of one model byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -26,6 +28,9 @@ MAGIC = b"TJWDMODL"
 FORMAT_VERSION = 1
 
 _SCALARS = ("bias", "C", "gamma", "A", "B", "tau_right", "tau_wrong")
+_HEADER_TYPES = {"rule_id": str, "feature_config": dict, "config_fingerprint": str,
+                 "dataset_hash": str, "train_seed": int, "n_support": int, "dim": int,
+                 "arrays": list}
 
 
 def _feature_config_header(config: FeatureConfig) -> dict:
@@ -36,7 +41,8 @@ def _feature_config_header(config: FeatureConfig) -> dict:
 
 
 def save_model(rule_model: RuleModel, path) -> None:
-    """Atomically write a rule model (write-temp-then-rename)."""
+    """Atomically write a rule model: a unique temp file in the target
+    directory, fsynced, then renamed over the target."""
     m = rule_model.svm
     dim = m.support_vectors.shape[1]
     arrays = [
@@ -71,18 +77,26 @@ def save_model(rule_model: RuleModel, path) -> None:
     for _, arr in arrays:
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
-    tmp = f"{path}.tmp"
+    tmp = None
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(blob))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o644)
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write model file {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_model(path) -> RuleModel:
-    """Read a model file; raises VersionMismatch for unreadable versions and
-    SchemaError for internally inconsistent shapes.
+    """Read a model file; raises VersionMismatch for unreadable versions,
+    SchemaError for malformed headers, inconsistent shapes, non-finite or
+    out-of-range values, and ConfigMismatch for a stale fingerprint.
     """
     try:
         with open(path, "rb") as fh:
@@ -98,17 +112,25 @@ def load_model(path) -> RuleModel:
         raise SchemaError(f"{path}: truncated header")
     try:
         header = json.loads(data[len(MAGIC) + 4: body_start])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path}: unreadable header: {exc}") from exc
-
+    if not isinstance(header, dict):
+        raise SchemaError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(version, FORMAT_VERSION)
+    for key, kind in _HEADER_TYPES.items():
+        if type(header.get(key)) is not kind:
+            raise SchemaError(f"{path}: header field {key} missing or not {kind.__name__}")
 
     arrays = {}
     offset = body_start
     for spec in header["arrays"]:
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        if not (isinstance(spec, dict) and type(spec.get("name")) is str
+                and type(spec.get("shape")) is list
+                and all(type(n) is int and n >= 0 for n in spec["shape"])):
+            raise SchemaError(f"{path}: bad array spec {spec!r}")
+        count = math.prod(spec["shape"])
         end = offset + 8 * count
         if end > len(data):
             raise SchemaError(f"{path}: array {spec['name']} overruns file")
@@ -123,6 +145,8 @@ def load_model(path) -> RuleModel:
                  "support_vectors", "dual_coefs"):
         if name not in arrays:
             raise SchemaError(f"{path}: missing array {name}")
+        if not np.isfinite(arrays[name]).all():
+            raise SchemaError(f"{path}: array {name} holds non-finite values")
 
     sv = arrays["support_vectors"]
     dc = arrays["dual_coefs"]
@@ -135,29 +159,34 @@ def load_model(path) -> RuleModel:
     if arrays["scaler_mean"].shape != (header["dim"],) or \
             arrays["scaler_std"].shape != (header["dim"],):
         raise SchemaError(f"{path}: scaler shape contradicts dimension {header['dim']}")
-    if arrays["scalars"].shape != (len(_SCALARS),):
-        raise SchemaError(f"{path}: expected {len(_SCALARS)} scalars")
+    if arrays["scalars"].shape != (len(_SCALARS),) or arrays["log_floor"].shape != (1,):
+        raise SchemaError(f"{path}: expected {len(_SCALARS)} scalars and one log floor")
+    if (arrays["scaler_std"] < 0).any():
+        raise SchemaError(f"{path}: negative scaler standard deviation")
 
     scalars = dict(zip(_SCALARS, arrays["scalars"]))
-    config = FeatureConfig(
-        log_floor=float(arrays["log_floor"][0]), **header["feature_config"]
-    )
-    model = SvmModel(
-        support_vectors=sv,
-        dual_coefs=dc,
-        bias=float(scalars["bias"]),
-        kernel=KernelParams(gamma=float(scalars["gamma"])),
-        C=float(scalars["C"]),
-        scaler=Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"]),
-    )
-    return RuleModel(
-        rule_id=header["rule_id"],
-        svm=model,
-        calibration=(float(scalars["A"]), float(scalars["B"])),
-        tau_right=float(scalars["tau_right"]),
-        tau_wrong=float(scalars["tau_wrong"]),
-        feature_config=config,
-        config_fingerprint=header["config_fingerprint"],
-        dataset_hash=header["dataset_hash"],
-        train_seed=int(header["train_seed"]),
-    )
+    try:
+        config = FeatureConfig(
+            log_floor=float(arrays["log_floor"][0]), **header["feature_config"]
+        )
+        model = SvmModel(
+            support_vectors=sv,
+            dual_coefs=dc,
+            bias=float(scalars["bias"]),
+            kernel=KernelParams(gamma=float(scalars["gamma"])),
+            C=float(scalars["C"]),
+            scaler=Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"]),
+        )
+        return RuleModel(
+            rule_id=header["rule_id"],
+            svm=model,
+            calibration=(float(scalars["A"]), float(scalars["B"])),
+            tau_right=float(scalars["tau_right"]),
+            tau_wrong=float(scalars["tau_wrong"]),
+            feature_config=config,
+            config_fingerprint=header["config_fingerprint"],
+            dataset_hash=header["dataset_hash"],
+            train_seed=header["train_seed"],
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

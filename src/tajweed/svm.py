@@ -76,18 +76,8 @@ class SvmModel:
     scaler: Scaler
 
 
-def rbf_kernel(a, b, gamma: float) -> float:
-    """K(a, b) = exp(-gamma * ||a - b||^2); always in (0, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel matrix K[i, j] = K(A[i], B[j])."""
+    """Kernel matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2), in (0, 1]."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
@@ -191,7 +181,7 @@ def _solve_bias(alpha, grad, y, C) -> float:
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
-    """f(x) for each row of X (raw, unstandardized inputs)."""
+    """f(x) for each row of X (raw, unstandardized inputs); sign is the class."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.support_vectors.shape[1]:
         raise DimensionMismatch(
@@ -200,11 +190,6 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     Xs = model.scaler.apply(X)
     K = rbf_gram(model.support_vectors, Xs, model.kernel.gamma)
     return model.dual_coefs @ K + model.bias
-
-
-def decision_value(model: SvmModel, x) -> float:
-    """Signed distance-like score; sign is the predicted class."""
-    return float(decision_values(model, np.atleast_2d(x))[0])
 
 
 def _prob_pos(z: np.ndarray) -> np.ndarray:

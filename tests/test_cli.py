@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -44,6 +45,28 @@ class TestExitCodes:
         code = run(["detect", "--audio", str(tmp_path / "none.wav"),
                     "--rule", "edgham_meem", "--model", trained_model_path])
         assert code == 3
+
+    def test_model_header_without_dim_is_persistence_error(self, trained_model_path,
+                                                            tmp_path):
+        blob = open(trained_model_path, "rb").read()
+        hlen = struct.unpack_from("<I", blob, 8)[0]
+        header = json.loads(blob[12:12 + hlen])
+        del header["dim"]
+        new = json.dumps(header).encode()
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+        code = run(["detect", "--audio", "x.wav", "--rule", "edgham_meem",
+                    "--model", str(bad)])
+        assert code == 8
+
+    @pytest.mark.parametrize("payload", [{"rule_id": "edgham_meem"}, {"audio_path": "v.wav"},
+                                         ["v.wav", "edgham_meem"]])
+    def test_incomplete_verdict_is_dataset_error(self, tmp_path, payload):
+        verdict = tmp_path / "verdict.json"
+        verdict.write_text(json.dumps(payload))
+        code = run(["review", "append", "--queue", str(tmp_path / "q.jsonl"),
+                    "--verdict", str(verdict)])
+        assert code == 7
 
     def test_seed_required_for_train(self, manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:

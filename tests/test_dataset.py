@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -9,6 +10,20 @@ from hypothesis import strategies as st
 import oracles
 from tajweed import audio, dataset
 from tajweed.errors import InvalidTransition, ParseError, StratumTooSmall, UnknownRecord
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def append_many(queue, n):
+    """Worker for the concurrency test: n appends with fresh ids."""
+    for _ in range(n):
+        dataset.review_append(queue, dataset.ReviewRecord(None, "x.wav", "edgham_meem", None))
 
 
 def entry(path="a.wav", rule="edgham_meem", polarity="Right", onset=None, split="unassigned"):
@@ -249,3 +264,64 @@ class TestReviewQueue:
         dataset.review_append(q, self.record())
         with pytest.raises(ValueError):
             dataset.review_label(q, 1, "corrected")
+
+    def test_concurrent_appends_lose_nothing(self, tmp_path):
+        q = str(tmp_path / "q.jsonl")
+        ctx = multiprocessing.get_context("spawn")
+        workers = [ctx.Process(target=append_many, args=(q, 25)) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        for w in workers:
+            if w.is_alive():
+                w.kill()
+        assert [w.exitcode for w in workers] == [0, 0, 0, 0]
+        lines = open(q, encoding="utf-8").read().splitlines()
+        assert sum("schema_version" in line for line in lines) == 1
+        assert len(lines) == 101
+        assert [r.record_id for r in dataset.review_list(q)] == list(range(1, 101))
+
+    @pytest.mark.parametrize("line", [
+        '{"kind":"record","record_id":2}',                       # missing keys
+        '[1, 2]',                                                # not an object
+        '"record"',
+        '{"kind":"record","record_id":"two","audio_path":"x.wav","rule_id":"r"}',
+        '{"kind":"label","record_id":9,"status":"approved"}',   # unknown record
+        '{"kind":"retract","record_id":1}',                      # unknown kind
+        '{not json',
+    ])
+    def test_malformed_line_reports_its_number(self, tmp_path, line):
+        q = tmp_path / "q.jsonl"
+        dataset.review_append(str(q), self.record())
+        q.write_text(q.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            dataset.review_list(str(q))
+        assert exc.value.line_number == 3
+        with pytest.raises(ParseError):
+            dataset.review_append(str(q), self.record())
+
+    @pytest.mark.parametrize("header", ['{"schema_version": 2}', "[]", "{}", "garbage"])
+    def test_bad_header_line(self, tmp_path, header):
+        q = tmp_path / "q.jsonl"
+        q.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            dataset.review_list(str(q))
+        assert exc.value.line_number == 1
+
+    @given(event=st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["record", "label"]) | JSON_VALUES,
+        "record_id": st.sampled_from([1, 2, float("inf")]) | JSON_VALUES,
+        "audio_path": JSON_VALUES, "rule_id": JSON_VALUES,
+        "status": JSON_VALUES, "label": JSON_VALUES, "verdict": JSON_VALUES,
+    }) | JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_queue_line_raises_only_parse_error(self, tmp_path_factory, event):
+        q = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        q.unlink(missing_ok=True)
+        dataset.review_append(str(q), self.record())
+        q.write_text(q.read_text(encoding="utf-8") + json.dumps(event) + "\n", encoding="utf-8")
+        try:
+            dataset.review_list(str(q))
+        except ParseError as exc:
+            assert exc.line_number == 3

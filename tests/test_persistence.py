@@ -3,9 +3,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tajweed import persistence, svm
-from tajweed.errors import IoError, SchemaError, VersionMismatch
+from tajweed.errors import ConfigMismatch, IoError, SchemaError, TajweedError, VersionMismatch
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
 
 
 def test_round_trip_decision_values_bit_exact(small_model, tmp_path):
@@ -101,3 +110,105 @@ def test_no_leftover_temp_file(small_model, tmp_path):
     path = tmp_path / "m.model"
     persistence.save_model(small_model, str(path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model"]
+
+
+def test_failed_save_leaves_no_temp_file(small_model, tmp_path):
+    target = tmp_path / "m.model"
+    target.mkdir()                      # os.replace cannot overwrite a directory
+    with pytest.raises(IoError):
+        persistence.save_model(small_model, str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model"]
+
+
+def _patch_array(blob, name, mutate):
+    """Apply `mutate` in place to one float64 array of a saved model."""
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    header, offset = json.loads(blob[12:12 + hlen]), 12 + hlen
+    out = bytearray(blob)
+    for spec in header["arrays"]:
+        count = int(np.prod(spec["shape"]))
+        if spec["name"] == name:
+            values = np.frombuffer(blob, "<f8", count, offset).copy()
+            mutate(values)
+            out[offset:offset + 8 * count] = values.tobytes()
+        offset += 8 * count
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def model_path(small_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("blob") / "m.model"
+    persistence.save_model(small_model, str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def model_blob(model_path):
+    return open(model_path, "rb").read()
+
+
+@pytest.mark.parametrize("key", ["dim", "arrays", "n_support", "rule_id", "feature_config",
+                                 "config_fingerprint", "dataset_hash", "train_seed"])
+def test_missing_header_key_is_schema_error(model_path, tmp_path, key):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_patch_header(model_path, lambda h: h.pop(key)))
+    with pytest.raises(SchemaError):
+        persistence.load_model(str(bad))
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("dual_coefs", 0, np.nan),
+    ("support_vectors", 3, np.inf),
+    ("scaler_std", 5, -1.0),
+    ("scalars", 5, 0.3),                # tau_right below the 0.5 floor
+    ("scalars", 2, 0.0),                # gamma must be positive
+])
+def test_out_of_range_arrays_are_schema_errors(model_blob, tmp_path, name, index, value):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_patch_array(model_blob, name, lambda v: v.__setitem__(index, value)))
+    with pytest.raises(SchemaError):
+        persistence.load_model(str(bad))
+
+
+def test_stale_fingerprint_is_config_mismatch(model_path, tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_patch_header(model_path, lambda h: h.update(config_fingerprint="0" * 64)))
+    with pytest.raises(ConfigMismatch):
+        persistence.load_model(str(bad))
+
+
+def _load_or_tajweed_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        persistence.load_model(str(path))
+    except TajweedError:
+        pass
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_header_raises_only_tajweed_errors(model_path, tmp_path_factory, data):
+    def mutate(header):
+        target = header
+        if data.draw(st.booleans()):
+            target = header[data.draw(st.sampled_from(["feature_config", "arrays"]))]
+            if isinstance(target, list):
+                target = target[data.draw(st.integers(0, len(target) - 1))]
+        key = data.draw(st.sampled_from(sorted(target)))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+
+    blob = _patch_header(model_path, mutate)
+    _load_or_tajweed_error(tmp_path_factory.getbasetemp() / "fuzz.model", blob)
+
+
+@given(flips=st.lists(st.tuples(st.integers(0, 2**31), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_flipped_bytes_raise_only_tajweed_errors(model_blob, tmp_path_factory, flips):
+    blob = bytearray(model_blob)
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    _load_or_tajweed_error(tmp_path_factory.getbasetemp() / "fuzz.model", bytes(blob))

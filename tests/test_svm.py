@@ -21,25 +21,26 @@ def tiny_problem():
 class TestRbfKernel:
     def test_self_similarity_is_one(self):
         x = np.array([0.3, -1.2, 5.0])
-        assert svm.rbf_kernel(x, x, 0.7) == 1.0
+        assert svm.rbf_gram(x, x, 0.7)[0, 0] == 1.0
 
     def test_known_value(self):
         # gamma 0.1, squared distance 10 -> exp(-1)
         a, b = np.zeros(10), np.ones(10)
-        assert svm.rbf_kernel(a, b, 0.1) == pytest.approx(np.exp(-1), abs=1e-12)
+        assert svm.rbf_gram(a, b, 0.1)[0, 0] == pytest.approx(np.exp(-1), abs=1e-12)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
     def test_symmetry_and_range(self, seed):
         rng = np.random.default_rng(seed)
-        a, b = rng.standard_normal(4), rng.standard_normal(4)
-        k1, k2 = svm.rbf_kernel(a, b, 0.5), svm.rbf_kernel(b, a, 0.5)
-        assert k1 == k2
-        assert 0.0 < k1 <= 1.0
+        A, B = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        K = svm.rbf_gram(A, B, 0.5)
+        assert (K == svm.rbf_gram(B, A, 0.5).T).all()
+        assert ((0.0 < K) & (K <= 1.0)).all()
+        assert np.abs(K - oracles.rbf_matrix(A, B, 0.5)).max() < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            svm.rbf_kernel(np.zeros(3), np.zeros(4), 0.5)
+            svm.rbf_gram(np.zeros(3), np.zeros(4), 0.5)
 
     def test_gram_matrix_positive_semidefinite(self):
         rng = np.random.default_rng(8)
@@ -57,9 +58,10 @@ class TestTrain:
     def test_two_point_boundary_at_midpoint(self):
         model = svm.train(tiny_problem(), C=100.0, kernel=svm.KernelParams(gamma=0.01),
                           tol=1e-6)
-        assert abs(svm.decision_value(model, [1.0])) < 1e-3
-        assert svm.decision_value(model, [0.0]) <= -1 + 1e-3
-        assert svm.decision_value(model, [2.0]) >= 1 - 1e-3
+        f_mid, f_neg, f_pos = svm.decision_values(model, [[1.0], [0.0], [2.0]])
+        assert abs(f_mid) < 1e-3
+        assert f_neg <= -1 + 1e-3
+        assert f_pos >= 1 - 1e-3
 
     def test_six_point_matches_qp_oracle(self):
         rng = np.random.default_rng(77)
@@ -135,12 +137,12 @@ class TestTrain:
     def test_decision_value_is_pure(self):
         model = svm.train(tiny_problem(), 10.0, svm.KernelParams(gamma=0.2))
         x = [0.7]
-        assert svm.decision_value(model, x) == svm.decision_value(model, x)
+        assert svm.decision_values(model, x) == svm.decision_values(model, x)
 
     def test_dimension_mismatch_at_inference(self):
         model = svm.train(tiny_problem(), 10.0, svm.KernelParams(gamma=0.2))
         with pytest.raises(DimensionMismatch):
-            svm.decision_value(model, [1.0, 2.0])
+            svm.decision_values(model, [1.0, 2.0])
 
 
 class TestCalibration:
