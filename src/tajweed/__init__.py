@@ -25,7 +25,6 @@ from .svm import (
     KernelParams,
     SvmModel,
     TrainingProblem,
-    fit_calibration,
     grid_search,
     train,
 )
@@ -37,7 +36,7 @@ __all__ = [
     "FeatureConfig", "FilterBank", "Scaler",
     "build_filterbank", "extract_features", "fit_scaler",
     "KernelParams", "TrainingProblem", "SvmModel",
-    "train", "fit_calibration", "grid_search",
+    "train", "grid_search",
     "RuleModel", "Detection", "DetectionReport",
     "predict_window", "detect", "calibrate_thresholds", "evaluate",
     "ManifestEntry", "ReviewRecord", "load_manifest", "save_manifest", "split",

@@ -1,5 +1,7 @@
 """Audio loading and shaping: WAV input, resampling, duration normalization,
-and the 4 s / 0.5 s sliding windows used by detection.
+and the sliding windows used by detection. This module owns the window
+geometry: WINDOW_S-long analysis windows every STRIDE_S seconds, shared by
+training exemplars, threshold calibration and detection.
 
 All operations are pure functions of their inputs (plus an explicit seed
 where randomness is involved); clips are immutable and safe to share.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,8 @@ import numpy as np
 from .errors import CorruptHeader, InvalidRate, NotFound, UnsupportedFormat
 
 MIN_SAMPLE_RATE_HZ = 1000
+WINDOW_S = 4.0
+STRIDE_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -106,15 +111,12 @@ def load_wav(path) -> AudioClip:
 
 def write_wav(path, clip: AudioClip) -> None:
     """Write a clip as 16-bit PCM mono WAV (scale matches load_wav)."""
-    pcm = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    payload = pcm.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, 1, 1, clip.sample_rate_hz, clip.sample_rate_hz * 2, 2, 16
-    )
-    header += b"data" + struct.pack("<I", len(payload))
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    pcm = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype(np.int16)
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(clip.sample_rate_hz)
+        out.writeframes(pcm.tobytes())
 
 
 def load_clip(path, rate_hz: int) -> AudioClip:
@@ -156,7 +158,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     return AudioClip(np.clip(out, -1.0, 1.0), int(target_hz))
 
 
-def normalize_duration(clip: AudioClip, target_s: float = 4.0, *, seed: int) -> AudioClip:
+def normalize_duration(clip: AudioClip, target_s: float = WINDOW_S, *, seed: int) -> AudioClip:
     """Force a clip to exactly round(target_s * rate) samples.
 
     Shorter clips get trailing zeros; longer clips keep one contiguous
@@ -175,28 +177,16 @@ def normalize_duration(clip: AudioClip, target_s: float = 4.0, *, seed: int) -> 
     return AudioClip(clip.samples[start:start + n_target].copy(), clip.sample_rate_hz)
 
 
-def slide_windows(clip: AudioClip, window_s: float = 4.0, stride_s: float = 0.5):
-    """Fixed-length windows at offsets 0, stride, 2*stride, ... while the
+def slide_windows(clip: AudioClip):
+    """WINDOW_S windows at offsets 0, STRIDE_S, 2*STRIDE_S, ... while the
     window still fits. A clip shorter than one window yields a single
     zero-padded window at offset 0.
 
     Returns a list of (offset_s, AudioClip) pairs.
     """
-    if window_s <= 0 or stride_s <= 0:
-        raise ValueError("window_s and stride_s must be positive")
     rate = clip.sample_rate_hz
-    window_n = int(round(window_s * rate))
-    stride_n = int(round(stride_s * rate))
-    n = len(clip.samples)
-
-    if n < window_n:
-        padded = np.zeros(window_n)
-        padded[:n] = clip.samples
-        return [(0.0, AudioClip(padded, rate))]
-
-    windows = []
-    start = 0
-    while start + window_n <= n:
-        windows.append((start / rate, AudioClip(clip.samples[start:start + window_n].copy(), rate)))
-        start += stride_n
-    return windows
+    window_n = int(round(WINDOW_S * rate))
+    if len(clip) < window_n:
+        return [(0.0, normalize_duration(clip, WINDOW_S, seed=0))]
+    return [(start / rate, AudioClip(clip.samples[start:start + window_n].copy(), rate))
+            for start in range(0, len(clip) - window_n + 1, int(round(STRIDE_S * rate)))]

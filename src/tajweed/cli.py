@@ -39,7 +39,7 @@ EXIT_CODES = (
     (DetectionError, 6),
     (DatasetError, 7),
     (PersistenceError, 8),
-    (IoError, 9),
+    ((IoError, OSError), 9),
 )
 
 CAL_HOLDOUT_FRACTION = 0.2
@@ -91,7 +91,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     model = svm.train(problem, C, svm.KernelParams(gamma=gamma), scaler=scaler)
     holdout_f = svm.decision_values(model, X[hold])
     holdout_acc = float(np.mean(np.sign(holdout_f) == y[hold]))
-    calibration = svm.fit_calibration(model, X[hold], y[hold])
+    calibration = svm.platt_fit(holdout_f, y[hold])
 
     neg_entries = [e for e in entries
                    if e.rule_id == rule_id and e.split == "train" and e.polarity is None]
@@ -99,7 +99,6 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     for e in neg_entries:
         clip = audio.load_clip(dataset.resolve_path(audio_root, e.path), config.sample_rate_hz)
         negatives.extend(w for _, w in audio.slide_windows(clip))
-    positives = [clips[i] for i in np.flatnonzero(hold & (y > 0))]
 
     dataset_hash = hashlib.sha256(
         (_entry_rows(train_entries + neg_entries) + config.fingerprint()).encode()
@@ -115,9 +114,14 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
         dataset_hash=dataset_hash,
         train_seed=seed,
     )
-    thresholds = detection.calibrate_thresholds(rule_model, positives, negatives)
+    thresholds = detection.calibrate_thresholds(rule_model, negatives)
     rule_model = replace(rule_model, tau_right=thresholds.tau_right,
                          tau_wrong=thresholds.tau_wrong)
+    # share of holdout Right clips that a detect with these taus would gate in
+    coverage = float(np.mean([
+        bool(detection.gated(rule_model, detection.predict_window(rule_model, clips[i])))
+        for i in np.flatnonzero(hold & (y > 0))
+    ]))
     summary = {
         "rule_id": rule_id,
         "n_train": int((~hold).sum()),
@@ -127,12 +131,9 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
         "tau_right": thresholds.tau_right,
         "tau_wrong": thresholds.tau_wrong,
         "saturated": thresholds.right_saturated or thresholds.wrong_saturated,
+        "positive_coverage": coverage,
     }
     return rule_model, summary
-
-
-def _feature_config(args) -> features.FeatureConfig:
-    return features.FeatureConfig(aggregation=getattr(args, "agg", "mean_std_pool"))
 
 
 def _manifest_root(path) -> str:
@@ -170,12 +171,13 @@ def _cmd_train(args) -> int:
     entries = dataset.load_manifest(args.manifest)
     rule_model, summary = train_rule_model(
         entries, _manifest_root(args.manifest), args.rule,
-        args.c, args.gamma, args.seed, _feature_config(args),
+        args.c, args.gamma, args.seed, features.FeatureConfig(aggregation=args.agg),
     )
     persistence.save_model(rule_model, args.model)
     print(f"rule={summary['rule_id']} support_vectors={summary['n_support']} "
           f"holdout_accuracy={summary['holdout_accuracy']:.4f} "
-          f"tau_right={summary['tau_right']:.4f} tau_wrong={summary['tau_wrong']:.4f}")
+          f"tau_right={summary['tau_right']:.4f} tau_wrong={summary['tau_wrong']:.4f} "
+          f"positive_coverage={summary['positive_coverage']:.4f}")
     if summary["saturated"]:
         print("warning: a threshold clamped at 0.99; negatives score close to certain",
               file=sys.stderr)
@@ -185,7 +187,7 @@ def _cmd_train(args) -> int:
 def _cmd_gridsearch(args) -> int:
     entries = dataset.load_manifest(args.manifest)
     _, _, X, y = _train_exemplars(entries, _manifest_root(args.manifest), args.rule,
-                                  _feature_config(args))
+                                  features.FeatureConfig(aggregation=args.agg))
     scaler = features.fit_scaler(X)
     problem = svm.TrainingProblem(scaler.apply(X), y)
     result = svm.grid_search(
@@ -251,7 +253,10 @@ def _cmd_detect(args) -> int:
 def _cmd_review(args) -> int:
     if args.review_cmd == "append":
         with open(args.verdict, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise ParseError(f"{args.verdict}: unreadable verdict JSON: {exc}") from exc
         if not (isinstance(payload, dict) and {"audio_path", "rule_id"} <= payload.keys()):
             raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id")
         record = dataset.ReviewRecord(
@@ -360,7 +365,7 @@ def main(argv=None) -> int:
             parser.error("synth requires --seed and --out")
     try:
         return args.func(args)
-    except TajweedError as err:
+    except (TajweedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         for family, code in EXIT_CODES:
             if isinstance(err, family):

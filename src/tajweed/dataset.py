@@ -188,17 +188,6 @@ def default_recipe() -> dict:
     }
 
 
-def _band_noise(n, rate, band, rng) -> np.ndarray:
-    """Unit-RMS white noise restricted to a frequency band."""
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / rate)
-    spectrum[(freqs < band[0]) | (freqs > band[1])] = 0.0
-    shaped = np.fft.irfft(spectrum, n)
-    rms = np.sqrt(np.mean(shaped ** 2))
-    return shaped / max(rms, 1e-12)
-
-
 def _render_class_clip(recipe_cls, rate, seconds, rng) -> np.ndarray:
     n = int(round(seconds * rate))
     t = np.arange(n) / rate
@@ -231,8 +220,13 @@ def _render_class_clip(recipe_cls, rate, seconds, rng) -> np.ndarray:
 
 
 def _render_background(recipe, n, rate, rng) -> np.ndarray:
+    """White noise restricted to the recipe's band, scaled to its RMS level."""
     bg = recipe["background"]
-    return bg["noise_level"] * _band_noise(n, rate, bg["band_hz"], rng)
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    spectrum[(freqs < bg["band_hz"][0]) | (freqs > bg["band_hz"][1])] = 0.0
+    shaped = np.fft.irfft(spectrum, n)
+    return bg["noise_level"] * (shaped / max(np.sqrt(np.mean(shaped ** 2)), 1e-12))
 
 
 def _fade_edges(sig, rate, fade_s=0.02) -> np.ndarray:
@@ -377,9 +371,12 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
                         created_at=event.get("created_at", ""),
                     )
             elif event["kind"] == "label" and rid in records:
-                records[rid] = replace(
-                    records[rid], status=event["status"], corrected_label=event.get("label")
-                )
+                status, label = event["status"], event.get("label")
+                if status not in ("approved", "corrected") or label not in (None, *POLARITIES) \
+                        or (status == "corrected" and label is None):
+                    raise ParseError(f"bad label event {status!r}/{label!r} for record {rid}",
+                                     line_number=line_no)
+                records[rid] = replace(records[rid], status=status, corrected_label=label)
             else:
                 raise ParseError(f"unexpected {event['kind']!r} event for record {rid}",
                                  line_number=line_no)
@@ -481,11 +478,7 @@ def review_export(queue_path) -> list[ManifestEntry]:
     for r in review_list(queue_path):
         if r.status == "pending":
             continue
-        if r.status == "corrected":
-            polarity = r.corrected_label
-            onset = (r.verdict or {}).get("offset_s")
-        else:
-            polarity = (r.verdict or {}).get("polarity")
-            onset = (r.verdict or {}).get("offset_s")
-        out.append(ManifestEntry(r.audio_path, r.rule_id, polarity, onset))
+        verdict = r.verdict or {}
+        polarity = r.corrected_label if r.status == "corrected" else verdict.get("polarity")
+        out.append(ManifestEntry(r.audio_path, r.rule_id, polarity, verdict.get("offset_s")))
     return out

@@ -1,12 +1,12 @@
 """Sliding-window rule detection.
 
-A recording is cut into 4 s windows every 0.5 s; each window's features are
-scored by the rule's SVM and calibrated to p_right in [0, 1]. A window is a
-Right candidate when p_right clears tau_right and a Wrong candidate when
-(1 - p_right) clears tau_wrong. The verdict is the candidate with the
-highest gated score, earliest offset on ties; no surviving candidate means
-no verdict. Thresholds are calibrated so that rule-free material produces
-zero verdicts by construction.
+A recording is cut into audio.WINDOW_S windows every audio.STRIDE_S; each
+window's features are scored by the rule's SVM and calibrated to p_right in
+[0, 1]. A window is a Right candidate when p_right clears tau_right and a
+Wrong candidate when (1 - p_right) clears tau_wrong. The verdict is the
+candidate with the highest gated score, earliest offset on ties; no
+surviving candidate means no verdict. Thresholds are calibrated so that
+rule-free material produces zero verdicts by construction.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 
 from . import audio, dataset, features, svm
 from .errors import ConfigMismatch, EmptyNegatives, MissingModel
-
-WINDOW_S = 4.0
-STRIDE_S = 0.5
 
 THRESHOLD_MARGIN = 0.01
 THRESHOLD_FLOOR = 0.5
@@ -68,9 +65,9 @@ class DetectionReport:
 
 def load_exemplar(path, config: features.FeatureConfig) -> audio.AudioClip:
     """A WAV file as one analysis window: at the config's rate, cut or
-    zero-padded to 4 s (seed 0)."""
+    zero-padded to one analysis window (seed 0)."""
     clip = audio.load_clip(path, config.sample_rate_hz)
-    return audio.normalize_duration(clip, WINDOW_S, seed=0)
+    return audio.normalize_duration(clip, audio.WINDOW_S, seed=0)
 
 
 def predict_window(rule: RuleModel, window: audio.AudioClip) -> float:
@@ -79,7 +76,7 @@ def predict_window(rule: RuleModel, window: audio.AudioClip) -> float:
     return float(svm.calibrated_probability(f, rule.calibration)[0])
 
 
-def _gated(rule: RuleModel, p: float):
+def gated(rule: RuleModel, p: float):
     """(polarity, score) for each side of p_right that clears its threshold."""
     sides = (("Right", p, rule.tau_right), ("Wrong", 1.0 - p, rule.tau_wrong))
     return [(polarity, score) for polarity, score, tau in sides if score >= tau]
@@ -87,19 +84,19 @@ def _gated(rule: RuleModel, p: float):
 
 def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
     """Score every window, gate by the rule's thresholds, pick one verdict."""
-    windows = audio.slide_windows(recording, WINDOW_S, STRIDE_S)
+    windows = audio.slide_windows(recording)
     scores = [(offset, predict_window(rule, clip)) for offset, clip in windows]
 
     verdict = None
     best = -1.0
     for offset, p in scores:
-        for polarity, gated in _gated(rule, p):
-            if gated > best:
-                best = gated
+        for polarity, score in gated(rule, p):
+            if score > best:
+                best = score
                 verdict = Detection(
                     offset_s=offset,
                     polarity=polarity,
-                    score=gated,
+                    score=score,
                     closeness_pct=int(round(100.0 * p)),
                 )
     return DetectionReport(rule_id=rule.rule_id, verdict=verdict, window_scores=tuple(scores))
@@ -111,15 +108,15 @@ class ThresholdCalibration:
     tau_wrong: float
     right_saturated: bool
     wrong_saturated: bool
-    positive_coverage: float    # share of positives a fresh detect would gate in
 
 
-def calibrate_thresholds(rule: RuleModel, positives, negatives) -> ThresholdCalibration:
+def calibrate_thresholds(rule: RuleModel, negatives) -> ThresholdCalibration:
     """Choose (tau_right, tau_wrong) giving zero false positives on the
     calibration negatives: each tau sits one margin above the worst negative
     score, floored at 0.5 and clamped at 0.99 (saturation is flagged).
 
-    `positives`/`negatives` are 4 s windows; negatives must be rule-free.
+    `negatives` are rule-free analysis windows. How many positives the
+    chosen taus let through is for the caller to measure with `gated`.
     """
     if not negatives:
         raise EmptyNegatives("threshold calibration requires rule-free windows")
@@ -127,19 +124,11 @@ def calibrate_thresholds(rule: RuleModel, positives, negatives) -> ThresholdCali
 
     raw_right = max(THRESHOLD_FLOOR, float(neg_p.max()) + THRESHOLD_MARGIN)
     raw_wrong = max(THRESHOLD_FLOOR, float((1.0 - neg_p).max()) + THRESHOLD_MARGIN)
-    tau_right = min(raw_right, THRESHOLD_CEIL)
-    tau_wrong = min(raw_wrong, THRESHOLD_CEIL)
-
-    coverage = 0.0
-    if positives:
-        pos_p = np.array([predict_window(rule, w) for w in positives])
-        coverage = float(np.mean((pos_p >= tau_right) | ((1.0 - pos_p) >= tau_wrong)))
     return ThresholdCalibration(
-        tau_right=tau_right,
-        tau_wrong=tau_wrong,
+        tau_right=min(raw_right, THRESHOLD_CEIL),
+        tau_wrong=min(raw_wrong, THRESHOLD_CEIL),
         right_saturated=raw_right > THRESHOLD_CEIL,
         wrong_saturated=raw_wrong > THRESHOLD_CEIL,
-        positive_coverage=coverage,
     )
 
 
@@ -232,7 +221,7 @@ def timeline_rows(report: DetectionReport, rule: RuleModel, truth_s: float | Non
             "p_right": p,
             "tau_right": rule.tau_right,
             "tau_wrong": rule.tau_wrong,
-            "gated": int(bool(_gated(rule, p))),
+            "gated": int(bool(gated(rule, p))),
             "verdict": int(verdict_offset == offset),
         }
         if truth_s is not None:

@@ -143,4 +143,6 @@ class SchemaError(PersistenceError):
 
 
 class IoError(TajweedError):
-    """Filesystem failure while writing corpora or model files."""
+    """Filesystem failure while reading or writing corpora, manifests,
+    verdicts, review queues or model files. The CLI maps a bare OSError
+    from opening an input file to this family's exit code."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,21 +64,8 @@ class FeatureConfig:
     def n_bins(self) -> int:
         return self.fft_size // 2 + 1
 
-    def to_dict(self) -> dict:
-        return {
-            "frame_ms": self.frame_ms,
-            "hop_ms": self.hop_ms,
-            "num_filters": self.num_filters,
-            "fft_size": self.fft_size,
-            "sample_rate_hz": self.sample_rate_hz,
-            "f_min_hz": self.f_min_hz,
-            "f_max_hz": self.f_max_hz,
-            "log_floor": self.log_floor,
-            "aggregation": self.aggregation,
-        }
-
     def fingerprint(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
@@ -131,17 +118,14 @@ def hamming_window(n: int) -> np.ndarray:
 def frame_signal(samples, config: FeatureConfig) -> np.ndarray:
     """Cut a signal into overlapping frames; the incomplete tail is dropped.
 
-    Returns an (n_frames, frame_len) matrix with
-    n_frames = floor((N - frame_len) / hop) + 1.
+    Returns a read-only (n_frames, frame_len) view of the samples with
+    n_frames = floor((N - frame_len) / hop) + 1; copy it before writing.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    frame_len, hop = config.frame_len, config.hop_len
-    n = len(samples)
+    frame_len, n = config.frame_len, len(samples)
     if n < frame_len:
         raise TooShort(f"{n} samples; need at least {frame_len} for one frame")
-    n_frames = (n - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return samples[idx]
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::config.hop_len]
 
 
 def power_spectrum(frame, fft_size: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,13 +32,6 @@ _SCALARS = ("bias", "C", "gamma", "A", "B", "tau_right", "tau_wrong")
 _HEADER_TYPES = {"rule_id": str, "feature_config": dict, "config_fingerprint": str,
                  "dataset_hash": str, "train_seed": int, "n_support": int, "dim": int,
                  "arrays": list}
-
-
-def _feature_config_header(config: FeatureConfig) -> dict:
-    d = config.to_dict()
-    # log_floor is a real number; it travels in the binary section
-    del d["log_floor"]
-    return d
 
 
 def save_model(rule_model: RuleModel, path) -> None:
@@ -60,7 +54,9 @@ def save_model(rule_model: RuleModel, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "rule_id": rule_model.rule_id,
-        "feature_config": _feature_config_header(rule_model.feature_config),
+        # log_floor is a real number; it travels in the binary section
+        "feature_config": {k: v for k, v in asdict(rule_model.feature_config).items()
+                           if k != "log_floor"},
         "config_fingerprint": rule_model.config_fingerprint,
         "dataset_hash": rule_model.dataset_hash,
         "train_seed": rule_model.train_seed,

@@ -31,11 +31,8 @@ from .features import Scaler
 @dataclass(frozen=True)
 class KernelParams:
     gamma: float
-    kind: str = "rbf"
 
     def __post_init__(self):
-        if self.kind != "rbf":
-            raise ValueError("only the rbf kernel is supported")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
@@ -263,15 +260,6 @@ def calibrated_probability(f, calibration: tuple[float, float]):
     return _prob_pos(A * np.asarray(f, dtype=np.float64) + B)
 
 
-def fit_calibration(model: SvmModel, holdout_X, holdout_y) -> tuple[float, float]:
-    """Platt sigmoid over the model's decision values on held-out samples.
-
-    A is negative whenever the holdout labels agree in sign with f.
-    """
-    f = decision_values(model, holdout_X)
-    return platt_fit(f, holdout_y)
-
-
 def stratified_folds(y, k: int, seed: int) -> list[np.ndarray]:
     """Deterministic stratified k-fold assignment: each class is shuffled
     with the seed and dealt round-robin, so every fold sees both classes.
@@ -313,8 +301,6 @@ def grid_search(
     gamma_grid=(0.001, 0.01, 0.1, 1.0),
     k_folds: int = 5,
     seed: int = 0,
-    tol: float = 1e-3,
-    max_passes: int = 10_000,
 ) -> GridSearchResult:
     """Mean stratified-CV accuracy for every (C, gamma); the winner is the
     best pair, ties resolved toward smaller C then smaller gamma.
@@ -337,7 +323,7 @@ def grid_search(
                 mask[fold] = False
                 sub = TrainingProblem(problem.X[mask], y[mask])
                 try:
-                    model = train(sub, C, KernelParams(gamma=gamma), tol, max_passes)
+                    model = train(sub, C, KernelParams(gamma=gamma))
                 except NoConvergence as err:
                     model = err.model
                 pred = np.sign(decision_values(model, problem.X[fold]))

@@ -177,7 +177,7 @@ def gated_models(pipeline):
         for e in (f for f in free if f.rule_id == rule_id):
             clip = audio.load_wav(os.path.join(pipeline.out, e.path))
             windows.extend(w for _, w in audio.slide_windows(clip))
-        cal = detection.calibrate_thresholds(model, [], windows)
+        cal = detection.calibrate_thresholds(model, windows)
         gated[rule_id] = replace(model, tau_right=cal.tau_right, tau_wrong=cal.tau_wrong)
     return gated
 

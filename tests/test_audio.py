@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tajweed import audio
-from tajweed.errors import CorruptHeader, InvalidRate, NotFound, UnsupportedFormat
+from tajweed.errors import AudioError, CorruptHeader, InvalidRate, NotFound, UnsupportedFormat
 
 
 def wav_bytes(payload, channels=1, bits=16, rate=8000, fmt=1, riff_size=None, data_size=None):
@@ -16,6 +16,10 @@ def wav_bytes(payload, channels=1, bits=16, rate=8000, fmt=1, riff_size=None, da
     body += b"data" + struct.pack("<I", data_size) + payload
     riff_size = 4 + len(body) if riff_size is None else riff_size
     return b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + body
+
+
+# 44-byte header plus 16 frames of 16-bit mono: the byte-flip fuzz seed
+VALID_WAV = wav_bytes(struct.pack("<16h", *range(-8000, 8000, 1000)))
 
 
 def write(tmp_path, blob, name="a.wav"):
@@ -83,6 +87,30 @@ class TestLoadWav:
         back = audio.load_wav(path)
         assert back.sample_rate_hz == 8000
         assert np.abs(back.samples - clip.samples).max() <= 0.5 / 32768
+
+    @pytest.mark.parametrize("n, rate", [(1, 8000), (333, 11025), (16001, 16000)])
+    def test_write_matches_hand_packed_layout(self, tmp_path, n, rate):
+        samples = np.random.default_rng(n).uniform(-1, 1, n)
+        path = str(tmp_path / "w.wav")
+        audio.write_wav(path, audio.AudioClip(samples, rate))
+        pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
+        assert open(path, "rb").read() == wav_bytes(pcm.tobytes(), rate=rate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(0, len(VALID_WAV) - 1), st.integers(1, 255)),
+                          max_size=4),
+           keep=st.integers(0, len(VALID_WAV)))
+    def test_byte_flips_raise_only_audio_errors(self, tmp_path_factory, flips, keep):
+        blob = bytearray(VALID_WAV)
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        path = tmp_path_factory.getbasetemp() / "flipped.wav"
+        path.write_bytes(bytes(blob[:keep]))
+        try:
+            clip = audio.load_wav(str(path))
+        except AudioError:
+            return
+        assert np.isfinite(clip.samples).all() and clip.sample_rate_hz >= 1000
 
 
 class TestResample:

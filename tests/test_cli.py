@@ -68,6 +68,23 @@ class TestExitCodes:
                     "--verdict", str(verdict)])
         assert code == 7
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--manifest", "missing.csv", "--rule", "edgham_meem", "--seed", "1",
+         "--model", "m.model"],
+        ["review", "append", "--queue", "q.jsonl", "--verdict", "missing.json"],
+    ])
+    def test_unopenable_input_is_io_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 9
+        assert "error:" in capsys.readouterr().err
+
+    def test_unparsable_verdict_is_dataset_error(self, tmp_path):
+        verdict = tmp_path / "verdict.json"
+        verdict.write_text("{not json")
+        code = run(["review", "append", "--queue", str(tmp_path / "q.jsonl"),
+                    "--verdict", str(verdict)])
+        assert code == 7
+
     def test_seed_required_for_train(self, manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--manifest", manifest, "--rule", "edgham_meem",
@@ -95,6 +112,8 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "support_vectors=" in out
         assert "holdout_accuracy=" in out
+        coverage = float(out.split("positive_coverage=")[1].split()[0])
+        assert 0.0 <= coverage <= 1.0
 
 
 class TestDetect:

@@ -290,6 +290,11 @@ class TestReviewQueue:
         '{"kind":"label","record_id":9,"status":"approved"}',   # unknown record
         '{"kind":"retract","record_id":1}',                      # unknown kind
         '{not json',
+        '{"kind":"label","record_id":1,"status":"bogus","label":7}',
+        '{"kind":"label","record_id":1,"status":"pending","label":null}',      # bad status
+        '{"kind":"label","record_id":1,"status":"approved","label":"right"}',  # bad label
+        '{"kind":"label","record_id":1,"status":"corrected","label":null}',    # no label
+        '{"kind":"label","record_id":1,"status":"corrected"}',
     ])
     def test_malformed_line_reports_its_number(self, tmp_path, line):
         q = tmp_path / "q.jsonl"

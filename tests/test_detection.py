@@ -151,7 +151,7 @@ class TestCalibrateThresholds:
     def test_floor_when_negatives_score_low(self, monkeypatch):
         rule = toy_rule_model()
         monkeypatch.setattr(detection, "predict_window", lambda r, w: 0.3)
-        cal = detection.calibrate_thresholds(rule, [], self.fake_negatives(3))
+        cal = detection.calibrate_thresholds(rule, self.fake_negatives(3))
         assert cal.tau_right == 0.5
         assert cal.tau_wrong == pytest.approx(0.71)
 
@@ -159,7 +159,7 @@ class TestCalibrateThresholds:
         rule = toy_rule_model()
         scores = iter([0.8, 0.2, 0.5])
         monkeypatch.setattr(detection, "predict_window", lambda r, w: next(scores))
-        cal = detection.calibrate_thresholds(rule, [], self.fake_negatives(3))
+        cal = detection.calibrate_thresholds(rule, self.fake_negatives(3))
         assert cal.tau_right == pytest.approx(0.81)
         assert cal.tau_wrong == pytest.approx(0.81)
         assert not cal.right_saturated
@@ -167,14 +167,14 @@ class TestCalibrateThresholds:
     def test_clamped_and_flagged_saturated(self, monkeypatch):
         rule = toy_rule_model()
         monkeypatch.setattr(detection, "predict_window", lambda r, w: 0.995)
-        cal = detection.calibrate_thresholds(rule, [], self.fake_negatives(2))
+        cal = detection.calibrate_thresholds(rule, self.fake_negatives(2))
         assert cal.tau_right == 0.99
         assert cal.right_saturated
         assert not cal.wrong_saturated
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(EmptyNegatives):
-            detection.calibrate_thresholds(toy_rule_model(), [], [])
+            detection.calibrate_thresholds(toy_rule_model(), [])
 
     def test_zero_false_positives_on_calibration_set(self, small_corpus, small_model):
         root, entries = small_corpus
@@ -184,7 +184,7 @@ class TestCalibrateThresholds:
         for e in free:
             clip = audio.load_wav(os.path.join(root, e.path))
             windows.extend(w for _, w in audio.slide_windows(clip))
-        cal = detection.calibrate_thresholds(small_model, [], windows)
+        cal = detection.calibrate_thresholds(small_model, windows)
         gated = replace(small_model, tau_right=cal.tau_right, tau_wrong=cal.tau_wrong)
         for e in free:
             report = detection.detect(gated, audio.load_wav(os.path.join(root, e.path)))

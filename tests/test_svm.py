@@ -198,7 +198,7 @@ class TestCalibration:
         model = svm.train(svm.TrainingProblem(X, y), 1.0, svm.KernelParams(gamma=0.5))
         hold_X = np.vstack([rng.normal(-2, 0.3, (10, 2)), rng.normal(2, 0.3, (10, 2))])
         hold_y = np.array([-1.0] * 10 + [1.0] * 10)
-        A, B = svm.fit_calibration(model, hold_X, hold_y)
+        A, B = svm.platt_fit(svm.decision_values(model, hold_X), hold_y)
         assert A < 0
         p = svm.calibrated_probability(svm.decision_values(model, hold_X), (A, B))
         assert (p[hold_y > 0] > 0.5).all()
