@@ -177,16 +177,19 @@ def normalize_duration(clip: AudioClip, target_s: float = WINDOW_S, *, seed: int
     return AudioClip(clip.samples[start:start + n_target].copy(), clip.sample_rate_hz)
 
 
-def slide_windows(clip: AudioClip):
-    """WINDOW_S windows at offsets 0, STRIDE_S, 2*STRIDE_S, ... while the
-    window still fits. A clip shorter than one window yields a single
-    zero-padded window at offset 0.
-
-    Returns a list of (offset_s, AudioClip) pairs.
-    """
+def window_layout(clip: AudioClip):
+    """(clip zero-padded to one WINDOW_S window if shorter, window length in
+    samples, sample offsets 0, STRIDE_S, 2*STRIDE_S, ... of the windows that fit)."""
     rate = clip.sample_rate_hz
     window_n = int(round(WINDOW_S * rate))
     if len(clip) < window_n:
-        return [(0.0, normalize_duration(clip, WINDOW_S, seed=0))]
+        clip = normalize_duration(clip, WINDOW_S, seed=0)
+    return clip, window_n, range(0, len(clip) - window_n + 1, int(round(STRIDE_S * rate)))
+
+
+def slide_windows(clip: AudioClip):
+    """The windows of window_layout as a list of (offset_s, AudioClip) pairs."""
+    clip, window_n, starts = window_layout(clip)
+    rate = clip.sample_rate_hz
     return [(start / rate, AudioClip(clip.samples[start:start + window_n].copy(), rate))
-            for start in range(0, len(clip) - window_n + 1, int(round(STRIDE_S * rate)))]
+            for start in starts]

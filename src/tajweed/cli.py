@@ -95,10 +95,8 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
 
     neg_entries = [e for e in entries
                    if e.rule_id == rule_id and e.split == "train" and e.polarity is None]
-    negatives = []
-    for e in neg_entries:
-        clip = audio.load_clip(dataset.resolve_path(audio_root, e.path), config.sample_rate_hz)
-        negatives.extend(w for _, w in audio.slide_windows(clip))
+    negatives = [audio.load_clip(dataset.resolve_path(audio_root, e.path), config.sample_rate_hz)
+                 for e in neg_entries]
 
     dataset_hash = hashlib.sha256(
         (_entry_rows(train_entries + neg_entries) + config.fingerprint()).encode()
@@ -181,6 +179,8 @@ def _cmd_train(args) -> int:
     if summary["saturated"]:
         print("warning: a threshold clamped at 0.99; negatives score close to certain",
               file=sys.stderr)
+    if summary["positive_coverage"] == 0.0:
+        print("warning: tau_right gates out every holdout Right clip", file=sys.stderr)
     return 0
 
 
@@ -231,6 +231,11 @@ def _cmd_detect(args) -> int:
 
     if report.verdict is None:
         print("none")
+        offset, p = max(report.window_scores,  # nearest to clearing a gate
+                        key=lambda s: max(s[1] - rule.tau_right, 1.0 - s[1] - rule.tau_wrong))
+        print(f"none: best p_right={p:.4f} at {offset:.1f}s is {rule.tau_right - p:.4f} below "
+              f"tau_right={rule.tau_right:.4f}; 1-p_right is {rule.tau_wrong - (1.0 - p):.4f} "
+              f"below tau_wrong={rule.tau_wrong:.4f}", file=sys.stderr)
     else:
         v = report.verdict
         print(f"{v.polarity} {v.closeness_pct}% at {v.offset_s:.1f}s")

@@ -1,11 +1,11 @@
 """Sliding-window rule detection.
 
-A recording is cut into audio.WINDOW_S windows every audio.STRIDE_S; each
-window's features are scored by the rule's SVM and calibrated to p_right in
-[0, 1]. A window is a Right candidate when p_right clears tau_right and a
-Wrong candidate when (1 - p_right) clears tau_wrong. The verdict is the
-candidate with the highest gated score, earliest offset on ties; no
-surviving candidate means no verdict. Thresholds are calibrated so that
+A recording is cut into audio.WINDOW_S windows every audio.STRIDE_S and framed
+once; each window is pooled from its frames, scored by the rule's SVM and
+calibrated to p_right in [0, 1]. A window is a Right candidate when p_right
+clears tau_right and a Wrong candidate when (1 - p_right) clears tau_wrong. The
+verdict is the candidate with the highest gated score, earliest offset on ties;
+no surviving candidate means no verdict. Thresholds are calibrated so that
 rule-free material produces zero verdicts by construction.
 """
 
@@ -70,10 +70,22 @@ def load_exemplar(path, config: features.FeatureConfig) -> audio.AudioClip:
     return audio.normalize_duration(clip, audio.WINDOW_S, seed=0)
 
 
+def _p_right(rule: RuleModel, vector: np.ndarray) -> float:
+    f = svm.decision_values(rule.svm, vector)
+    return float(svm.calibrated_probability(f, rule.calibration)[0])
+
+
 def predict_window(rule: RuleModel, window: audio.AudioClip) -> float:
     """Calibrated p_right for one analysis window."""
-    f = svm.decision_values(rule.svm, features.extract_features(window, rule.feature_config))
-    return float(svm.calibrated_probability(f, rule.calibration)[0])
+    return _p_right(rule, features.extract_features(window, rule.feature_config))
+
+
+def window_scores(rule: RuleModel, recording: audio.AudioClip):
+    """((offset_s, p_right), ...) for each window of audio.window_layout, as predict_window."""
+    clip, window_n, starts = audio.window_layout(recording)
+    vectors = features.window_features(clip, starts, window_n, rule.feature_config)
+    return tuple((start / clip.sample_rate_hz, _p_right(rule, v))
+                 for start, v in zip(starts, vectors))
 
 
 def gated(rule: RuleModel, p: float):
@@ -84,8 +96,7 @@ def gated(rule: RuleModel, p: float):
 
 def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
     """Score every window, gate by the rule's thresholds, pick one verdict."""
-    windows = audio.slide_windows(recording)
-    scores = [(offset, predict_window(rule, clip)) for offset, clip in windows]
+    scores = window_scores(rule, recording)
 
     verdict = None
     best = -1.0
@@ -99,7 +110,7 @@ def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
                     score=score,
                     closeness_pct=int(round(100.0 * p)),
                 )
-    return DetectionReport(rule_id=rule.rule_id, verdict=verdict, window_scores=tuple(scores))
+    return DetectionReport(rule_id=rule.rule_id, verdict=verdict, window_scores=scores)
 
 
 @dataclass(frozen=True)
@@ -113,14 +124,14 @@ class ThresholdCalibration:
 def calibrate_thresholds(rule: RuleModel, negatives) -> ThresholdCalibration:
     """Choose (tau_right, tau_wrong) giving zero false positives on the
     calibration negatives: each tau sits one margin above the worst negative
-    score, floored at 0.5 and clamped at 0.99 (saturation is flagged).
+    window score, floored at 0.5 and clamped at 0.99 (saturation is flagged).
 
-    `negatives` are rule-free analysis windows. How many positives the
-    chosen taus let through is for the caller to measure with `gated`.
+    `negatives` are rule-free clips, scored window by window as by detect.
+    How many positives the taus let through is for the caller to measure.
     """
     if not negatives:
-        raise EmptyNegatives("threshold calibration requires rule-free windows")
-    neg_p = np.array([predict_window(rule, w) for w in negatives])
+        raise EmptyNegatives("threshold calibration requires rule-free clips")
+    neg_p = np.array([p for clip in negatives for _, p in window_scores(rule, clip)])
 
     raw_right = max(THRESHOLD_FLOOR, float(neg_p.max()) + THRESHOLD_MARGIN)
     raw_wrong = max(THRESHOLD_FLOOR, float((1.0 - neg_p).max()) + THRESHOLD_MARGIN)

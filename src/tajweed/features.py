@@ -5,10 +5,9 @@ windowed, zero-padded to the FFT size and transformed with numpy's real FFT,
 and pushed through 70 triangular band-pass filters spaced on the mel scale.
 Log energies are then pooled into a fixed-length vector (per-filter mean
 and standard deviation by default, or the raw frame-by-filter matrix
-flattened row-major).
-
-Everything here is deterministic: identical input and config produce
-byte-identical features.
+flattened row-major). Frames are computed once per recording: every window
+pools its rows of one log-energy matrix. Everything here is deterministic:
+identical input and config produce byte-identical features.
 """
 
 from __future__ import annotations
@@ -138,7 +137,8 @@ def power_spectrum(frame, fft_size: int) -> np.ndarray:
     if frame.shape[-1] > fft_size:
         raise ValueError("frame longer than fft_size")
     spectrum = np.fft.rfft(frame, fft_size)
-    return (spectrum.real ** 2 + spectrum.imag ** 2) / fft_size
+    # imag is squared in place: the same roundings with one array fewer
+    return (spectrum.real ** 2 + np.square(spectrum.imag, out=spectrum.imag)) / fft_size
 
 
 def build_filterbank(config: FeatureConfig) -> FilterBank:
@@ -175,28 +175,47 @@ def _cached_filterbank(config: FeatureConfig) -> FilterBank:
     return build_filterbank(config)
 
 
-def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """Full chain: frame, window, real FFT, filter-bank energies, log, pool.
+def frame_log_energies(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Hamming (in place), power spectrum, filter bank, log: one row per frame."""
+    frames *= hamming_window(frames.shape[1])
+    energies = power_spectrum(frames, config.fft_size) @ _cached_filterbank(config).weights.T
+    return np.log(np.maximum(energies, config.log_floor))
 
-    Callers normalize clips to the 4 s analysis length first. The filter
-    bank is built once per config and shared.
-    """
-    if clip.sample_rate_hz != config.sample_rate_hz:
-        raise WrongRate(
-            f"clip at {clip.sample_rate_hz} Hz, config expects {config.sample_rate_hz} Hz"
-        )
-    frames = frame_signal(clip.samples, config)
-    frames = frames * hamming_window(config.frame_len)
-    power = power_spectrum(frames, config.fft_size)
-    energies = power @ _cached_filterbank(config).weights.T
-    log_energies = np.log(np.maximum(energies, config.log_floor))
 
+def pool(log_energies: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """One window's feature vector from its frames' log energies."""
     if config.aggregation == "mean_std_pool":
         std = log_energies.std(axis=0)
         # a constant column has zero spread; np.std leaves rounding dust
         std[np.ptp(log_energies, axis=0) == 0.0] = 0.0
         return np.concatenate([log_energies.mean(axis=0), std])
     return log_energies.reshape(-1)
+
+
+def _check_rate(clip: AudioClip, config: FeatureConfig) -> None:
+    if clip.sample_rate_hz != config.sample_rate_hz:
+        raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, "
+                        f"config expects {config.sample_rate_hz} Hz")
+
+
+def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
+    """The feature vector of one window spanning the clip: its frames' log
+    energies, pooled. Callers normalize clips to 4 s first."""
+    _check_rate(clip, config)
+    return pool(frame_log_energies(frame_signal(clip.samples, config).copy(), config), config)
+
+
+def window_features(clip: AudioClip, window_starts, window_len: int, config: FeatureConfig):
+    """Yield extract_features of each window_len-sample window of the clip starting
+    at an offset in window_starts, transforming each distinct frame once."""
+    _check_rate(clip, config)
+    n_frames = len(frame_signal(clip.samples[:window_len], config))
+    starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))
+    distinct, rows = np.unique(starts, return_inverse=True)
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, config.frame_len)
+    log_energies = frame_log_energies(frames[distinct], config)
+    for window_rows in rows.reshape(starts.shape):
+        yield pool(log_energies[window_rows], config)
 
 
 def fit_scaler(rows) -> Scaler:

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from tajweed import audio, cli, dataset, persistence
+from tajweed import audio, cli, dataset, detection, persistence
 
 
 def run(argv):
@@ -115,6 +116,21 @@ class TestTrain:
         coverage = float(out.split("positive_coverage=")[1].split()[0])
         assert 0.0 <= coverage <= 1.0
 
+    @pytest.mark.parametrize("coverage", [0.0, 0.5])
+    def test_zero_coverage_warns(self, manifest, trained_model_path, tmp_path,
+                                 monkeypatch, capsys, coverage):
+        summary = {"rule_id": "edgham_meem", "n_support": 7, "holdout_accuracy": 1.0,
+                   "tau_right": 0.75, "tau_wrong": 0.6, "saturated": False,
+                   "positive_coverage": coverage}
+        rule = persistence.load_model(trained_model_path)
+        monkeypatch.setattr(cli, "train_rule_model", lambda *a, **k: (rule, summary))
+        assert run(["train", "--manifest", manifest, "--rule", "edgham_meem",
+                    "--seed", "5", "--model", str(tmp_path / "m.model")]) == 0
+        out, err = capsys.readouterr()
+        assert out == ("rule=edgham_meem support_vectors=7 holdout_accuracy=1.0000 "
+                       f"tau_right=0.7500 tau_wrong=0.6000 positive_coverage={coverage:.4f}\n")
+        assert ("gates out every holdout Right clip" in err) == (coverage == 0.0)
+
 
 class TestDetect:
     def test_silence_prints_none(self, trained_model_path, tmp_path, capsys):
@@ -123,7 +139,20 @@ class TestDetect:
         code = run(["detect", "--audio", wav, "--rule", "edgham_meem",
                     "--model", trained_model_path])
         assert code == 0
-        assert capsys.readouterr().out.strip() == "none"
+        out, err = capsys.readouterr()
+        assert out == "none\n"
+        # the best window is explained on stderr only
+        rule = persistence.load_model(trained_model_path)
+        scores = dict(detection.detect(rule, audio.load_wav(wav)).window_scores)
+        match = re.fullmatch(r"none: best p_right=(\S+) at (\S+)s is (\S+) below "
+                             r"tau_right=(\S+); 1-p_right is (\S+) below tau_wrong=(\S+)\n",
+                             err)
+        assert match is not None, err
+        p, offset, right_gap, tau_right, wrong_gap, tau_wrong = map(float, match.groups())
+        assert offset in scores and p == round(scores[offset], 4)
+        assert tau_right == round(rule.tau_right, 4) and tau_wrong == round(rule.tau_wrong, 4)
+        assert right_gap == round(rule.tau_right - scores[offset], 4) and right_gap > 0
+        assert wrong_gap == round(rule.tau_wrong - (1 - scores[offset]), 4) and wrong_gap > 0
 
     def test_verse_verdict_and_timeline(self, small_corpus, trained_model_path,
                                         tmp_path, capsys):

@@ -62,7 +62,8 @@ class TestPredictWindow:
 class TestDetect:
     def test_gate_excludes_everything(self, monkeypatch):
         rule = toy_rule_model(tau_right=0.9, tau_wrong=0.9)
-        monkeypatch.setattr(detection, "predict_window", lambda r, w: 0.5)
+        monkeypatch.setattr(detection, "window_scores", lambda r, rec: tuple(
+            (o, 0.5) for o, _ in audio.slide_windows(rec)))
         report = detection.detect(rule, recording(6.0))
         assert report.verdict is None
         assert len(report.window_scores) == 5
@@ -71,21 +72,16 @@ class TestDetect:
     def test_max_gated_score_wins_earliest_tie(self, monkeypatch):
         rule = toy_rule_model(tau_right=0.6, tau_wrong=0.99)
         scores = {0.0: 0.7, 0.5: 0.9, 1.0: 0.9, 1.5: 0.3}
-        # encode each window's offset in its first sample so the fake scorer
-        # can look its score up
-        monkeypatch.setattr(detection, "predict_window",
-                            lambda r, w: scores[round(w.samples[0], 1)])
-        samples = np.zeros(int(5.5 * 8000))
-        for off in scores:
-            samples[int(off * 8000)] = off
-        report = detection.detect(rule, audio.AudioClip(samples, 8000))
+        monkeypatch.setattr(detection, "window_scores",
+                            lambda r, rec: tuple(scores.items()))
+        report = detection.detect(rule, recording(5.5))
         assert report.verdict.offset_s == 0.5
         assert report.verdict.polarity == "Right"
         assert report.verdict.score == 0.9
 
     def test_wrong_polarity_gating(self, monkeypatch):
         rule = toy_rule_model(tau_right=0.99, tau_wrong=0.7)
-        monkeypatch.setattr(detection, "predict_window", lambda r, w: 0.1)
+        monkeypatch.setattr(detection, "window_scores", lambda r, rec: ((0.0, 0.1),))
         report = detection.detect(rule, recording(4.0))
         assert report.verdict.polarity == "Wrong"
         assert report.verdict.score == 0.9
@@ -144,13 +140,32 @@ class TestDetect:
         assert extended.verdict == base.verdict
 
 
+class TestWindowScores:
+    @pytest.mark.parametrize("seconds", [1.0, 4.0, 4.5, 7.3])
+    def test_equal_to_predict_window_per_window(self, small_model, seconds):
+        rng = np.random.default_rng(int(seconds * 10))
+        clip = audio.AudioClip(rng.uniform(-0.3, 0.3, int(seconds * 8000)), 8000)
+        expected = tuple((o, detection.predict_window(small_model, w))
+                         for o, w in audio.slide_windows(clip))
+        assert detection.window_scores(small_model, clip) == expected
+
+    def test_equal_on_corpus_verses(self, small_corpus, small_model):
+        root, entries = small_corpus
+        for e in entries:
+            if e.rule_id == "edgham_meem" and "verse" in e.path:
+                clip = audio.load_wav(os.path.join(root, e.path))
+                expected = tuple((o, detection.predict_window(small_model, w))
+                                 for o, w in audio.slide_windows(clip))
+                assert detection.window_scores(small_model, clip) == expected
+
+
 class TestCalibrateThresholds:
     def fake_negatives(self, n):
         return [audio.AudioClip(np.zeros(32000), 8000) for _ in range(n)]
 
     def test_floor_when_negatives_score_low(self, monkeypatch):
         rule = toy_rule_model()
-        monkeypatch.setattr(detection, "predict_window", lambda r, w: 0.3)
+        monkeypatch.setattr(detection, "window_scores", lambda r, clip: ((0.0, 0.3),))
         cal = detection.calibrate_thresholds(rule, self.fake_negatives(3))
         assert cal.tau_right == 0.5
         assert cal.tau_wrong == pytest.approx(0.71)
@@ -158,7 +173,8 @@ class TestCalibrateThresholds:
     def test_margin_above_worst_negative(self, monkeypatch):
         rule = toy_rule_model()
         scores = iter([0.8, 0.2, 0.5])
-        monkeypatch.setattr(detection, "predict_window", lambda r, w: next(scores))
+        monkeypatch.setattr(detection, "window_scores",
+                            lambda r, clip: ((0.0, next(scores)),))
         cal = detection.calibrate_thresholds(rule, self.fake_negatives(3))
         assert cal.tau_right == pytest.approx(0.81)
         assert cal.tau_wrong == pytest.approx(0.81)
@@ -166,7 +182,7 @@ class TestCalibrateThresholds:
 
     def test_clamped_and_flagged_saturated(self, monkeypatch):
         rule = toy_rule_model()
-        monkeypatch.setattr(detection, "predict_window", lambda r, w: 0.995)
+        monkeypatch.setattr(detection, "window_scores", lambda r, clip: ((0.0, 0.995),))
         cal = detection.calibrate_thresholds(rule, self.fake_negatives(2))
         assert cal.tau_right == 0.99
         assert cal.right_saturated
@@ -189,6 +205,15 @@ class TestCalibrateThresholds:
         for e in free:
             report = detection.detect(gated, audio.load_wav(os.path.join(root, e.path)))
             assert report.verdict is None
+
+    def test_recordings_calibrate_as_their_windows(self, small_corpus, small_model):
+        root, entries = small_corpus
+        free = [audio.load_wav(os.path.join(root, e.path)) for e in entries
+                if e.rule_id == "edgham_meem" and e.polarity is None]
+        windows = [w for clip in free for _, w in audio.slide_windows(clip)]
+        assert len(windows) > len(free)
+        assert detection.calibrate_thresholds(small_model, free) == \
+            detection.calibrate_thresholds(small_model, windows)
 
 
 class TestEvaluate:

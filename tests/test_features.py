@@ -195,6 +195,41 @@ class TestExtractFeatures:
         assert (np.abs(ma - mb) <= 0.05 * np.abs(ma)).all()
 
 
+WINDOW_CONFIGS = [
+    features.FeatureConfig(sample_rate_hz=rate, f_max_hz=rate / 2, fft_size=fft, aggregation=agg)
+    for rate, fft in ((8000, 256), (22050, 1024)) for agg in features.AGGREGATIONS
+]
+
+
+@st.composite
+def clip_lengths(draw, rate):
+    """Shorter than a window, exactly one, or a stride multiple past one
+    window give or take a few samples."""
+    window_n, stride_n = int(audio.WINDOW_S * rate), int(round(audio.STRIDE_S * rate))
+    return draw(st.one_of(
+        st.integers(1, window_n - 1),
+        st.just(window_n),
+        st.builds(lambda k, d: window_n + k * stride_n + d,
+                  st.integers(1, 6), st.integers(-3, 3)),
+    ))
+
+
+class TestWindowFeatures:
+    @given(data=st.data(), cfg=st.sampled_from(WINDOW_CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_extract_features_per_window(self, data, cfg):
+        # 8 kHz strides are whole hops; 22050 Hz strides (11025) are not (hop 220)
+        n = data.draw(clip_lengths(cfg.sample_rate_hz))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        clip = audio.AudioClip(np.random.default_rng(seed).uniform(-0.5, 0.5, n),
+                               cfg.sample_rate_hz)
+        expected = [features.extract_features(w, cfg) for _, w in audio.slide_windows(clip)]
+        padded, window_n, starts = audio.window_layout(clip)
+        shared = list(features.window_features(padded, starts, window_n, cfg))
+        assert len(shared) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, expected))
+
+
 class TestScaler:
     def test_two_point_case(self):
         sc = features.fit_scaler(np.array([[0.0], [2.0]]))
