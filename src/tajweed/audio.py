@@ -101,12 +101,13 @@ def load_wav(path) -> AudioClip:
         raise CorruptHeader(f"{path}: empty data chunk")
 
     if bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        raw = np.frombuffer(payload, dtype="<i2") / 32768.0
     else:
-        raw = (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+        raw = (np.frombuffer(payload, dtype=np.uint8) - 128.0) / 128.0
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioClip(np.clip(raw, -1.0, 1.0), int(rate))
+    # both scalings land in [-1, 1) already
+    return AudioClip(raw, int(rate))
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -148,7 +149,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     samples = clip.samples
     if target_hz < clip.sample_rate_hz:
         taps = _lowpass_taps(0.45 * target_hz, clip.sample_rate_hz)
-        samples = np.convolve(samples, taps, mode="same")
+        # the centred len(samples) outputs; mode="same" gives max(len, 63) of them
+        samples = np.convolve(samples, taps)[len(taps) // 2:len(taps) // 2 + len(samples)]
 
     n_out = int(round(len(samples) * target_hz / clip.sample_rate_hz))
     n_out = max(n_out, 1)

@@ -53,16 +53,17 @@ def _entry_rows(entries):
 
 
 def _train_exemplars(entries, root, rule_id, config):
-    """A rule's train-split exemplars: (entries, 4 s clips, feature rows, labels)."""
+    """A rule's train-split exemplars: (entries, feature rows, labels)."""
     chosen = [e for e in entries
               if e.rule_id == rule_id and e.split == "train"
               and e.polarity in dataset.POLARITIES and e.onset_s is None]
     if not chosen:
         raise MissingStratum(f"manifest has no train-split exemplars for {rule_id}")
-    clips = [detection.load_exemplar(dataset.resolve_path(root, e.path), config) for e in chosen]
-    X = np.vstack([features.extract_features(c, config) for c in clips])
+    paths = [dataset.resolve_path(root, e.path) for e in chosen]
+    X = np.vstack([features.extract_features(detection.load_exemplar(p, config), config)
+                   for p in paths])
     y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
-    return chosen, clips, X, y
+    return chosen, X, y
 
 
 def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
@@ -72,7 +73,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     train-split rule-free windows. Returns (RuleModel, summary dict).
     """
     config = config or features.FeatureConfig()
-    train_entries, clips, X, y = _train_exemplars(entries, audio_root, rule_id, config)
+    train_entries, X, y = _train_exemplars(entries, audio_root, rule_id, config)
     for polarity in dataset.POLARITIES:
         if not any(e.polarity == polarity for e in train_entries):
             raise MissingStratum(f"no train-split {polarity} exemplars for {rule_id}")
@@ -115,9 +116,10 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     thresholds = detection.calibrate_thresholds(rule_model, negatives)
     rule_model = replace(rule_model, tau_right=thresholds.tau_right,
                          tau_wrong=thresholds.tau_wrong)
-    # share of holdout Right clips that a detect with these taus would gate in
+    # share of holdout Right clips that a detect with these taus would gate in;
+    # their rows of X are their window features
     coverage = float(np.mean([
-        bool(detection.gated(rule_model, detection.predict_window(rule_model, clips[i])))
+        bool(detection.gated(rule_model, detection.p_right(rule_model, X[i])))
         for i in np.flatnonzero(hold & (y > 0))
     ]))
     summary = {
@@ -186,8 +188,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     entries = dataset.load_manifest(args.manifest)
-    _, _, X, y = _train_exemplars(entries, _manifest_root(args.manifest), args.rule,
-                                  features.FeatureConfig(aggregation=args.agg))
+    _, X, y = _train_exemplars(entries, _manifest_root(args.manifest), args.rule,
+                               features.FeatureConfig(aggregation=args.agg))
     scaler = features.fit_scaler(X)
     problem = svm.TrainingProblem(scaler.apply(X), y)
     result = svm.grid_search(

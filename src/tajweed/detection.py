@@ -70,21 +70,22 @@ def load_exemplar(path, config: features.FeatureConfig) -> audio.AudioClip:
     return audio.normalize_duration(clip, audio.WINDOW_S, seed=0)
 
 
-def _p_right(rule: RuleModel, vector: np.ndarray) -> float:
+def p_right(rule: RuleModel, vector: np.ndarray) -> float:
+    """Calibrated p_right for one window's feature vector."""
     f = svm.decision_values(rule.svm, vector)
     return float(svm.calibrated_probability(f, rule.calibration)[0])
 
 
 def predict_window(rule: RuleModel, window: audio.AudioClip) -> float:
     """Calibrated p_right for one analysis window."""
-    return _p_right(rule, features.extract_features(window, rule.feature_config))
+    return p_right(rule, features.extract_features(window, rule.feature_config))
 
 
 def window_scores(rule: RuleModel, recording: audio.AudioClip):
     """((offset_s, p_right), ...) for each window of audio.window_layout, as predict_window."""
     clip, window_n, starts = audio.window_layout(recording)
     vectors = features.window_features(clip, starts, window_n, rule.feature_config)
-    return tuple((start / clip.sample_rate_hz, _p_right(rule, v))
+    return tuple((start / clip.sample_rate_hz, p_right(rule, v))
                  for start, v in zip(starts, vectors))
 
 

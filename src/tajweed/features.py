@@ -6,8 +6,12 @@ and pushed through 70 triangular band-pass filters spaced on the mel scale.
 Log energies are then pooled into a fixed-length vector (per-filter mean
 and standard deviation by default, or the raw frame-by-filter matrix
 flattened row-major). Frames are computed once per recording: every window
-pools its rows of one log-energy matrix. Everything here is deterministic:
-identical input and config produce byte-identical features.
+pools its rows of one log-energy matrix. Windows overlap by all but one
+stride, so the mean/std pool cuts each window into one-stride blocks plus a
+short tail, reduces each distinct block once and merges a window's blocks
+with the update formula of Chan, Golub & LeVeque (1979, "Updating formulae
+and a pairwise algorithm for computing sample variances"). Everything here is
+deterministic: identical input and config produce byte-identical features.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import STRIDE_S, AudioClip
 from .errors import DegenerateBank, TooFewVectors, TooShort, WrongRate
 
 AGGREGATIONS = ("mean_std_pool", "flatten")
@@ -101,17 +105,21 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
 def hamming_window(n: int) -> np.ndarray:
     """w[k] = 0.54 - 0.46*cos(2*pi*k/(n-1)); endpoints are 0.08.
 
     Evaluated on min(k, n-1-k) so the symmetry w[k] == w[n-1-k] is exact
-    in floating point, not just analytic.
+    in floating point, not just analytic. Cached and read-only: every frame
+    of a given length shares one window.
     """
     if n < 2:
         raise ValueError("window length must be >= 2")
     k = np.arange(n)
     k = np.minimum(k, n - 1 - k)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
+    window.setflags(write=False)
+    return window
 
 
 def frame_signal(samples, config: FeatureConfig) -> np.ndarray:
@@ -137,8 +145,13 @@ def power_spectrum(frame, fft_size: int) -> np.ndarray:
     if frame.shape[-1] > fft_size:
         raise ValueError("frame longer than fft_size")
     spectrum = np.fft.rfft(frame, fft_size)
-    # imag is squared in place: the same roundings with one array fewer
-    return (spectrum.real ** 2 + np.square(spectrum.imag, out=spectrum.imag)) / fft_size
+    # squares re and im in place through a float view: the roundings of
+    # (re**2 + im**2) / fft_size with one new array instead of three
+    parts = spectrum.view(np.float64)
+    np.square(parts, out=parts)
+    power = parts[..., 0::2] + parts[..., 1::2]
+    power /= fft_size
+    return power
 
 
 def build_filterbank(config: FeatureConfig) -> FilterBank:
@@ -176,20 +189,57 @@ def _cached_filterbank(config: FeatureConfig) -> FilterBank:
 
 
 def frame_log_energies(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Hamming (in place), power spectrum, filter bank, log: one row per frame."""
+    """Hamming (in place), power spectrum, filter bank, log (in place): one row
+    per frame."""
     frames *= hamming_window(frames.shape[1])
     energies = power_spectrum(frames, config.fft_size) @ _cached_filterbank(config).weights.T
-    return np.log(np.maximum(energies, config.log_floor))
+    return np.log(np.maximum(energies, config.log_floor, out=energies), out=energies)
 
 
-def pool(log_energies: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """One window's feature vector from its frames' log energies."""
-    if config.aggregation == "mean_std_pool":
-        std = log_energies.std(axis=0)
-        # a constant column has zero spread; np.std leaves rounding dust
-        std[np.ptp(log_energies, axis=0) == 0.0] = 0.0
-        return np.concatenate([log_energies.mean(axis=0), std])
-    return log_energies.reshape(-1)
+def _block_stats(x: np.ndarray):
+    """(sum, squared deviations from the mean, max, min) over axis 0; x is
+    overwritten. Frames-major (frames, blocks, filters) reduces fastest."""
+    total, hi, lo = x.sum(axis=0), x.max(axis=0), x.min(axis=0)
+    x -= total / len(x)
+    return total, np.square(x, out=x).sum(axis=0), hi, lo
+
+
+def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig):
+    """An iterator over the feature vectors of windows: row w of the 2-D
+    `rows` holds window w's frame indices into log_energies, in time order.
+
+    flatten yields each window's frames row-major. mean_std_pool cuts every
+    window into one-stride blocks (STRIDE_S / hop_ms frames) plus a short
+    tail, reduces each distinct block once (keyed by its first frame, since
+    overlapping windows share blocks) and each tail, and merges a window's
+    parts with the update formula of Chan, Golub & LeVeque (1979) for k
+    parts of n_p frames each: mean = sum / n and
+    M2 = sum_p M2_p + sum_p n_p * (mean_p - mean)^2, std = sqrt(M2 / n).
+    A column is constant, with std exactly 0, when max == min over the parts.
+    """
+    if config.aggregation == "flatten":
+        return (log_energies[window_rows].reshape(-1) for window_rows in rows)
+    n = rows.shape[1]
+    block = max(round(STRIDE_S * 1000) // config.hop_ms, 1)
+    n_blocks, tail = divmod(n, block)
+    keys = rows[:, :n_blocks * block:block]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    # a block's rows come from a window that holds it: frames of different
+    # windows interleave when the stride is not a whole number of hops
+    block_rows = rows[:, :n_blocks * block].reshape(-1, block)[first]
+    parts = [s[which.reshape(keys.shape)] for s in _block_stats(log_energies[block_rows.T])]
+    counts = [block] * n_blocks
+    if tail:
+        tails = _block_stats(log_energies[rows[:, -tail:].T])
+        parts = [np.concatenate([p, t[:, None]], axis=1) for p, t in zip(parts, tails)]
+        counts.append(tail)
+    total, m2, hi, lo = parts  # (window, part, filter)
+    counts = np.array(counts, dtype=np.float64)[:, None]
+    mean = total.sum(axis=1) / n
+    spread = total / counts - mean[:, None]
+    std = np.sqrt((m2.sum(axis=1) + (counts * spread * spread).sum(axis=1)) / n)
+    std[hi.max(axis=1) == lo.min(axis=1)] = 0.0
+    return iter(np.concatenate([mean, std], axis=1))
 
 
 def _check_rate(clip: AudioClip, config: FeatureConfig) -> None:
@@ -202,20 +252,20 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """The feature vector of one window spanning the clip: its frames' log
     energies, pooled. Callers normalize clips to 4 s first."""
     _check_rate(clip, config)
-    return pool(frame_log_energies(frame_signal(clip.samples, config).copy(), config), config)
+    log_energies = frame_log_energies(frame_signal(clip.samples, config).copy(), config)
+    return next(pool(log_energies, np.arange(len(log_energies))[None], config))
 
 
 def window_features(clip: AudioClip, window_starts, window_len: int, config: FeatureConfig):
-    """Yield extract_features of each window_len-sample window of the clip starting
-    at an offset in window_starts, transforming each distinct frame once."""
+    """An iterator over extract_features of each window_len-sample window of the
+    clip starting at an offset in window_starts, transforming each distinct frame
+    once and pooling all windows together."""
     _check_rate(clip, config)
     n_frames = len(frame_signal(clip.samples[:window_len], config))
     starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))
     distinct, rows = np.unique(starts, return_inverse=True)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, config.frame_len)
-    log_energies = frame_log_energies(frames[distinct], config)
-    for window_rows in rows.reshape(starts.shape):
-        yield pool(log_energies[window_rows], config)
+    return pool(frame_log_energies(frames[distinct], config), rows.reshape(starts.shape), config)
 
 
 def fit_scaler(rows) -> Scaler:

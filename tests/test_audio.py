@@ -41,6 +41,11 @@ class TestLoadWav:
         clip = audio.load_wav(path)
         assert clip.samples.tolist() == [0.0, 0.0]
 
+    def test_16bit_extremes_need_no_clipping(self, tmp_path):
+        path = write(tmp_path, wav_bytes(struct.pack("<4h", -32768, 32767, -32768, -32768),
+                                         channels=2))
+        assert audio.load_wav(path).samples.tolist() == [-1.0 / 65536, -1.0]
+
     def test_8bit_unsigned(self, tmp_path):
         path = write(tmp_path, wav_bytes(bytes([128, 255, 0]), bits=8))
         clip = audio.load_wav(path)
@@ -141,6 +146,21 @@ class TestResample:
         clip = audio.AudioClip(np.zeros(10), 8000)
         with pytest.raises(InvalidRate):
             audio.resample(clip, 999)
+
+    @pytest.mark.parametrize("n, n_out", [(1, 1), (2, 1), (10, 5), (62, 31)])
+    def test_clip_shorter_than_the_filter_halves_its_length(self, n, n_out):
+        clip = audio.AudioClip(np.full(n, 0.25), 16000)
+        assert len(audio.resample(clip, 8000)) == n_out
+
+    @pytest.mark.parametrize("n", [63, 64, 1001, 16000])
+    def test_filter_is_the_centred_convolution(self, n):
+        # reference: mode="same", which is the centred crop once n >= 63 taps
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        filtered = np.convolve(x, audio._lowpass_taps(0.45 * 8000, 16000), mode="same")
+        t_out = np.arange(int(round(n / 2))) / 8000
+        expected = np.clip(np.interp(t_out, np.arange(n) / 16000, filtered), -1.0, 1.0)
+        out = audio.resample(audio.AudioClip(x, 16000), 8000)
+        assert np.array_equal(out.samples, expected)
 
     def test_idempotent_at_fixed_rate(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from tajweed import audio, cli, dataset, detection, persistence
+from tajweed import audio, cli, dataset, detection, features, persistence
 
 
 def run(argv):
@@ -115,6 +115,16 @@ class TestTrain:
         assert "holdout_accuracy=" in out
         coverage = float(out.split("positive_coverage=")[1].split()[0])
         assert 0.0 <= coverage <= 1.0
+
+    def test_features_extracted_once_per_exemplar(self, small_corpus, monkeypatch):
+        root, entries = small_corpus
+        extract, calls = features.extract_features, []
+        monkeypatch.setattr(features, "extract_features",
+                            lambda clip, config: calls.append(clip) or extract(clip, config))
+        cli.train_rule_model(entries, root, "edgham_meem", 1.0, 0.1, seed=5)
+        exemplars = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "train"
+                     and e.polarity in dataset.POLARITIES and e.onset_s is None]
+        assert len(calls) == len(exemplars)
 
     @pytest.mark.parametrize("coverage", [0.0, 0.5])
     def test_zero_coverage_warns(self, manifest, trained_model_path, tmp_path,

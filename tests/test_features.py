@@ -52,6 +52,11 @@ class TestHamming:
         with pytest.raises(ValueError):
             features.hamming_window(1)
 
+    def test_cached_read_only(self):
+        w = features.hamming_window(200)
+        assert features.hamming_window(200) is w
+        assert not w.flags.writeable
+
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
@@ -198,7 +203,8 @@ class TestExtractFeatures:
 WINDOW_CONFIGS = [
     features.FeatureConfig(sample_rate_hz=rate, f_max_hz=rate / 2, fft_size=fft, aggregation=agg)
     for rate, fft in ((8000, 256), (22050, 1024)) for agg in features.AGGREGATIONS
-]
+] + [features.FeatureConfig(frame_ms=10)]  # 400 frames a window: 8 whole blocks, no tail
+MEAN_STD_CONFIGS = [c for c in WINDOW_CONFIGS if c.aggregation == "mean_std_pool"]
 
 
 @st.composite
@@ -228,6 +234,52 @@ class TestWindowFeatures:
         shared = list(features.window_features(padded, starts, window_n, cfg))
         assert len(shared) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(shared, expected))
+
+
+def direct_pool(log_energies):
+    """np.mean and np.std per filter; a constant column's std is 0."""
+    std = log_energies.std(axis=0)
+    std[np.ptp(log_energies, axis=0) == 0.0] = 0.0
+    return np.concatenate([log_energies.mean(axis=0), std])
+
+
+def window_log_energies(clip, cfg):
+    """Each window's log energies, framed on their own (the unshared path)."""
+    return [features.frame_log_energies(features.frame_signal(w.samples, cfg).copy(), cfg)
+            for _, w in audio.slide_windows(clip)]
+
+
+class TestPool:
+    @given(data=st.data(), cfg=st.sampled_from(MEAN_STD_CONFIGS))
+    @settings(max_examples=30, deadline=None)
+    def test_block_merge_equals_direct_pool_per_window(self, data, cfg):
+        n = data.draw(clip_lengths(cfg.sample_rate_hz))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        clip = audio.AudioClip(np.random.default_rng(seed).uniform(-0.5, 0.5, n),
+                               cfg.sample_rate_hz)
+        padded, window_n, starts = audio.window_layout(clip)
+        merged = list(features.window_features(padded, starts, window_n, cfg))
+        expected = [direct_pool(L) for L in window_log_energies(clip, cfg)]
+        assert len(merged) == len(expected)
+        assert max(np.abs(a - b).max() for a, b in zip(merged, expected)) <= 1e-12
+
+    @pytest.mark.parametrize("cfg", MEAN_STD_CONFIGS)
+    def test_clip_shorter_than_one_block_is_all_tail(self, cfg):
+        rate = cfg.sample_rate_hz
+        samples = np.random.default_rng(rate).uniform(-0.5, 0.5, int(0.3 * rate))
+        L = features.frame_log_energies(features.frame_signal(samples, cfg).copy(), cfg)
+        assert len(L) < audio.STRIDE_S * 1000 / cfg.hop_ms
+        v = features.extract_features(audio.AudioClip(samples, rate), cfg)
+        assert np.abs(v - direct_pool(L)).max() <= 1e-12
+
+    @pytest.mark.parametrize("cfg", MEAN_STD_CONFIGS)
+    def test_silence_has_exactly_zero_spread(self, cfg):
+        clip = audio.AudioClip(np.zeros(int(6.3 * cfg.sample_rate_hz)), cfg.sample_rate_hz)
+        padded, window_n, starts = audio.window_layout(clip)
+        merged = list(features.window_features(padded, starts, window_n, cfg))
+        for v, L in zip(merged, window_log_energies(clip, cfg)):
+            assert (v[cfg.num_filters:] == 0.0).all()
+            assert np.abs(v - direct_pool(L)).max() <= 1e-12
 
 
 class TestScaler:
