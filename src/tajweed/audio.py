@@ -16,6 +16,7 @@ import os
 import struct
 import wave
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,18 +129,24 @@ def load_clip(path, rate_hz: int) -> AudioClip:
     return clip
 
 
+@lru_cache(maxsize=8)
 def _lowpass_taps(cutoff_hz: float, rate_hz: int, n_taps: int = 63) -> np.ndarray:
-    """Hamming-windowed-sinc FIR low-pass, DC gain normalized to 1."""
+    """Hamming-windowed-sinc FIR low-pass, DC gain normalized to 1. Cached and
+    read-only: every resample between one pair of rates shares one filter."""
     mid = (n_taps - 1) / 2
     t = np.arange(n_taps) - mid
     taps = 2.0 * cutoff_hz / rate_hz * np.sinc(2.0 * cutoff_hz / rate_hz * t)
     taps *= 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n_taps) / (n_taps - 1))
-    return taps / taps.sum()
+    taps = taps / taps.sum()
+    taps.setflags(write=False)
+    return taps
 
 
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample by linear interpolation; decimation applies a 63-tap
-    anti-alias low-pass (cutoff 0.45 x target rate) first.
+    anti-alias low-pass (cutoff 0.45 x target rate) first. An integer
+    downsampling ratio m takes every m-th filtered sample, which is that
+    interpolation on an exact grid.
     """
     if target_hz < MIN_SAMPLE_RATE_HZ:
         raise InvalidRate(f"target rate {target_hz} Hz below {MIN_SAMPLE_RATE_HZ}")
@@ -152,11 +159,14 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         # the centred len(samples) outputs; mode="same" gives max(len, 63) of them
         samples = np.convolve(samples, taps)[len(taps) // 2:len(taps) // 2 + len(samples)]
 
-    n_out = int(round(len(samples) * target_hz / clip.sample_rate_hz))
-    n_out = max(n_out, 1)
-    t_out = np.arange(n_out) / target_hz
-    t_in = np.arange(len(samples)) / clip.sample_rate_hz
-    out = np.interp(t_out, t_in, samples)
+    n_out = max(int(round(len(samples) * target_hz / clip.sample_rate_hz)), 1)
+    if clip.sample_rate_hz % target_hz == 0:
+        # k / target and m*k / rate are one double, so interp copies these samples;
+        # [::m] keeps ceil(n / m) of them, one more than n_out when round() goes down
+        out = samples[::clip.sample_rate_hz // target_hz][:n_out]
+    else:
+        out = np.interp(np.arange(n_out) / target_hz,
+                        np.arange(len(samples)) / clip.sample_rate_hz, samples)
     return AudioClip(np.clip(out, -1.0, 1.0), int(target_hz))
 
 

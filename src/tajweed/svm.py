@@ -288,12 +288,6 @@ class GridSearchResult:
     best_gamma: float
     table: tuple[GridCell, ...] = field(default_factory=tuple)
 
-    def accuracy(self, C: float, gamma: float) -> float:
-        for cell in self.table:
-            if cell.C == C and cell.gamma == gamma:
-                return cell.accuracy
-        raise KeyError((C, gamma))
-
 
 def grid_search(
     problem: TrainingProblem,

@@ -1,8 +1,9 @@
 """Independent reference implementations used to verify the package.
 
 Nothing here imports solver or DSP code from the package itself: the DFT is
-the O(n^2) definition, the QP solver is plain projected gradient, and the
-sigmoid fit is a grid refinement. These stay deliberately brute-force.
+the O(n^2) definition, the QP solver is plain projected gradient, the
+sigmoid fit is a grid refinement, and the resampler interpolates on two
+explicit time grids. These stay deliberately brute-force.
 """
 
 import numpy as np
@@ -139,3 +140,28 @@ def correlate_lags(haystack, needle):
     N = np.fft.rfft(needle, nfft)
     c = np.fft.irfft(H * np.conj(N), nfft)
     return c[: len(haystack) - len(needle) + 1]
+
+
+def lowpass_taps(cutoff_hz, rate_hz, n_taps=63):
+    """Hamming-windowed-sinc FIR low-pass with DC gain 1, built afresh per call."""
+    t = np.arange(n_taps) - (n_taps - 1) / 2
+    taps = 2.0 * cutoff_hz / rate_hz * np.sinc(2.0 * cutoff_hz / rate_hz * t)
+    taps *= 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n_taps) / (n_taps - 1))
+    return taps / taps.sum()
+
+
+def interp_resample(samples, rate_hz, target_hz):
+    """Resample by linear interpolation at k / target_hz, clipped to [-1, 1].
+
+    Decimation first keeps the len(samples) centred outputs of the full
+    convolution with a 63-tap low-pass at 0.45 x target_hz.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if target_hz < rate_hz:
+        taps = lowpass_taps(0.45 * target_hz, rate_hz)
+        half = len(taps) // 2
+        x = np.convolve(x, taps)[half:half + len(x)]
+    n_out = max(int(round(len(x) * target_hz / rate_hz)), 1)
+    t_out = np.arange(n_out) / target_hz
+    t_in = np.arange(len(x)) / rate_hz
+    return np.clip(np.interp(t_out, t_in, x), -1.0, 1.0)

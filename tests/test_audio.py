@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tajweed import audio
 from tajweed.errors import AudioError, CorruptHeader, InvalidRate, NotFound, UnsupportedFormat
 
@@ -161,6 +162,26 @@ class TestResample:
         expected = np.clip(np.interp(t_out, np.arange(n) / 16000, filtered), -1.0, 1.0)
         out = audio.resample(audio.AudioClip(x, 16000), 8000)
         assert np.array_equal(out.samples, expected)
+
+    @pytest.mark.parametrize("rate, target", [(16000, 8000), (24000, 8000), (32000, 8000),
+                                              (48000, 8000), (22050, 8000), (11025, 8000),
+                                              (8000, 16000)])
+    def test_bytes_match_interp_oracle(self, rate, target):
+        # integer ratios take the slice path, the others interpolate; both
+        # must give the parent algorithm's exact bytes, clipping included
+        rng = np.random.default_rng(rate)
+        for n in [*range(1, 71), 64000, 64001, 200001]:
+            x = rng.uniform(-1.3, 1.3, n)
+            out = audio.resample(audio.AudioClip(x, rate), target)
+            expected = oracles.interp_resample(x, rate, target)
+            assert out.samples.dtype == expected.dtype
+            assert out.samples.tobytes() == expected.tobytes(), n
+
+    def test_taps_cached_read_only(self):
+        taps = audio._lowpass_taps(0.45 * 8000, 16000)
+        assert audio._lowpass_taps(0.45 * 8000, 16000) is taps
+        assert not taps.flags.writeable
+        assert taps.tobytes() == oracles.lowpass_taps(0.45 * 8000, 16000).tobytes()
 
     def test_idempotent_at_fixed_rate(self):
         rng = np.random.default_rng(7)

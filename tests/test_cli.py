@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from tajweed import audio, cli, dataset, detection, features, persistence
 
 
@@ -106,6 +107,33 @@ class TestTrain:
         assert run(["train", "--manifest", manifest, "--rule", "tarqeeq_lam",
                     "--seed", "3", "--model", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_models_match_interp_resampling(self, tmp_path, monkeypatch):
+        # every clip of a 16 kHz corpus is resampled before its features
+        recipe = dataset.default_recipe()
+        recipe.update(sample_rate_hz=16000, clips_per_class=6, negatives_per_rule=2,
+                      verses_per_rule=0, event_free_verses_per_rule=1)
+        root = str(tmp_path / "corpus")
+        entries = dataset.split(dataset.synth_generate(recipe, seed=42, out_dir=root), 0.7, seed=7)
+
+        def model_bytes(rule_id, name):
+            path = str(tmp_path / name)
+            model, _ = cli.train_rule_model(entries, root, rule_id, 1.0, 0.1, seed=5)
+            persistence.save_model(model, path)
+            return open(path, "rb").read()
+
+        shipped = {rule: model_bytes(rule, f"{rule}.model") for rule in recipe["classes"]}
+        calls = []
+
+        def interp_resample(clip, target_hz):
+            calls.append(clip.sample_rate_hz)
+            out = oracles.interp_resample(clip.samples, clip.sample_rate_hz, target_hz)
+            return audio.AudioClip(out, target_hz)
+
+        monkeypatch.setattr(audio, "resample", interp_resample)
+        for rule in recipe["classes"]:
+            assert model_bytes(rule, f"{rule}.interp.model") == shipped[rule]
+        assert calls and set(calls) == {16000}
 
     def test_summary_line(self, manifest, tmp_path, capsys):
         assert run(["train", "--manifest", manifest, "--rule", "edgham_meem",

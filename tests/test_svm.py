@@ -233,6 +233,7 @@ class TestGridSearch:
         result = svm.grid_search(problem, C_grid=(0.1, 1.0), gamma_grid=(0.01, 0.1),
                                  k_folds=4, seed=seed)
         folds = svm.stratified_folds(problem.y, 4, seed)
+        table = {(c.C, c.gamma): c.accuracy for c in result.table}
         best = None
         for C in (0.1, 1.0):
             for gamma in (0.01, 0.1):
@@ -245,7 +246,7 @@ class TestGridSearch:
                     pred = np.sign(svm.decision_values(model, problem.X[fold]))
                     accs.append(float(np.mean(pred == problem.y[fold])))
                 mean_acc = float(np.mean(accs))
-                assert result.accuracy(C, gamma) == pytest.approx(mean_acc, abs=1e-12)
+                assert table[C, gamma] == pytest.approx(mean_acc, abs=1e-12)
                 if best is None or mean_acc > best[0]:
                     best = (mean_acc, C, gamma)
         assert (result.best_C, result.best_gamma) == (best[1], best[2])
