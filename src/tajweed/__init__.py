@@ -1,7 +1,7 @@
 """Recitation-rule recognition: filter-bank features, an RBF-kernel SVM
 trained with SMO, and threshold-gated sliding-window detection."""
 
-from .audio import AudioClip, load_wav, normalize_duration, resample, slide_windows
+from .audio import AudioClip, load_wav, normalize_duration, resample
 from .dataset import ManifestEntry, ReviewRecord, load_manifest, save_manifest, split
 from .detection import (
     Detection,
@@ -10,7 +10,6 @@ from .detection import (
     calibrate_thresholds,
     detect,
     evaluate,
-    predict_window,
 )
 from .features import (
     FeatureConfig,
@@ -32,13 +31,13 @@ from .svm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioClip", "load_wav", "resample", "normalize_duration", "slide_windows",
+    "AudioClip", "load_wav", "resample", "normalize_duration",
     "FeatureConfig", "FilterBank", "Scaler",
     "build_filterbank", "extract_features", "fit_scaler",
     "KernelParams", "TrainingProblem", "SvmModel",
     "train", "grid_search",
     "RuleModel", "Detection", "DetectionReport",
-    "predict_window", "detect", "calibrate_thresholds", "evaluate",
+    "detect", "calibrate_thresholds", "evaluate",
     "ManifestEntry", "ReviewRecord", "load_manifest", "save_manifest", "split",
     "save_model", "load_model",
 ]

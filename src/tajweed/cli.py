@@ -59,9 +59,8 @@ def _train_exemplars(entries, root, rule_id, config):
               and e.polarity in dataset.POLARITIES and e.onset_s is None]
     if not chosen:
         raise MissingStratum(f"manifest has no train-split exemplars for {rule_id}")
-    paths = [dataset.resolve_path(root, e.path) for e in chosen]
-    X = np.vstack([features.extract_features(detection.load_exemplar(p, config), config)
-                   for p in paths])
+    X = detection.exemplar_features([dataset.resolve_path(root, e.path) for e in chosen],
+                                    config)
     y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
     return chosen, X, y
 
@@ -118,10 +117,8 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
                          tau_wrong=thresholds.tau_wrong)
     # share of holdout Right clips that a detect with these taus would gate in;
     # their rows of X are their window features
-    coverage = float(np.mean([
-        bool(detection.gated(rule_model, detection.p_right(rule_model, X[i])))
-        for i in np.flatnonzero(hold & (y > 0))
-    ]))
+    coverage = float(np.mean([bool(detection.gated(rule_model, p))
+                              for p in detection.p_right(rule_model, X[hold & (y > 0)])]))
     summary = {
         "rule_id": rule_id,
         "n_train": int((~hold).sum()),
@@ -149,10 +146,12 @@ def _cmd_synth(args) -> int:
         return 0
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
-            recipe = json.load(fh)
+            try:
+                entries = dataset.synth_generate(json.load(fh), args.seed, args.out)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ParseError(f"{args.spec}: malformed recipe: {exc!r}") from exc
     else:
-        recipe = dataset.default_recipe()
-    entries = dataset.synth_generate(recipe, args.seed, args.out)
+        entries = dataset.synth_generate(dataset.default_recipe(), args.seed, args.out)
     print(f"{len(entries)} entries written to {args.out}")
     return 0
 

@@ -470,15 +470,3 @@ def review_label(queue_path, record_id: int, status: str,
             "label": label,
         })
     return replace(current, status=status, corrected_label=label)
-
-
-def review_export(queue_path) -> list[ManifestEntry]:
-    """Labeled records as manifest entries ready for retraining."""
-    out = []
-    for r in review_list(queue_path):
-        if r.status == "pending":
-            continue
-        verdict = r.verdict or {}
-        polarity = r.corrected_label if r.status == "corrected" else verdict.get("polarity")
-        out.append(ManifestEntry(r.audio_path, r.rule_id, polarity, verdict.get("offset_s")))
-    return out

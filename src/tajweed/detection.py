@@ -63,30 +63,24 @@ class DetectionReport:
     window_scores: tuple[tuple[float, float], ...]   # (offset_s, p_right)
 
 
-def load_exemplar(path, config: features.FeatureConfig) -> audio.AudioClip:
-    """A WAV file as one analysis window: at the config's rate, cut or
-    zero-padded to one analysis window (seed 0)."""
-    clip = audio.load_clip(path, config.sample_rate_hz)
-    return audio.normalize_duration(clip, audio.WINDOW_S, seed=0)
+def exemplar_features(paths, config: features.FeatureConfig) -> np.ndarray:
+    """One feature row per WAV file, each read as one analysis window: at the
+    config's rate, cut or zero-padded to audio.WINDOW_S (seed 0)."""
+    clips = (audio.normalize_duration(audio.load_clip(path, config.sample_rate_hz),
+                                      audio.WINDOW_S, seed=0) for path in paths)
+    return np.array([features.extract_features(clip, config) for clip in clips])
 
 
-def p_right(rule: RuleModel, vector: np.ndarray) -> float:
-    """Calibrated p_right for one window's feature vector."""
-    f = svm.decision_values(rule.svm, vector)
-    return float(svm.calibrated_probability(f, rule.calibration)[0])
-
-
-def predict_window(rule: RuleModel, window: audio.AudioClip) -> float:
-    """Calibrated p_right for one analysis window."""
-    return p_right(rule, features.extract_features(window, rule.feature_config))
+def p_right(rule: RuleModel, X) -> np.ndarray:
+    """Calibrated p_right for each row of X, in one scoring call."""
+    return svm.calibrated_probability(svm.decision_values(rule.svm, X), rule.calibration)
 
 
 def window_scores(rule: RuleModel, recording: audio.AudioClip):
-    """((offset_s, p_right), ...) for each window of audio.window_layout, as predict_window."""
+    """((offset_s, p_right), ...) for each window of audio.window_layout."""
     clip, window_n, starts = audio.window_layout(recording)
-    vectors = features.window_features(clip, starts, window_n, rule.feature_config)
-    return tuple((start / clip.sample_rate_hz, p_right(rule, v))
-                 for start, v in zip(starts, vectors))
+    p = p_right(rule, features.window_features(clip, starts, window_n, rule.feature_config))
+    return tuple((start / clip.sample_rate_hz, q) for start, q in zip(starts, p.tolist()))
 
 
 def gated(rule: RuleModel, p: float):
@@ -127,7 +121,7 @@ def calibrate_thresholds(rule: RuleModel, negatives) -> ThresholdCalibration:
     calibration negatives: each tau sits one margin above the worst negative
     window score, floored at 0.5 and clamped at 0.99 (saturation is flagged).
 
-    `negatives` are rule-free clips, scored window by window as by detect.
+    `negatives` are rule-free clips, each scored by window_scores as by detect.
     How many positives the taus let through is for the caller to measure.
     """
     if not negatives:
@@ -164,46 +158,35 @@ class EvaluationResult:
     accuracy: float
 
 
-def evaluate(rules, entries, audio_root, predict_fn=None) -> EvaluationResult:
+def evaluate(rules, entries, audio_root) -> EvaluationResult:
     """Clip-level confusion per rule over labeled manifest entries.
 
     Right-labeled clips are the positives; Wrong-labeled clips the
-    negatives. Each clip is classified Right when p_right >= 0.5 (the
-    model's raw vote, ungated). `predict_fn(entry, clip) -> "Right"|"Wrong"`
-    overrides the model, e.g. for echo-oracle sanity checks.
+    negatives. Each rule's clips are read by exemplar_features and scored in
+    one call; a clip is classified Right when p_right >= 0.5 (the model's raw
+    vote, ungated).
     """
     by_rule = {r.rule_id: r for r in rules}
-    counts = {rid: [0, 0, 0, 0] for rid in by_rule}  # tp, fp, tn, fn
-    for entry in entries:
-        if entry.polarity not in ("Right", "Wrong"):
-            continue
+    labeled = [e for e in entries if e.polarity in ("Right", "Wrong")]
+    for entry in labeled:
         if entry.rule_id not in by_rule:
             raise MissingModel(f"no model for rule {entry.rule_id}")
-        rule = by_rule[entry.rule_id]
-        clip = load_exemplar(dataset.resolve_path(audio_root, entry.path), rule.feature_config)
-        if predict_fn is not None:
-            predicted = predict_fn(entry, clip)
-        else:
-            predicted = "Right" if predict_window(rule, clip) >= 0.5 else "Wrong"
-
-        c = counts[entry.rule_id]
-        if entry.polarity == "Right":
-            if predicted == "Right":
-                c[0] += 1
-            else:
-                c[3] += 1
-        else:
-            if predicted == "Right":
-                c[1] += 1
-            else:
-                c[2] += 1
-
-    tables = tuple(
-        ConfusionTable(rid, *counts[rid]) for rid in sorted(counts) if sum(counts[rid])
-    )
+    tables = []
+    for rid, rule in sorted(by_rule.items()):
+        mine = [e for e in labeled if e.rule_id == rid]
+        if not mine:
+            continue
+        X = exemplar_features([dataset.resolve_path(audio_root, e.path) for e in mine],
+                              rule.feature_config)
+        voted = p_right(rule, X) >= 0.5
+        right = np.array([e.polarity == "Right" for e in mine])
+        tables.append(ConfusionTable(rid, tp=int(np.sum(voted & right)),
+                                     fp=int(np.sum(voted & ~right)),
+                                     tn=int(np.sum(~voted & ~right)),
+                                     fn=int(np.sum(~voted & right))))
     total = sum(t.tp + t.fp + t.tn + t.fn for t in tables)
     correct = sum(t.tp + t.tn for t in tables)
-    return EvaluationResult(tables=tables, accuracy=correct / total if total else 0.0)
+    return EvaluationResult(tables=tuple(tables), accuracy=correct / total if total else 0.0)
 
 
 def format_confusion_tables(result: EvaluationResult) -> str:

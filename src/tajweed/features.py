@@ -204,11 +204,11 @@ def _block_stats(x: np.ndarray):
     return total, np.square(x, out=x).sum(axis=0), hi, lo
 
 
-def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig):
-    """An iterator over the feature vectors of windows: row w of the 2-D
+def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The feature vectors of windows, one row per window: row w of the 2-D
     `rows` holds window w's frame indices into log_energies, in time order.
 
-    flatten yields each window's frames row-major. mean_std_pool cuts every
+    flatten lays out each window's frames row-major. mean_std_pool cuts every
     window into one-stride blocks (STRIDE_S / hop_ms frames) plus a short
     tail, reduces each distinct block once (keyed by its first frame, since
     overlapping windows share blocks) and each tail, and merges a window's
@@ -218,7 +218,7 @@ def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig):
     A column is constant, with std exactly 0, when max == min over the parts.
     """
     if config.aggregation == "flatten":
-        return (log_energies[window_rows].reshape(-1) for window_rows in rows)
+        return log_energies[rows].reshape(len(rows), -1)
     n = rows.shape[1]
     block = max(round(STRIDE_S * 1000) // config.hop_ms, 1)
     n_blocks, tail = divmod(n, block)
@@ -239,7 +239,7 @@ def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig):
     spread = total / counts - mean[:, None]
     std = np.sqrt((m2.sum(axis=1) + (counts * spread * spread).sum(axis=1)) / n)
     std[hi.max(axis=1) == lo.min(axis=1)] = 0.0
-    return iter(np.concatenate([mean, std], axis=1))
+    return np.concatenate([mean, std], axis=1)
 
 
 def _check_rate(clip: AudioClip, config: FeatureConfig) -> None:
@@ -253,13 +253,14 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     energies, pooled. Callers normalize clips to 4 s first."""
     _check_rate(clip, config)
     log_energies = frame_log_energies(frame_signal(clip.samples, config).copy(), config)
-    return next(pool(log_energies, np.arange(len(log_energies))[None], config))
+    return pool(log_energies, np.arange(len(log_energies))[None], config)[0]
 
 
-def window_features(clip: AudioClip, window_starts, window_len: int, config: FeatureConfig):
-    """An iterator over extract_features of each window_len-sample window of the
-    clip starting at an offset in window_starts, transforming each distinct frame
-    once and pooling all windows together."""
+def window_features(clip: AudioClip, window_starts, window_len: int,
+                    config: FeatureConfig) -> np.ndarray:
+    """extract_features of each window_len-sample window of the clip starting at
+    an offset in window_starts, one row per window, transforming each distinct
+    frame once and pooling all windows together."""
     _check_rate(clip, config)
     n_frames = len(frame_signal(clip.samples[:window_len], config))
     starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))

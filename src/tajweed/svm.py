@@ -33,8 +33,8 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def train(
     a_i > 0 become the support vectors. `scaler` is stored on the model
     for inference-time standardization (identity if omitted).
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0.0 < C < np.inf:
+        raise ValueError("C must be positive and finite")
     y = problem.y
     if np.all(y == y[0]):
         raise SingleClass("training labels contain a single class")
@@ -178,15 +178,23 @@ def _solve_bias(alpha, grad, y, C) -> float:
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
-    """f(x) for each row of X (raw, unstandardized inputs); sign is the class."""
+    """f(x) for each row of X (raw, unstandardized inputs); sign is the class.
+
+    Each row is expanded over the support vectors on its own, so its value is
+    bit-identical whether it is scored alone or in any batch: a Gram against
+    many rows is a BLAS gemm, which rounds differently from one row's gemv.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.support_vectors.shape[1]:
         raise DimensionMismatch(
             f"input dim {X.shape[1]} != model dim {model.support_vectors.shape[1]}"
         )
     Xs = model.scaler.apply(X)
-    K = rbf_gram(model.support_vectors, Xs, model.kernel.gamma)
-    return model.dual_coefs @ K + model.bias
+    f = np.empty(len(Xs))
+    for i in range(len(Xs)):
+        f[i:i + 1] = model.dual_coefs @ rbf_gram(model.support_vectors, Xs[i:i + 1],
+                                                 model.kernel.gamma)
+    return f + model.bias
 
 
 def _prob_pos(z: np.ndarray) -> np.ndarray:
@@ -299,6 +307,8 @@ def grid_search(
     """Mean stratified-CV accuracy for every (C, gamma); the winner is the
     best pair, ties resolved toward smaller C then smaller gamma.
     """
+    if k_folds < 2:
+        raise ValueError("k_folds must be at least 2")
     y = problem.y
     if problem.l < k_folds:
         raise TooFewSamples(f"{problem.l} samples < {k_folds} folds")

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from tajweed import cli, dataset
+from tajweed import cli, dataset, svm
 
 
 def small_recipe():
@@ -33,3 +33,12 @@ def small_model(small_corpus):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def decision_calls(monkeypatch):
+    """The X of every svm.decision_values call made while the test runs."""
+    calls, inner = [], svm.decision_values
+    monkeypatch.setattr(svm, "decision_values",
+                        lambda model, X: calls.append(X) or inner(model, X))
+    return calls

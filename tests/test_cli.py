@@ -87,6 +87,42 @@ class TestExitCodes:
                     "--verdict", str(verdict)])
         assert code == 7
 
+    @pytest.mark.parametrize("flag", ["--c", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_train_params_are_value_errors(self, manifest, tmp_path, capsys,
+                                                    flag, value):
+        model = tmp_path / "m.model"
+        code = run(["train", "--manifest", manifest, "--rule", "edgham_meem",
+                    "--seed", "1", f"{flag}={value}", "--model", str(model)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("option", ["--c-grid=nan", "--gamma-grid=inf",
+                                        "--folds=1", "--folds=0", "--folds=-2"])
+    def test_bad_gridsearch_params_are_value_errors(self, manifest, capsys, option):
+        code = run(["gridsearch", "--manifest", manifest, "--rule", "edgham_meem",
+                    "--seed", "1", "--c-grid", "1.0", "--gamma-grid", "0.1", option])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda recipe: list(recipe),
+        lambda recipe: {k: v for k, v in recipe.items() if k != "clip_seconds"},
+        lambda recipe: {**recipe, "classes": {"edgham_meem": {"Right": [], "Wrong": []}}},
+        lambda recipe: "{not json",
+    ])
+    def test_malformed_synth_spec_is_dataset_error(self, tmp_path, capsys, edit):
+        recipe = dataset.default_recipe()
+        recipe.update(clips_per_class=1, negatives_per_rule=0,
+                      verses_per_rule=0, event_free_verses_per_rule=0)
+        spec = edit(recipe)
+        (tmp_path / "spec.json").write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        code = run(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "1",
+                    "--out", str(tmp_path / "corpus")])
+        assert code == 7
+        assert "error:" in capsys.readouterr().err
+
     def test_seed_required_for_train(self, manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--manifest", manifest, "--rule", "edgham_meem",
@@ -153,6 +189,14 @@ class TestTrain:
         exemplars = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "train"
                      and e.polarity in dataset.POLARITIES and e.onset_s is None]
         assert len(calls) == len(exemplars)
+
+    def test_coverage_scored_in_one_call(self, small_corpus, decision_calls):
+        root, entries = small_corpus
+        cli.train_rule_model(entries, root, "edgham_meem", 1.0, 0.1, seed=5)
+        negatives = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "train"
+                     and e.polarity is None]
+        # the Platt holdout, each rule-free recording for the taus, then coverage
+        assert len(decision_calls) == 1 + len(negatives) + 1
 
     @pytest.mark.parametrize("coverage", [0.0, 0.5])
     def test_zero_coverage_warns(self, manifest, trained_model_path, tmp_path,

@@ -216,16 +216,12 @@ class TestReviewQueue:
         dataset.review_append(q, self.record())
         out = dataset.review_label(q, 1, "corrected", label="Wrong")
         assert out.status == "corrected"
-        exported = dataset.review_export(q)
-        assert exported[0].polarity == "Wrong"
-        assert exported[0].onset_s == 2.0
 
-    def test_approved_export_uses_verdict(self, tmp_path):
+    def test_label_approved_moves_status(self, tmp_path):
         q = str(tmp_path / "q.jsonl")
         dataset.review_append(q, self.record())
-        dataset.review_label(q, 1, "approved")
-        exported = dataset.review_export(q)
-        assert exported[0].polarity == "Right"
+        out = dataset.review_label(q, 1, "approved")
+        assert out.status == "approved"
 
     def test_unknown_record(self, tmp_path):
         q = str(tmp_path / "q.jsonl")

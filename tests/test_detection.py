@@ -35,17 +35,23 @@ def recording(seconds=6.0):
     return audio.AudioClip(np.zeros(int(seconds * 8000)), 8000)
 
 
-class TestPredictWindow:
+def scored_alone(rule, window):
+    """p_right of a 4 s window scored as a recording of its own."""
+    (offset, p), = detection.window_scores(rule, window)
+    assert offset == 0.0
+    return p
+
+
+class TestOneWindow:
     def test_silence_probability_finite(self, small_model):
         window = audio.AudioClip(np.zeros(32000), 8000)
-        p = detection.predict_window(small_model, window)
+        p = scored_alone(small_model, window)
         assert 0.0 <= p <= 1.0
 
     def test_deterministic_to_the_bit(self, small_model):
         rng = np.random.default_rng(0)
         window = audio.AudioClip(rng.uniform(-0.5, 0.5, 32000), 8000)
-        assert detection.predict_window(small_model, window) == \
-            detection.predict_window(small_model, window)
+        assert scored_alone(small_model, window) == scored_alone(small_model, window)
 
     def test_stale_fingerprint_rejected(self, small_model):
         with pytest.raises(ConfigMismatch):
@@ -56,7 +62,7 @@ class TestPredictWindow:
         e = next(e for e in entries if e.rule_id == "edgham_meem"
                  and e.polarity == "Right" and e.onset_s is None)
         clip = audio.load_wav(os.path.join(root, e.path))
-        assert detection.predict_window(small_model, clip) > 0.5
+        assert scored_alone(small_model, clip) > 0.5
 
 
 class TestDetect:
@@ -92,8 +98,9 @@ class TestDetect:
         clip = audio.AudioClip(rng.uniform(-0.3, 0.3, 32000), 8000)
         report = detection.detect(small_model, clip)
         assert len(report.window_scores) == 1
-        p = detection.predict_window(small_model, clip)
-        assert report.window_scores[0] == (0.0, p)
+        # the exemplar path: extract_features over the whole clip
+        vector = features.extract_features(clip, small_model.feature_config)
+        assert report.window_scores[0] == (0.0, float(detection.p_right(small_model, vector)[0]))
 
     def test_window_scores_cover_slide_windows(self, small_model):
         clip = recording(7.3)
@@ -110,7 +117,14 @@ class TestDetect:
         stored = dict(report.window_scores)[report.verdict.offset_s]
         window = next(w for o, w in audio.slide_windows(clip)
                       if o == report.verdict.offset_s)
-        assert detection.predict_window(small_model, window) == stored
+        assert scored_alone(small_model, window) == stored
+
+    def test_one_scoring_call_per_recording(self, small_corpus, small_model, decision_calls):
+        root, entries = small_corpus
+        verses = [e for e in entries if e.rule_id == "edgham_meem" and "verse" in e.path]
+        for e in verses:
+            detection.detect(small_model, audio.load_wav(os.path.join(root, e.path)))
+        assert len(decision_calls) == len(verses)
 
     def test_verse_event_located(self, small_corpus, small_model):
         root, entries = small_corpus
@@ -142,10 +156,10 @@ class TestDetect:
 
 class TestWindowScores:
     @pytest.mark.parametrize("seconds", [1.0, 4.0, 4.5, 7.3])
-    def test_equal_to_predict_window_per_window(self, small_model, seconds):
+    def test_equal_to_each_window_scored_alone(self, small_model, seconds):
         rng = np.random.default_rng(int(seconds * 10))
         clip = audio.AudioClip(rng.uniform(-0.3, 0.3, int(seconds * 8000)), 8000)
-        expected = tuple((o, detection.predict_window(small_model, w))
+        expected = tuple((o, scored_alone(small_model, w))
                          for o, w in audio.slide_windows(clip))
         assert detection.window_scores(small_model, clip) == expected
 
@@ -154,9 +168,26 @@ class TestWindowScores:
         for e in entries:
             if e.rule_id == "edgham_meem" and "verse" in e.path:
                 clip = audio.load_wav(os.path.join(root, e.path))
-                expected = tuple((o, detection.predict_window(small_model, w))
+                expected = tuple((o, scored_alone(small_model, w))
                                  for o, w in audio.slide_windows(clip))
                 assert detection.window_scores(small_model, clip) == expected
+
+    def test_decision_values_do_not_depend_on_the_batch(self, small_corpus, small_model):
+        # a batched Gram is a BLAS gemm and rounds differently from one row's gemv
+        root, entries = small_corpus
+        per_recording = []
+        for e in entries:
+            if e.rule_id == "edgham_meem" and "verse" in e.path:
+                clip, window_n, starts = audio.window_layout(
+                    audio.load_wav(os.path.join(root, e.path)))
+                per_recording.append(features.window_features(
+                    clip, starts, window_n, small_model.feature_config))
+        X = np.vstack(per_recording)
+        batch = svm.decision_values(small_model.svm, X)
+        recordings = np.concatenate([svm.decision_values(small_model.svm, R)
+                                     for R in per_recording])
+        rows = np.concatenate([svm.decision_values(small_model.svm, x) for x in X])
+        assert batch.tobytes() == recordings.tobytes() == rows.tobytes()
 
 
 class TestCalibrateThresholds:
@@ -217,15 +248,30 @@ class TestCalibrateThresholds:
 
 
 class TestEvaluate:
-    def test_echo_oracle_has_no_errors(self, small_corpus, small_model):
+    def test_echo_oracle_has_no_errors(self, small_corpus, small_model, monkeypatch):
+        # each clip's feature row is its label, and the scorer echoes it
         root, entries = small_corpus
         test = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "test"
                 and e.polarity and e.onset_s is None]
-        result = detection.evaluate([small_model], test, root,
-                                    predict_fn=lambda entry, clip: entry.polarity)
+        label = {dataset.resolve_path(root, e.path): float(e.polarity == "Right") for e in test}
+        monkeypatch.setattr(detection, "exemplar_features",
+                            lambda paths, config: np.array([[label[p]] for p in paths]))
+        monkeypatch.setattr(detection, "p_right", lambda rule, X: X[:, 0])
+        result = detection.evaluate([small_model], test, root)
         table = result.tables[0]
         assert (table.fp, table.fn) == (0, 0)
+        assert table.tp == sum(e.polarity == "Right" for e in test)
+        assert table.tn == sum(e.polarity == "Wrong" for e in test)
         assert result.accuracy == 1.0
+
+    def test_one_scoring_call_per_rule(self, small_corpus, small_model, decision_calls):
+        root, entries = small_corpus
+        # a second rule: the same SVM under the other rule's name
+        rules = [small_model, replace(small_model, rule_id="tarqeeq_lam")]
+        test = [e for e in entries if e.split == "test" and e.polarity and e.onset_s is None]
+        result = detection.evaluate(rules, test, root)
+        assert len(decision_calls) == len(rules) == len(result.tables)
+        assert sum(len(X) for X in decision_calls) == len(test)
 
     def test_trained_model_separates_test_split(self, small_corpus, small_model):
         # sanity bound at this corpus size; the >= 0.95 gate runs at full

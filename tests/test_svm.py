@@ -49,9 +49,10 @@ class TestRbfKernel:
             K = svm.rbf_gram(X, X, 0.4)
             assert np.linalg.eigvalsh(K).min() >= -1e-8
 
-    def test_rejects_nonpositive_gamma(self):
+    @pytest.mark.parametrize("gamma", [0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_nonpositive_or_nonfinite_gamma(self, gamma):
         with pytest.raises(ValueError):
-            svm.KernelParams(gamma=0.0)
+            svm.KernelParams(gamma=gamma)
 
 
 class TestTrain:
@@ -84,6 +85,11 @@ class TestTrain:
         prob = svm.TrainingProblem(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SingleClass):
             svm.train(prob, 1.0, svm.KernelParams(gamma=0.1))
+
+    @pytest.mark.parametrize("C", [0.0, np.nan, np.inf, -np.inf])
+    def test_nonpositive_or_nonfinite_c_rejected(self, C):
+        with pytest.raises(ValueError):
+            svm.train(tiny_problem(), C, svm.KernelParams(gamma=0.1))
 
     def test_no_convergence_carries_best_iterate(self):
         with pytest.raises(NoConvergence) as exc:
@@ -250,6 +256,11 @@ class TestGridSearch:
                 if best is None or mean_acc > best[0]:
                     best = (mean_acc, C, gamma)
         assert (result.best_C, result.best_gamma) == (best[1], best[2])
+
+    @pytest.mark.parametrize("k_folds", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, rng, k_folds):
+        with pytest.raises(ValueError):
+            svm.grid_search(clustered_problem(rng), k_folds=k_folds)
 
     def test_tie_breaks_toward_smaller_c_then_gamma(self, rng):
         # clusters 10 sigma apart: every cell hits accuracy 1.0
