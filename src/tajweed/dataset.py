@@ -4,8 +4,8 @@ corpus generator used in place of recorded recitations.
 Manifest format: CSV with header `path,rule_id,polarity,onset_s,split`,
 UTF-8, LF line endings. `path` is relative to the manifest's directory,
 `polarity` is Right/Wrong or empty for rule-free material, `onset_s` is
-empty unless an event start is known (verse files), `split` is train/test/
-unassigned.
+empty unless an event start is known (verse files; finite seconds >= 0),
+`split` is train/test/unassigned.
 
 Review queue format: newline-delimited JSON events after a schema header
 line; records are append-only and labels are appended as transition events,
@@ -89,6 +89,9 @@ def load_manifest(path) -> list[ManifestEntry]:
                 onset_s = float(onset) if onset else None
             except ValueError:
                 raise ParseError(f"bad onset_s {onset!r}", line_number=line_no)
+            if onset_s is not None and not 0.0 <= onset_s < np.inf:
+                raise ParseError(f"onset_s {onset!r} is not a finite time >= 0",
+                                 line_number=line_no)
             entries.append(ManifestEntry(p, rule_id, polarity or None, onset_s, split))
 
     root = os.path.dirname(os.path.abspath(path))

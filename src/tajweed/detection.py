@@ -1,12 +1,13 @@
 """Sliding-window rule detection.
 
-A recording is cut into audio.WINDOW_S windows every audio.STRIDE_S and framed
-once; each window is pooled from its frames, scored by the rule's SVM and
-calibrated to p_right in [0, 1]. A window is a Right candidate when p_right
-clears tau_right and a Wrong candidate when (1 - p_right) clears tau_wrong. The
-verdict is the candidate with the highest gated score, earliest offset on ties;
-no surviving candidate means no verdict. Thresholds are calibrated so that
-rule-free material produces zero verdicts by construction.
+features.extract_features turns a recording into one feature row per
+audio.WINDOW_S window every audio.STRIDE_S (a 4 s training exemplar is one
+such window); each row is scored by the rule's SVM and calibrated to p_right
+in [0, 1]. A window is a Right candidate when p_right clears tau_right and a
+Wrong candidate when (1 - p_right) clears tau_wrong. The verdict is the
+candidate with the highest gated score, earliest offset on ties; no surviving
+candidate means no verdict. Thresholds are calibrated so that rule-free
+material produces zero verdicts by construction.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def exemplar_features(paths, config: features.FeatureConfig) -> np.ndarray:
     config's rate, cut or zero-padded to audio.WINDOW_S (seed 0)."""
     clips = (audio.normalize_duration(audio.load_clip(path, config.sample_rate_hz),
                                       audio.WINDOW_S, seed=0) for path in paths)
-    return np.array([features.extract_features(clip, config) for clip in clips])
+    return np.vstack([features.extract_features(clip, config) for clip in clips])
 
 
 def p_right(rule: RuleModel, X) -> np.ndarray:
@@ -78,9 +79,9 @@ def p_right(rule: RuleModel, X) -> np.ndarray:
 
 def window_scores(rule: RuleModel, recording: audio.AudioClip):
     """((offset_s, p_right), ...) for each window of audio.window_layout."""
-    clip, window_n, starts = audio.window_layout(recording)
-    p = p_right(rule, features.window_features(clip, starts, window_n, rule.feature_config))
-    return tuple((start / clip.sample_rate_hz, q) for start, q in zip(starts, p.tolist()))
+    _, _, starts = audio.window_layout(recording)
+    p = p_right(rule, features.extract_features(recording, rule.feature_config))
+    return tuple((start / recording.sample_rate_hz, q) for start, q in zip(starts, p.tolist()))
 
 
 def gated(rule: RuleModel, p: float):

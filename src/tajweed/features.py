@@ -1,11 +1,13 @@
 """Filter-bank feature extraction.
 
-A 4 s clip is cut into 25 ms frames with a 10 ms hop, each frame is Hamming
+extract_features is the one front end: it turns a clip into one feature row
+per analysis window of audio.window_layout (4 s windows every 0.5 s). Each
+window is cut into 25 ms frames with a 10 ms hop, each frame is Hamming
 windowed, zero-padded to the FFT size and transformed with numpy's real FFT,
 and pushed through 70 triangular band-pass filters spaced on the mel scale.
 Log energies are then pooled into a fixed-length vector (per-filter mean
 and standard deviation by default, or the raw frame-by-filter matrix
-flattened row-major). Frames are computed once per recording: every window
+flattened row-major). Frames are computed once per clip: every window
 pools its rows of one log-energy matrix. Windows overlap by all but one
 stride, so the mean/std pool cuts each window into one-stride blocks plus a
 short tail, reduces each distinct block once and merges a window's blocks
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import STRIDE_S, AudioClip
+from .audio import STRIDE_S, AudioClip, window_layout
 from .errors import DegenerateBank, TooFewVectors, TooShort, WrongRate
 
 AGGREGATIONS = ("mean_std_pool", "flatten")
@@ -242,27 +244,17 @@ def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig) -> n
     return np.concatenate([mean, std], axis=1)
 
 
-def _check_rate(clip: AudioClip, config: FeatureConfig) -> None:
+def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
+    """The feature vectors of the clip's analysis windows, one row per window
+    of audio.window_layout: a clip shorter than WINDOW_S is zero-padded to one
+    window, a longer one has a window every STRIDE_S (a 4 s clip gives 1 row).
+    Each distinct frame is transformed once and every window pools its rows
+    of that one log-energy matrix."""
     if clip.sample_rate_hz != config.sample_rate_hz:
         raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, "
                         f"config expects {config.sample_rate_hz} Hz")
-
-
-def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """The feature vector of one window spanning the clip: its frames' log
-    energies, pooled. Callers normalize clips to 4 s first."""
-    _check_rate(clip, config)
-    log_energies = frame_log_energies(frame_signal(clip.samples, config).copy(), config)
-    return pool(log_energies, np.arange(len(log_energies))[None], config)[0]
-
-
-def window_features(clip: AudioClip, window_starts, window_len: int,
-                    config: FeatureConfig) -> np.ndarray:
-    """extract_features of each window_len-sample window of the clip starting at
-    an offset in window_starts, one row per window, transforming each distinct
-    frame once and pooling all windows together."""
-    _check_rate(clip, config)
-    n_frames = len(frame_signal(clip.samples[:window_len], config))
+    clip, window_n, window_starts = window_layout(clip)
+    n_frames = len(frame_signal(clip.samples[:window_n], config))
     starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))
     distinct, rows = np.unique(starts, return_inverse=True)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, config.frame_len)

@@ -2,11 +2,16 @@
 
 Nothing here imports solver or DSP code from the package itself: the DFT is
 the O(n^2) definition, the QP solver is plain projected gradient, the
-sigmoid fit is a grid refinement, and the resampler interpolates on two
-explicit time grids. These stay deliberately brute-force.
+sigmoid fit is a grid refinement, the resampler interpolates on two
+explicit time grids, and the reference detector frames, transforms, pools
+and scores every window on its own copy. These stay deliberately
+brute-force. The one thing taken from the package is the filter-bank
+weights, which have their own tests.
 """
 
 import numpy as np
+
+from tajweed.features import build_filterbank
 
 
 def naive_dft(x):
@@ -23,6 +28,55 @@ def rbf_matrix(A, B, gamma):
     B = np.atleast_2d(B)
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
     return np.exp(-gamma * d2)
+
+
+def hamming(n):
+    """w[k] = 0.54 - 0.46 cos(2 pi k / (n - 1)), straight from the formula."""
+    return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+
+
+def reference_window_scores(rule, clip):
+    """((offset_s, p_right), ...) for each 4 s window every 0.5 s of the clip,
+    zero-padded to one window when shorter.
+
+    Each window is copied out and cut into frames by explicit index
+    arithmetic; the power spectrum of all frames is one DFT matrix product
+    (naive_dft's matrix, restricted to the frame's samples and the one-sided
+    bins); mean and std come from np.mean/np.std; scoring is written out with
+    rbf_matrix and the sigmoid 1 / (1 + exp(A f + B)).
+    """
+    cfg, model = rule.feature_config, rule.svm
+    rate = clip.sample_rate_hz
+    assert rate == cfg.sample_rate_hz
+    window_n, stride_n = int(round(4.0 * rate)), int(round(0.5 * rate))
+    frame_len = int(round(cfg.frame_ms * rate / 1000))
+    hop = int(round(cfg.hop_ms * rate / 1000))
+    n_frames = (window_n - frame_len) // hop + 1
+    x = np.concatenate([clip.samples, np.zeros(max(window_n - len(clip.samples), 0))])
+    offsets = range(0, len(x) - window_n + 1, stride_n)
+    frames = []
+    for start in offsets:
+        window = x[start:start + window_n].copy()
+        frames.extend(window[i * hop:i * hop + frame_len] for i in range(n_frames))
+    frames = np.array(frames) * hamming(frame_len)
+    # samples past frame_len are the zero padding up to fft_size: they add nothing
+    n, k = np.arange(frame_len), np.arange(cfg.fft_size // 2 + 1)
+    dft = np.exp(-2j * np.pi * np.outer(n, k) / cfg.fft_size)
+    power = np.abs(frames @ dft) ** 2 / cfg.fft_size
+    log_e = np.log(np.maximum(power @ build_filterbank(cfg).weights.T, cfg.log_floor))
+    rows = []
+    for L in log_e.reshape(len(offsets), n_frames, -1):
+        if cfg.aggregation == "flatten":
+            rows.append(L.ravel())
+        else:
+            std = L.std(axis=0)
+            std[np.ptp(L, axis=0) == 0.0] = 0.0
+            rows.append(np.concatenate([L.mean(axis=0), std]))
+    z = (np.array(rows) - model.scaler.mean) / np.maximum(model.scaler.std, 1e-8)
+    f = rbf_matrix(z, model.support_vectors, model.kernel.gamma) @ model.dual_coefs + model.bias
+    A, B = rule.calibration
+    p = 1.0 / (1.0 + np.exp(A * f + B))
+    return tuple((start / rate, float(q)) for start, q in zip(offsets, p))
 
 
 def _project_box_hyperplane(target, y, upper):

@@ -161,7 +161,7 @@ def test_criterion_4_framing_arithmetic():
 
     clip = audio.AudioClip(np.full(32000, 0.1), 8000)
     vec = features.extract_features(clip, cfg)
-    assert vec.shape == (140,)
+    assert vec.shape == (1, 140)
     report(4, "398 frames of 200 samples at hop 80; pooled vector length 140")
 
 

@@ -186,9 +186,12 @@ class TestTrain:
         monkeypatch.setattr(features, "extract_features",
                             lambda clip, config: calls.append(clip) or extract(clip, config))
         cli.train_rule_model(entries, root, "edgham_meem", 1.0, 0.1, seed=5)
-        exemplars = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "train"
-                     and e.polarity in dataset.POLARITIES and e.onset_s is None]
-        assert len(calls) == len(exemplars)
+        mine = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "train"]
+        exemplars = [e for e in mine if e.polarity in dataset.POLARITIES and e.onset_s is None]
+        negatives = [e for e in mine if e.polarity is None]
+        # each exemplar, then each rule-free recording for the taus
+        assert [len(clip) for clip in calls] == [32000] * len(exemplars) + [
+            len(audio.load_wav(dataset.resolve_path(root, e.path))) for e in negatives]
 
     def test_coverage_scored_in_one_call(self, small_corpus, decision_calls):
         root, entries = small_corpus

@@ -81,10 +81,11 @@ class TestManifest:
         with pytest.raises(ParseError):
             dataset.load_manifest(str(p))
 
-    def test_bad_onset_rejected(self, tmp_path):
+    @pytest.mark.parametrize("onset", ["soon", "nan", "inf", "-inf", "-2.5"])
+    def test_bad_onset_rejected(self, tmp_path, onset):
         p = tmp_path / "m.csv"
         p.write_text("path,rule_id,polarity,onset_s,split\n"
-                     "a.wav,edgham_meem,Right,soon,train\n")
+                     f"a.wav,edgham_meem,Right,{onset},train\n")
         with pytest.raises(ParseError) as exc:
             dataset.load_manifest(str(p))
         assert exc.value.line_number == 2

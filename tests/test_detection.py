@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from tajweed import audio, dataset, detection, features, svm
 from tajweed.errors import ConfigMismatch, EmptyNegatives, MissingModel
 
@@ -178,16 +179,91 @@ class TestWindowScores:
         per_recording = []
         for e in entries:
             if e.rule_id == "edgham_meem" and "verse" in e.path:
-                clip, window_n, starts = audio.window_layout(
-                    audio.load_wav(os.path.join(root, e.path)))
-                per_recording.append(features.window_features(
-                    clip, starts, window_n, small_model.feature_config))
+                per_recording.append(features.extract_features(
+                    audio.load_wav(os.path.join(root, e.path)), small_model.feature_config))
         X = np.vstack(per_recording)
         batch = svm.decision_values(small_model.svm, X)
         recordings = np.concatenate([svm.decision_values(small_model.svm, R)
                                      for R in per_recording])
         rows = np.concatenate([svm.decision_values(small_model.svm, x) for x in X])
         assert batch.tobytes() == recordings.tobytes() == rows.tobytes()
+
+
+RATE_22K = 22050
+
+
+def tone_and_noise(seconds, seed):
+    """Noise at 22050 Hz with a 900 Hz tone over its second half."""
+    t = np.arange(int(seconds * RATE_22K)) / RATE_22K
+    x = 0.05 * np.random.default_rng(seed).standard_normal(len(t))
+    x[t > seconds / 2] += 0.4 * np.sin(2 * np.pi * 900 * t[t > seconds / 2])
+    return audio.AudioClip(np.clip(x, -1.0, 1.0), RATE_22K)
+
+
+def rule_at_22050():
+    """A rule over 22050 Hz features whose support vectors are the windows of
+    one tone_and_noise clip, with a kernel wide enough to spread p_right."""
+    config = features.FeatureConfig(sample_rate_hz=RATE_22K, f_max_hz=RATE_22K / 2,
+                                    fft_size=1024)
+    X = features.extract_features(tone_and_noise(6.0, 1), config)
+    scaler = features.fit_scaler(X)
+    model = svm.SvmModel(support_vectors=scaler.apply(X),
+                         dual_coefs=np.array([1.0, -1.0, 1.0, -1.0, 1.0]), bias=0.0,
+                         kernel=svm.KernelParams(gamma=1e-3), C=1.0, scaler=scaler)
+    return detection.RuleModel("edgham_meem", model, (-4.0, 0.0), tau_right=0.6,
+                               tau_wrong=0.5, feature_config=config,
+                               config_fingerprint=config.fingerprint())
+
+
+def hand_gates_and_verdict(rule, scores):
+    """Each window's gated sides, and the (offset_s, polarity) of the highest
+    gated score, earliest offset (then Right) on ties; None if none is gated."""
+    gates = [[(polarity, score) for polarity, score, tau in
+              (("Right", p, rule.tau_right), ("Wrong", 1.0 - p, rule.tau_wrong))
+              if score >= tau] for _, p in scores]
+    best = min(((-score, offset, polarity) for (offset, _), sides in zip(scores, gates)
+                for polarity, score in sides), default=None)
+    return [[polarity for polarity, _ in sides] for sides in gates], best and best[1:]
+
+
+class TestReferenceDetector:
+    """detect against oracles.reference_window_scores, which shares no framing,
+    spectrum, pooling, standardization or scoring code with the package."""
+
+    def verdict_matching_reference(self, rule, clip):
+        report = detection.detect(rule, clip)
+        reference = oracles.reference_window_scores(rule, clip)
+        assert [o for o, _ in report.window_scores] == [o for o, _ in reference]
+        assert max(abs(p - q) for (_, p), (_, q) in
+                   zip(report.window_scores, reference)) <= 1e-9
+        gates, verdict = hand_gates_and_verdict(rule, reference)
+        assert [[polarity for polarity, _ in detection.gated(rule, p)]
+                for _, p in report.window_scores] == gates
+        assert (report.verdict and (report.verdict.offset_s, report.verdict.polarity)) == verdict
+        return verdict
+
+    def test_corpus_verses(self, small_corpus, small_model):
+        root, entries = small_corpus
+        verdicts = [self.verdict_matching_reference(
+                        small_model, audio.load_wav(os.path.join(root, e.path)))
+                    for e in entries if e.rule_id == "edgham_meem" and "verse" in e.path]
+        assert None in verdicts and any(verdicts)
+
+    def test_22050_hz_recording(self):
+        rule = rule_at_22050()
+        clip = tone_and_noise(6.3, 3)
+        assert self.verdict_matching_reference(rule, clip) is not None
+        assert len({round(p, 2) for _, p in detection.window_scores(rule, clip)}) > 1
+
+    @pytest.mark.parametrize("seconds", [0.3, 1.0, 3.99])
+    def test_clips_shorter_than_one_window(self, small_corpus, small_model, seconds):
+        root, entries = small_corpus
+        e = next(e for e in entries if e.rule_id == "edgham_meem" and e.onset_s is not None)
+        verse = audio.load_wav(os.path.join(root, e.path))
+        start = int(e.onset_s * verse.sample_rate_hz)
+        clip = audio.AudioClip(verse.samples[start:start + int(seconds * 8000)], 8000)
+        self.verdict_matching_reference(small_model, clip)
+        self.verdict_matching_reference(rule_at_22050(), tone_and_noise(seconds, 4))
 
 
 class TestCalibrateThresholds:

@@ -137,18 +137,18 @@ class TestFilterBank:
 class TestExtractFeatures:
     def test_silence_hits_log_floor(self):
         clip = audio.AudioClip(np.zeros(32000), 8000)
-        v = features.extract_features(clip, CFG)
+        v, = features.extract_features(clip, CFG)
         assert np.allclose(v[:70], np.log(CFG.log_floor))
         assert (v[70:] == 0.0).all()
 
     def test_pooled_length_140(self):
         clip = audio.AudioClip(np.full(32000, 0.1), 8000)
-        assert features.extract_features(clip, CFG).shape == (140,)
+        assert features.extract_features(clip, CFG).shape == (1, 140)
 
     def test_flatten_length(self):
         cfg = features.FeatureConfig(aggregation="flatten")
         clip = audio.AudioClip(np.full(32000, 0.1), 8000)
-        assert features.extract_features(clip, cfg).shape == (398 * 70,)
+        assert features.extract_features(clip, cfg).shape == (1, 398 * 70)
 
     def test_tone_and_noise_distinguishable(self):
         t = np.arange(32000) / 8000.0
@@ -156,8 +156,8 @@ class TestExtractFeatures:
         noise = audio.AudioClip(
             np.clip(0.3 * np.random.default_rng(3).standard_normal(32000), -1, 1), 8000
         )
-        a = features.extract_features(tone, CFG)
-        b = features.extract_features(noise, CFG)
+        a, = features.extract_features(tone, CFG)
+        b, = features.extract_features(noise, CFG)
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert cos < 0.99
 
@@ -195,8 +195,8 @@ class TestExtractFeatures:
         fb = features.extract_features(clip_at(1.5), flat_cfg)
         assert not np.array_equal(fa, fb)
 
-        ma = features.extract_features(clip_at(0.5), CFG)[:70]
-        mb = features.extract_features(clip_at(1.5), CFG)[:70]
+        ma = features.extract_features(clip_at(0.5), CFG)[0, :70]
+        mb = features.extract_features(clip_at(1.5), CFG)[0, :70]
         assert (np.abs(ma - mb) <= 0.05 * np.abs(ma)).all()
 
 
@@ -230,10 +230,21 @@ class TestWindowFeatures:
         clip = audio.AudioClip(np.random.default_rng(seed).uniform(-0.5, 0.5, n),
                                cfg.sample_rate_hz)
         expected = [features.extract_features(w, cfg) for _, w in audio.slide_windows(clip)]
-        padded, window_n, starts = audio.window_layout(clip)
-        shared = list(features.window_features(padded, starts, window_n, cfg))
-        assert len(shared) == len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(shared, expected))
+        shared = features.extract_features(clip, cfg)
+        assert all(e.shape == (1, shared.shape[1]) for e in expected)
+        assert shared.tobytes() == np.vstack(expected).tobytes()
+
+    @pytest.mark.parametrize("cfg", WINDOW_CONFIGS)
+    @pytest.mark.parametrize("seconds", [0.3, 2.0, 3.99])
+    def test_short_clip_is_its_zero_padded_window(self, cfg, seconds):
+        rate = cfg.sample_rate_hz
+        samples = np.random.default_rng(rate).uniform(-0.5, 0.5, int(seconds * rate))
+        padded = np.zeros(int(audio.WINDOW_S * rate))
+        padded[:len(samples)] = samples
+        short = features.extract_features(audio.AudioClip(samples, rate), cfg)
+        whole = features.extract_features(audio.AudioClip(padded, rate), cfg)
+        assert short.shape == whole.shape == (1, whole.shape[1])
+        assert short.tobytes() == whole.tobytes()
 
 
 def direct_pool(log_energies):
@@ -257,8 +268,7 @@ class TestPool:
         seed = data.draw(st.integers(0, 2**32 - 1))
         clip = audio.AudioClip(np.random.default_rng(seed).uniform(-0.5, 0.5, n),
                                cfg.sample_rate_hz)
-        padded, window_n, starts = audio.window_layout(clip)
-        merged = list(features.window_features(padded, starts, window_n, cfg))
+        merged = features.extract_features(clip, cfg)
         expected = [direct_pool(L) for L in window_log_energies(clip, cfg)]
         assert len(merged) == len(expected)
         assert max(np.abs(a - b).max() for a, b in zip(merged, expected)) <= 1e-12
@@ -269,14 +279,14 @@ class TestPool:
         samples = np.random.default_rng(rate).uniform(-0.5, 0.5, int(0.3 * rate))
         L = features.frame_log_energies(features.frame_signal(samples, cfg).copy(), cfg)
         assert len(L) < audio.STRIDE_S * 1000 / cfg.hop_ms
-        v = features.extract_features(audio.AudioClip(samples, rate), cfg)
+        v, = features.pool(L, np.arange(len(L))[None], cfg)
         assert np.abs(v - direct_pool(L)).max() <= 1e-12
 
     @pytest.mark.parametrize("cfg", MEAN_STD_CONFIGS)
     def test_silence_has_exactly_zero_spread(self, cfg):
         clip = audio.AudioClip(np.zeros(int(6.3 * cfg.sample_rate_hz)), cfg.sample_rate_hz)
-        padded, window_n, starts = audio.window_layout(clip)
-        merged = list(features.window_features(padded, starts, window_n, cfg))
+        merged = features.extract_features(clip, cfg)
+        assert len(merged) == len(audio.slide_windows(clip))
         for v, L in zip(merged, window_log_energies(clip, cfg)):
             assert (v[cfg.num_filters:] == 0.0).all()
             assert np.abs(v - direct_pool(L)).max() <= 1e-12
