@@ -88,7 +88,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
 
     scaler = features.fit_scaler(X[~hold])
     problem = svm.TrainingProblem(scaler.apply(X[~hold]), y[~hold])
-    model = svm.train(problem, C, svm.KernelParams(gamma=gamma), scaler=scaler)
+    model = svm.train(problem, C, gamma, scaler=scaler)
     holdout_f = svm.decision_values(model, X[hold])
     holdout_acc = float(np.mean(np.sign(holdout_f) == y[hold]))
     calibration = svm.platt_fit(holdout_f, y[hold])

@@ -198,27 +198,27 @@ def _render_class_clip(recipe_cls, rate, seconds, rng) -> np.ndarray:
     # full-band colored noise: class tilt plus formant bumps
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freqs = np.fft.rfftfreq(n, 1.0 / rate)
-    gain = 10.0 ** (recipe_cls.get("tilt_db_per_khz", 0.0) * freqs / 1000.0 / 20.0)
-    for lo, hi, lvl in recipe_cls.get("formants", []):
+    gain = 10.0 ** (recipe_cls["tilt_db_per_khz"] * freqs / 1000.0 / 20.0)
+    for lo, hi, lvl in recipe_cls["formants"]:
         gain = np.where((freqs >= lo) & (freqs <= hi), gain * (1.0 + lvl), gain)
     noise = np.fft.irfft(spectrum * gain, n)
     noise /= max(np.sqrt(np.mean(noise ** 2)), 1e-12)
 
     f0 = recipe_cls["fundamental_hz"] * (
-        1.0 + recipe_cls.get("fundamental_jitter", 0.0) * rng.uniform(-1.0, 1.0)
+        1.0 + recipe_cls["fundamental_jitter"] * rng.uniform(-1.0, 1.0)
     )
     harm = np.zeros(n)
-    for h in range(1, recipe_cls.get("harmonics", 10) + 1):
-        amp = recipe_cls.get("harmonic_decay", 0.9) ** (h - 1)
+    for h in range(1, recipe_cls["harmonics"] + 1):
+        amp = recipe_cls["harmonic_decay"] ** (h - 1)
         harm += amp * np.sin(2.0 * np.pi * h * f0 * t + rng.uniform(0.0, 2.0 * np.pi))
     harm /= max(np.sqrt(np.mean(harm ** 2)), 1e-12)
 
-    sig = noise + recipe_cls.get("harmonic_level", 0.7) * harm
-    sig *= 1.0 + recipe_cls.get("am_depth", 0.5) * np.sin(
-        2.0 * np.pi * recipe_cls.get("am_rate_hz", 3.0) * t + rng.uniform(0.0, 2.0 * np.pi)
+    sig = noise + recipe_cls["harmonic_level"] * harm
+    sig *= 1.0 + recipe_cls["am_depth"] * np.sin(
+        2.0 * np.pi * recipe_cls["am_rate_hz"] * t + rng.uniform(0.0, 2.0 * np.pi)
     )
     sig *= recipe_cls["level"] / max(np.sqrt(np.mean(sig ** 2)), 1e-12)
-    sig *= 10.0 ** (recipe_cls.get("gain_jitter_db", 0.3) * rng.uniform(-1.0, 1.0) / 20.0)
+    sig *= 10.0 ** (recipe_cls["gain_jitter_db"] * rng.uniform(-1.0, 1.0) / 20.0)
     return np.clip(sig, -0.98, 0.98)
 
 
@@ -278,8 +278,7 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
             raise IoError(f"cannot write {name}: {exc}") from exc
 
     def render_event(cls_recipe, rng):
-        dur = rng.uniform(recipe.get("event_seconds_min", 3.4),
-                          recipe.get("event_seconds_max", 4.0))
+        dur = rng.uniform(recipe["event_seconds_min"], recipe["event_seconds_max"])
         return _fade_edges(_render_class_clip(cls_recipe, rate, dur, rng), rate)
 
     for rule_id in sorted(recipe["classes"]):
@@ -298,7 +297,7 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
                 # training-like one and localization stays sharp.
                 samples = _render_background(recipe, n_clip, rate, rng)
                 event = render_event(cls_recipe, rng)
-                lead_max = int(round(recipe.get("event_lead_max_s", 0.5) * rate))
+                lead_max = int(round(recipe["event_lead_max_s"] * rate))
                 start = int(rng.integers(0, lead_max + 1))
                 end = min(start + len(event), n_clip)
                 samples[start:end] += event[: end - start]

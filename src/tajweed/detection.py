@@ -59,7 +59,6 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    rule_id: str
     verdict: Detection | None
     window_scores: tuple[tuple[float, float], ...]   # (offset_s, p_right)
 
@@ -106,7 +105,7 @@ def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
                     score=score,
                     closeness_pct=int(round(100.0 * p)),
                 )
-    return DetectionReport(rule_id=rule.rule_id, verdict=verdict, window_scores=scores)
+    return DetectionReport(verdict=verdict, window_scores=scores)
 
 
 @dataclass(frozen=True)

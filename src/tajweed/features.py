@@ -48,8 +48,12 @@ class FeatureConfig:
     def __post_init__(self):
         if self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
+        if self.frame_len < 2 or self.hop_len < 1:
+            raise ValueError("need a frame of at least 2 samples and a hop of at least 1")
         if self.fft_size < self.frame_len:
             raise ValueError("fft_size must cover one frame")
+        if not 0.0 < self.log_floor < np.inf:
+            raise ValueError("log_floor must be positive and finite")
         if not 0 <= self.f_min_hz < self.f_max_hz <= self.sample_rate_hz / 2:
             raise ValueError("need 0 <= f_min < f_max <= rate/2")
         if self.aggregation not in AGGREGATIONS:
@@ -93,10 +97,6 @@ class Scaler:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return (np.asarray(v, dtype=np.float64) - self.mean) / np.maximum(self.std, self.STD_FLOOR)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Scaler":
-        return cls(np.zeros(dim), np.ones(dim))
 
 
 def hz_to_mel(f):

@@ -23,7 +23,7 @@ import numpy as np
 from .detection import RuleModel
 from .errors import IoError, SchemaError, VersionMismatch
 from .features import FeatureConfig, Scaler
-from .svm import KernelParams, SvmModel
+from .svm import SvmModel
 
 MAGIC = b"TJWDMODL"
 FORMAT_VERSION = 1
@@ -41,7 +41,7 @@ def save_model(rule_model: RuleModel, path) -> None:
     dim = m.support_vectors.shape[1]
     arrays = [
         ("scalars", np.array([
-            m.bias, m.C, m.kernel.gamma,
+            m.bias, m.C, m.gamma,
             rule_model.calibration[0], rule_model.calibration[1],
             rule_model.tau_right, rule_model.tau_wrong,
         ])),
@@ -161,6 +161,8 @@ def load_model(path) -> RuleModel:
         raise SchemaError(f"{path}: negative scaler standard deviation")
 
     scalars = dict(zip(_SCALARS, arrays["scalars"]))
+    if scalars["C"] <= 0 or scalars["gamma"] <= 0:
+        raise SchemaError(f"{path}: C and gamma must be positive")
     try:
         config = FeatureConfig(
             log_floor=float(arrays["log_floor"][0]), **header["feature_config"]
@@ -169,8 +171,8 @@ def load_model(path) -> RuleModel:
             support_vectors=sv,
             dual_coefs=dc,
             bias=float(scalars["bias"]),
-            kernel=KernelParams(gamma=float(scalars["gamma"])),
             C=float(scalars["C"]),
+            gamma=float(scalars["gamma"]),
             scaler=Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"]),
         )
         return RuleModel(

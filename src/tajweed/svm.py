@@ -29,15 +29,6 @@ from .features import Scaler
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
-
-
-@dataclass(frozen=True)
 class TrainingProblem:
     """Standardized sample matrix X (l x d) with labels y in {-1, +1}."""
 
@@ -68,8 +59,8 @@ class SvmModel:
     support_vectors: np.ndarray
     dual_coefs: np.ndarray          # alpha_i * y_i, one per support vector
     bias: float
-    kernel: KernelParams
     C: float
+    gamma: float
     scaler: Scaler
 
 
@@ -90,7 +81,7 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 def train(
     problem: TrainingProblem,
     C: float,
-    kernel: KernelParams,
+    gamma: float,
     tol: float = 1e-3,
     max_passes: int = 10_000,
     scaler: Scaler | None = None,
@@ -104,13 +95,15 @@ def train(
     """
     if not 0.0 < C < np.inf:
         raise ValueError("C must be positive and finite")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     y = problem.y
     if np.all(y == y[0]):
         raise SingleClass("training labels contain a single class")
 
     X = problem.X
     l = problem.l
-    K = rbf_gram(X, X, kernel.gamma)
+    K = rbf_gram(X, X, gamma)
     Q = (y[:, None] * y[None, :]) * K
     alpha = np.zeros(l)
     grad = -np.ones(l)              # gradient of 1/2 a'Qa - sum(a)
@@ -154,9 +147,9 @@ def train(
         support_vectors=X[sv].copy(),
         dual_coefs=(alpha[sv] * y[sv]).copy(),
         bias=bias,
-        kernel=kernel,
         C=float(C),
-        scaler=scaler if scaler is not None else Scaler.identity(X.shape[1]),
+        gamma=float(gamma),
+        scaler=scaler if scaler is not None else Scaler(np.zeros(X.shape[1]), np.ones(X.shape[1])),
     )
     if not converged:
         raise NoConvergence(
@@ -192,8 +185,7 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     Xs = model.scaler.apply(X)
     f = np.empty(len(Xs))
     for i in range(len(Xs)):
-        f[i:i + 1] = model.dual_coefs @ rbf_gram(model.support_vectors, Xs[i:i + 1],
-                                                 model.kernel.gamma)
+        f[i:i + 1] = model.dual_coefs @ rbf_gram(model.support_vectors, Xs[i:i + 1], model.gamma)
     return f + model.bias
 
 
@@ -327,7 +319,7 @@ def grid_search(
                 mask[fold] = False
                 sub = TrainingProblem(problem.X[mask], y[mask])
                 try:
-                    model = train(sub, C, KernelParams(gamma=gamma))
+                    model = train(sub, C, gamma)
                 except NoConvergence as err:
                     model = err.model
                 pred = np.sign(decision_values(model, problem.X[fold]))

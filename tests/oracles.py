@@ -73,7 +73,7 @@ def reference_window_scores(rule, clip):
             std[np.ptp(L, axis=0) == 0.0] = 0.0
             rows.append(np.concatenate([L.mean(axis=0), std]))
     z = (np.array(rows) - model.scaler.mean) / np.maximum(model.scaler.std, 1e-8)
-    f = rbf_matrix(z, model.support_vectors, model.kernel.gamma) @ model.dual_coefs + model.bias
+    f = rbf_matrix(z, model.support_vectors, model.gamma) @ model.dual_coefs + model.bias
     A, B = rule.calibration
     p = 1.0 / (1.0 + np.exp(A * f + B))
     return tuple((start / rate, float(q)) for start, q in zip(offsets, p))

@@ -97,7 +97,7 @@ def test_criterion_2_solver_optimality_vs_qp_oracle():
     worst_obj_gap = 0.0
     worst_alpha_gap = 0.0
     for (X, y, gamma, C), K, ref in zip(problems, Ks, refs):
-        model = svm.train(svm.TrainingProblem(X, y), C, svm.KernelParams(gamma=gamma),
+        model = svm.train(svm.TrainingProblem(X, y), C, gamma,
                           tol=1e-10, max_passes=200_000)
         alpha = np.zeros(len(y))
         for sv, coef in zip(model.support_vectors, model.dual_coefs):
@@ -287,8 +287,7 @@ def test_criterion_8_grid_search_reproduces_its_table(rng):
             for fold in folds:
                 mask = np.ones(problem.l, dtype=bool)
                 mask[fold] = False
-                model = svm.train(svm.TrainingProblem(X[mask], y[mask]), C,
-                                  svm.KernelParams(gamma=gamma))
+                model = svm.train(svm.TrainingProblem(X[mask], y[mask]), C, gamma)
                 pred = np.sign(svm.decision_values(model, X[fold]))
                 accs.append(float(np.mean(pred == y[fold])))
             recomputed[(C, gamma)] = float(np.mean(accs))

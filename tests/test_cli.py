@@ -111,6 +111,7 @@ class TestExitCodes:
         lambda recipe: {k: v for k, v in recipe.items() if k != "clip_seconds"},
         lambda recipe: {**recipe, "classes": {"edgham_meem": {"Right": [], "Wrong": []}}},
         lambda recipe: "{not json",
+        lambda recipe: {k: v for k, v in recipe.items() if k != "event_seconds_min"},
     ])
     def test_malformed_synth_spec_is_dataset_error(self, tmp_path, capsys, edit):
         recipe = dataset.default_recipe()

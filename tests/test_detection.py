@@ -17,9 +17,9 @@ def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
         support_vectors=np.array([[0.0], [1.0]]),
         dual_coefs=np.array([-0.5, 0.5]),
         bias=0.0,
-        kernel=svm.KernelParams(gamma=0.1),
+        gamma=0.1,
         C=1.0,
-        scaler=features.Scaler.identity(1),
+        scaler=features.Scaler(np.zeros(1), np.ones(1)),
     )
     return detection.RuleModel(
         rule_id="edgham_meem",
@@ -209,7 +209,7 @@ def rule_at_22050():
     scaler = features.fit_scaler(X)
     model = svm.SvmModel(support_vectors=scaler.apply(X),
                          dual_coefs=np.array([1.0, -1.0, 1.0, -1.0, 1.0]), bias=0.0,
-                         kernel=svm.KernelParams(gamma=1e-3), C=1.0, scaler=scaler)
+                         gamma=1e-3, C=1.0, scaler=scaler)
     return detection.RuleModel("edgham_meem", model, (-4.0, 0.0), tau_right=0.6,
                                tau_wrong=0.5, feature_config=config,
                                config_fingerprint=config.fingerprint())

@@ -340,3 +340,17 @@ class TestFeatureConfig:
     def test_rejects_f_max_above_nyquist(self):
         with pytest.raises(ValueError):
             features.FeatureConfig(f_max_hz=4001.0)
+
+    @pytest.mark.parametrize("change", [
+        {"hop_ms": 0},                  # a hop of 0 samples
+        {"hop_ms": 0.05},               # rounds to 0 samples at 8 kHz
+        {"frame_ms": 0},
+        {"frame_ms": 0.1},              # a 1-sample frame
+        {"log_floor": 0.0},
+        {"log_floor": -1e-10},
+        {"log_floor": math.nan},
+        {"log_floor": math.inf},
+    ])
+    def test_rejects_unusable_frame_hop_or_log_floor(self, change):
+        with pytest.raises(ValueError):
+            features.FeatureConfig(**change)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -162,10 +164,31 @@ def test_missing_header_key_is_schema_error(model_path, tmp_path, key):
     ("scaler_std", 5, -1.0),
     ("scalars", 5, 0.3),                # tau_right below the 0.5 floor
     ("scalars", 2, 0.0),                # gamma must be positive
+    ("scalars", 1, 0.0),                # so must C
+    ("scalars", 1, -1.0),
 ])
 def test_out_of_range_arrays_are_schema_errors(model_blob, tmp_path, name, index, value):
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_array(model_blob, name, lambda v: v.__setitem__(index, value)))
+    with pytest.raises(SchemaError):
+        persistence.load_model(str(bad))
+
+
+@pytest.mark.parametrize("change", [{"hop_ms": 0}, {"frame_ms": 0}, {"log_floor": 0.0},
+                                    {"log_floor": -1e-10}])
+def test_unusable_feature_config_is_schema_error(small_model, model_path, tmp_path, change):
+    """Rejected even when the crafted header's fingerprint matches its config."""
+    config = {**asdict(small_model.feature_config), **change}
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+    def craft(header):
+        header["feature_config"].update({k: v for k, v in change.items() if k != "log_floor"})
+        header["config_fingerprint"] = hashlib.sha256(canon).hexdigest()
+
+    blob = _patch_array(_patch_header(model_path, craft), "log_floor",
+                        lambda v: v.__setitem__(0, config["log_floor"]))
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(blob)
     with pytest.raises(SchemaError):
         persistence.load_model(str(bad))
 

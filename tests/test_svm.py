@@ -52,13 +52,12 @@ class TestRbfKernel:
     @pytest.mark.parametrize("gamma", [0.0, np.nan, np.inf, -np.inf])
     def test_rejects_nonpositive_or_nonfinite_gamma(self, gamma):
         with pytest.raises(ValueError):
-            svm.KernelParams(gamma=gamma)
+            svm.train(tiny_problem(), 1.0, gamma)
 
 
 class TestTrain:
     def test_two_point_boundary_at_midpoint(self):
-        model = svm.train(tiny_problem(), C=100.0, kernel=svm.KernelParams(gamma=0.01),
-                          tol=1e-6)
+        model = svm.train(tiny_problem(), C=100.0, gamma=0.01, tol=1e-6)
         f_mid, f_neg, f_pos = svm.decision_values(model, [[1.0], [0.0], [2.0]])
         assert abs(f_mid) < 1e-3
         assert f_neg <= -1 + 1e-3
@@ -68,7 +67,7 @@ class TestTrain:
         rng = np.random.default_rng(77)
         X, y = oracles.random_separated_problem(rng, l=6)
         gamma, C = 0.5, 2.0
-        model = svm.train(svm.TrainingProblem(X, y), C, svm.KernelParams(gamma=gamma),
+        model = svm.train(svm.TrainingProblem(X, y), C, gamma,
                           tol=1e-10, max_passes=100_000)
         K = oracles.rbf_matrix(X, X, gamma)
         ref = oracles.projected_gradient_qp(K, y, C)
@@ -84,16 +83,16 @@ class TestTrain:
     def test_single_class_rejected(self):
         prob = svm.TrainingProblem(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SingleClass):
-            svm.train(prob, 1.0, svm.KernelParams(gamma=0.1))
+            svm.train(prob, 1.0, 0.1)
 
     @pytest.mark.parametrize("C", [0.0, np.nan, np.inf, -np.inf])
     def test_nonpositive_or_nonfinite_c_rejected(self, C):
         with pytest.raises(ValueError):
-            svm.train(tiny_problem(), C, svm.KernelParams(gamma=0.1))
+            svm.train(tiny_problem(), C, 0.1)
 
     def test_no_convergence_carries_best_iterate(self):
         with pytest.raises(NoConvergence) as exc:
-            svm.train(tiny_problem(), 100.0, svm.KernelParams(gamma=0.01), max_passes=0)
+            svm.train(tiny_problem(), 100.0, 0.01, max_passes=0)
         assert exc.value.model is not None
         assert exc.value.model.support_vectors.shape[1] == 1
 
@@ -101,8 +100,7 @@ class TestTrain:
         for _ in range(10):
             X, y = oracles.random_separated_problem(rng)
             C = float(rng.uniform(0.5, 3.0))
-            model = svm.train(svm.TrainingProblem(X, y), C,
-                              svm.KernelParams(gamma=0.6), tol=1e-8, max_passes=50_000)
+            model = svm.train(svm.TrainingProblem(X, y), C, 0.6, tol=1e-8, max_passes=50_000)
             alphas = np.abs(model.dual_coefs)
             assert (alphas > 0).all()
             assert (alphas <= C).all()
@@ -113,8 +111,7 @@ class TestTrain:
         X, y = oracles.random_separated_problem(rng, l=8)
         C = 1.0
         tol = 1e-3
-        model = svm.train(svm.TrainingProblem(X, y), C, svm.KernelParams(gamma=0.5),
-                          tol=tol)
+        model = svm.train(svm.TrainingProblem(X, y), C, 0.5, tol=tol)
         f = svm.decision_values(model, X)
         alpha = np.zeros(len(y))
         for sv, coef in zip(model.support_vectors, model.dual_coefs):
@@ -131,22 +128,21 @@ class TestTrain:
 
     def test_prediction_invariant_under_sample_permutation(self, rng):
         X, y = oracles.random_separated_problem(rng, l=8)
-        kernel = svm.KernelParams(gamma=0.5)
-        model_a = svm.train(svm.TrainingProblem(X, y), 1.0, kernel, tol=1e-8)
+        model_a = svm.train(svm.TrainingProblem(X, y), 1.0, 0.5, tol=1e-8)
         perm = rng.permutation(len(y))
-        model_b = svm.train(svm.TrainingProblem(X[perm], y[perm]), 1.0, kernel, tol=1e-8)
+        model_b = svm.train(svm.TrainingProblem(X[perm], y[perm]), 1.0, 0.5, tol=1e-8)
         probes = rng.uniform(-2, 2, (50, X.shape[1]))
         pred_a = np.sign(svm.decision_values(model_a, probes))
         pred_b = np.sign(svm.decision_values(model_b, probes))
         assert (pred_a == pred_b).all()
 
     def test_decision_value_is_pure(self):
-        model = svm.train(tiny_problem(), 10.0, svm.KernelParams(gamma=0.2))
+        model = svm.train(tiny_problem(), 10.0, 0.2)
         x = [0.7]
         assert svm.decision_values(model, x) == svm.decision_values(model, x)
 
     def test_dimension_mismatch_at_inference(self):
-        model = svm.train(tiny_problem(), 10.0, svm.KernelParams(gamma=0.2))
+        model = svm.train(tiny_problem(), 10.0, 0.2)
         with pytest.raises(DimensionMismatch):
             svm.decision_values(model, [1.0, 2.0])
 
@@ -201,7 +197,7 @@ class TestCalibration:
         rng = np.random.default_rng(3)
         X = np.vstack([rng.normal(-2, 0.3, (20, 2)), rng.normal(2, 0.3, (20, 2))])
         y = np.array([-1.0] * 20 + [1.0] * 20)
-        model = svm.train(svm.TrainingProblem(X, y), 1.0, svm.KernelParams(gamma=0.5))
+        model = svm.train(svm.TrainingProblem(X, y), 1.0, 0.5)
         hold_X = np.vstack([rng.normal(-2, 0.3, (10, 2)), rng.normal(2, 0.3, (10, 2))])
         hold_y = np.array([-1.0] * 10 + [1.0] * 10)
         A, B = svm.platt_fit(svm.decision_values(model, hold_X), hold_y)
@@ -248,7 +244,7 @@ class TestGridSearch:
                     mask = np.ones(problem.l, dtype=bool)
                     mask[fold] = False
                     model = svm.train(svm.TrainingProblem(problem.X[mask], problem.y[mask]),
-                                      C, svm.KernelParams(gamma=gamma))
+                                      C, gamma)
                     pred = np.sign(svm.decision_values(model, problem.X[fold]))
                     accs.append(float(np.mean(pred == problem.y[fold])))
                 mean_acc = float(np.mean(accs))
