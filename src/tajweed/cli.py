@@ -108,7 +108,6 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
         tau_right=0.5,
         tau_wrong=0.5,
         feature_config=config,
-        config_fingerprint=config.fingerprint(),
         dataset_hash=dataset_hash,
         train_seed=seed,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio, dataset, features, svm
-from .errors import ConfigMismatch, EmptyNegatives, MissingModel
+from .errors import EmptyNegatives, MissingModel
 
 THRESHOLD_MARGIN = 0.01
 THRESHOLD_FLOOR = 0.5
@@ -26,7 +26,8 @@ THRESHOLD_CEIL = 0.99
 
 @dataclass(frozen=True)
 class RuleModel:
-    """Everything needed to score one rule: SVM, calibration, thresholds."""
+    """Everything needed to score one rule: SVM, calibration, thresholds and
+    the feature config its rows are extracted with."""
 
     rule_id: str
     svm: svm.SvmModel
@@ -34,7 +35,6 @@ class RuleModel:
     tau_right: float
     tau_wrong: float
     feature_config: features.FeatureConfig
-    config_fingerprint: str
     dataset_hash: str = ""
     train_seed: int = 0
 
@@ -45,8 +45,6 @@ class RuleModel:
             raise ValueError("tau_right must lie in [0.5, 1]")
         if not (THRESHOLD_FLOOR <= self.tau_wrong <= 1.0):
             raise ValueError("tau_wrong must lie in [0.5, 1]")
-        if self.feature_config.fingerprint() != self.config_fingerprint:
-            raise ConfigMismatch(f"model for {self.rule_id} carries a stale feature fingerprint")
 
 
 @dataclass(frozen=True)

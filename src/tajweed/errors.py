@@ -85,10 +85,6 @@ class DetectionError(TajweedError):
     pass
 
 
-class ConfigMismatch(DetectionError):
-    pass
-
-
 class EmptyNegatives(DetectionError):
     pass
 

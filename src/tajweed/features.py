@@ -79,14 +79,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class FilterBank:
-    """Triangular band-pass weights over FFT bins, one row per filter."""
-
-    weights: np.ndarray
-    center_freqs_hz: np.ndarray
-
-
-@dataclass(frozen=True)
 class Scaler:
     """Per-dimension standardization fitted on training vectors."""
 
@@ -124,19 +116,6 @@ def hamming_window(n: int) -> np.ndarray:
     return window
 
 
-def frame_signal(samples, config: FeatureConfig) -> np.ndarray:
-    """Cut a signal into overlapping frames; the incomplete tail is dropped.
-
-    Returns a read-only (n_frames, frame_len) view of the samples with
-    n_frames = floor((N - frame_len) / hop) + 1; copy it before writing.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    frame_len, n = config.frame_len, len(samples)
-    if n < frame_len:
-        raise TooShort(f"{n} samples; need at least {frame_len} for one frame")
-    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::config.hop_len]
-
-
 def power_spectrum(frame, fft_size: int) -> np.ndarray:
     """One-sided power spectrum P[k] = |X[k]|^2 / fft_size, k = 0..fft_size/2.
 
@@ -156,13 +135,16 @@ def power_spectrum(frame, fft_size: int) -> np.ndarray:
     return power
 
 
-def build_filterbank(config: FeatureConfig) -> FilterBank:
-    """Triangular filters on num_filters + 2 mel-equidistant boundary points.
+@lru_cache(maxsize=8)
+def build_filterbank(config: FeatureConfig) -> np.ndarray:
+    """The (num_filters, n_bins) weights of triangular filters on
+    num_filters + 2 mel-equidistant boundary points.
 
     Filter i rises over (boundary i, boundary i+1) and falls over
     (boundary i+1, boundary i+2), evaluated at the FFT bin centers and
     rescaled so each row peaks at exactly 1. A filter whose support
     captures no FFT bin makes the bank unusable and raises DegenerateBank.
+    Cached and read-only: every clip under one config shares one bank.
     """
     n_pts = config.num_filters + 2
     mels = np.linspace(hz_to_mel(config.f_min_hz), hz_to_mel(config.f_max_hz), n_pts)
@@ -181,20 +163,15 @@ def build_filterbank(config: FeatureConfig) -> FilterBank:
                 f"filter {i} spans ({lo:.1f}, {hi:.1f}) Hz but contains no FFT bin"
             )
         weights[i] = tri / peak
-    return FilterBank(weights=weights, center_freqs_hz=bounds_hz[1:-1].copy())
-
-
-@lru_cache(maxsize=8)
-def _cached_filterbank(config: FeatureConfig) -> FilterBank:
-    # banks are immutable and shared read-only across clips
-    return build_filterbank(config)
+    weights.setflags(write=False)
+    return weights
 
 
 def frame_log_energies(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """Hamming (in place), power spectrum, filter bank, log (in place): one row
     per frame."""
     frames *= hamming_window(frames.shape[1])
-    energies = power_spectrum(frames, config.fft_size) @ _cached_filterbank(config).weights.T
+    energies = power_spectrum(frames, config.fft_size) @ build_filterbank(config).T
     return np.log(np.maximum(energies, config.log_floor, out=energies), out=energies)
 
 
@@ -211,7 +188,7 @@ def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig) -> n
     `rows` holds window w's frame indices into log_energies, in time order.
 
     flatten lays out each window's frames row-major. mean_std_pool cuts every
-    window into one-stride blocks (STRIDE_S / hop_ms frames) plus a short
+    window into one-stride blocks (STRIDE_S in samples // hop_len frames) plus a short
     tail, reduces each distinct block once (keyed by its first frame, since
     overlapping windows share blocks) and each tail, and merges a window's
     parts with the update formula of Chan, Golub & LeVeque (1979) for k
@@ -222,7 +199,7 @@ def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig) -> n
     if config.aggregation == "flatten":
         return log_energies[rows].reshape(len(rows), -1)
     n = rows.shape[1]
-    block = max(round(STRIDE_S * 1000) // config.hop_ms, 1)
+    block = max(round(STRIDE_S * config.sample_rate_hz) // config.hop_len, 1)
     n_blocks, tail = divmod(n, block)
     keys = rows[:, :n_blocks * block:block]
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
@@ -254,7 +231,9 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
         raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, "
                         f"config expects {config.sample_rate_hz} Hz")
     clip, window_n, window_starts = window_layout(clip)
-    n_frames = len(frame_signal(clip.samples[:window_n], config))
+    if window_n < config.frame_len:
+        raise TooShort(f"{window_n} samples; need at least {config.frame_len} for one frame")
+    n_frames = (window_n - config.frame_len) // config.hop_len + 1
     starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))
     distinct, rows = np.unique(starts, return_inverse=True)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, config.frame_len)

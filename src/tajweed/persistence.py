@@ -57,7 +57,7 @@ def save_model(rule_model: RuleModel, path) -> None:
         # log_floor is a real number; it travels in the binary section
         "feature_config": {k: v for k, v in asdict(rule_model.feature_config).items()
                            if k != "log_floor"},
-        "config_fingerprint": rule_model.config_fingerprint,
+        "config_fingerprint": rule_model.feature_config.fingerprint(),
         "dataset_hash": rule_model.dataset_hash,
         "train_seed": rule_model.train_seed,
         "n_support": int(m.support_vectors.shape[0]),
@@ -90,9 +90,9 @@ def save_model(rule_model: RuleModel, path) -> None:
 
 
 def load_model(path) -> RuleModel:
-    """Read a model file; raises VersionMismatch for unreadable versions,
+    """Read a model file; raises VersionMismatch for unreadable versions and
     SchemaError for malformed headers, inconsistent shapes, non-finite or
-    out-of-range values, and ConfigMismatch for a stale fingerprint.
+    out-of-range values, or a fingerprint its feature config does not give.
     """
     try:
         with open(path, "rb") as fh:
@@ -167,6 +167,8 @@ def load_model(path) -> RuleModel:
         config = FeatureConfig(
             log_floor=float(arrays["log_floor"][0]), **header["feature_config"]
         )
+        if config.fingerprint() != header["config_fingerprint"]:
+            raise SchemaError(f"{path}: stale feature config fingerprint")
         model = SvmModel(
             support_vectors=sv,
             dual_coefs=dc,
@@ -182,7 +184,6 @@ def load_model(path) -> RuleModel:
             tau_right=float(scalars["tau_right"]),
             tau_wrong=float(scalars["tau_wrong"]),
             feature_config=config,
-            config_fingerprint=header["config_fingerprint"],
             dataset_hash=header["dataset_hash"],
             train_seed=header["train_seed"],
         )

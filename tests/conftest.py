@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from tajweed import cli, dataset, svm
+from tajweed import cli, dataset, features, svm
 
 
 def small_recipe():
@@ -41,4 +41,15 @@ def decision_calls(monkeypatch):
     calls, inner = [], svm.decision_values
     monkeypatch.setattr(svm, "decision_values",
                         lambda model, X: calls.append(X) or inner(model, X))
+    return calls
+
+
+@pytest.fixture
+def spectrum_inputs(monkeypatch):
+    """A copy of the frames of every features.power_spectrum call made while
+    the test runs (frame_log_energies Hamming-windows them first)."""
+    calls, inner = [], features.power_spectrum
+    monkeypatch.setattr(features, "power_spectrum",
+                        lambda frames, fft_size: calls.append(frames.copy())
+                        or inner(frames, fft_size))
     return calls

@@ -63,7 +63,7 @@ def reference_window_scores(rule, clip):
     n, k = np.arange(frame_len), np.arange(cfg.fft_size // 2 + 1)
     dft = np.exp(-2j * np.pi * np.outer(n, k) / cfg.fft_size)
     power = np.abs(frames @ dft) ** 2 / cfg.fft_size
-    log_e = np.log(np.maximum(power @ build_filterbank(cfg).weights.T, cfg.log_floor))
+    log_e = np.log(np.maximum(power @ build_filterbank(cfg).T, cfg.log_floor))
     rows = []
     for L in log_e.reshape(len(offsets), n_frames, -1):
         if cfg.aggregation == "flatten":

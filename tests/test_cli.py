@@ -29,6 +29,18 @@ def trained_model_path(manifest, tmp_path_factory):
     return str(out)
 
 
+def patched_header(model_path, tmp_path, mutate):
+    """Path of a copy of the model file whose JSON header went through mutate."""
+    blob = open(model_path, "rb").read()
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12:12 + hlen])
+    mutate(header)
+    new = json.dumps(header).encode()
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+    return str(bad)
+
+
 class TestExitCodes:
     def test_missing_rule_stratum_is_dataset_error(self, manifest, tmp_path):
         code = run(["train", "--manifest", manifest, "--rule", "ekhfaa_meem",
@@ -50,15 +62,14 @@ class TestExitCodes:
 
     def test_model_header_without_dim_is_persistence_error(self, trained_model_path,
                                                             tmp_path):
-        blob = open(trained_model_path, "rb").read()
-        hlen = struct.unpack_from("<I", blob, 8)[0]
-        header = json.loads(blob[12:12 + hlen])
-        del header["dim"]
-        new = json.dumps(header).encode()
-        bad = tmp_path / "bad.model"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
-        code = run(["detect", "--audio", "x.wav", "--rule", "edgham_meem",
-                    "--model", str(bad)])
+        bad = patched_header(trained_model_path, tmp_path, lambda h: h.pop("dim"))
+        code = run(["detect", "--audio", "x.wav", "--rule", "edgham_meem", "--model", bad])
+        assert code == 8
+
+    def test_stale_fingerprint_is_persistence_error(self, trained_model_path, tmp_path):
+        bad = patched_header(trained_model_path, tmp_path,
+                             lambda h: h.update(config_fingerprint="0" * 64))
+        code = run(["detect", "--audio", "x.wav", "--rule", "edgham_meem", "--model", bad])
         assert code == 8
 
     @pytest.mark.parametrize("payload", [{"rule_id": "edgham_meem"}, {"audio_path": "v.wav"},

@@ -6,13 +6,12 @@ import pytest
 
 import oracles
 from tajweed import audio, dataset, detection, features, svm
-from tajweed.errors import ConfigMismatch, EmptyNegatives, MissingModel
+from tajweed.errors import EmptyNegatives, MissingModel
 
 
 def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
     """A structurally valid rule model over 1-D features (for gating tests
     that monkeypatch the window scorer)."""
-    config = features.FeatureConfig()
     model = svm.SvmModel(
         support_vectors=np.array([[0.0], [1.0]]),
         dual_coefs=np.array([-0.5, 0.5]),
@@ -27,8 +26,7 @@ def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
         calibration=(-1.0, 0.0),
         tau_right=tau_right,
         tau_wrong=tau_wrong,
-        feature_config=config,
-        config_fingerprint=config.fingerprint(),
+        feature_config=features.FeatureConfig(),
     )
 
 
@@ -53,10 +51,6 @@ class TestOneWindow:
         rng = np.random.default_rng(0)
         window = audio.AudioClip(rng.uniform(-0.5, 0.5, 32000), 8000)
         assert scored_alone(small_model, window) == scored_alone(small_model, window)
-
-    def test_stale_fingerprint_rejected(self, small_model):
-        with pytest.raises(ConfigMismatch):
-            replace(small_model, config_fingerprint="0" * 64)
 
     def test_training_exemplar_scores_right(self, small_corpus, small_model):
         root, entries = small_corpus
@@ -211,8 +205,7 @@ def rule_at_22050():
                          dual_coefs=np.array([1.0, -1.0, 1.0, -1.0, 1.0]), bias=0.0,
                          gamma=1e-3, C=1.0, scaler=scaler)
     return detection.RuleModel("edgham_meem", model, (-4.0, 0.0), tau_right=0.6,
-                               tau_wrong=0.5, feature_config=config,
-                               config_fingerprint=config.fingerprint())
+                               tau_wrong=0.5, feature_config=config)
 
 
 def hand_gates_and_verdict(rule, scores):

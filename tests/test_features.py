@@ -11,25 +11,36 @@ from tajweed.errors import DegenerateBank, TooFewVectors, TooShort, WrongRate
 
 CFG = features.FeatureConfig()
 BANK = features.build_filterbank(CFG)
+CENTERS = features.mel_to_hz(np.linspace(features.hz_to_mel(CFG.f_min_hz),
+                                         features.hz_to_mel(CFG.f_max_hz),
+                                         CFG.num_filters + 2))[1:-1]
 
 
 class TestFraming:
-    def test_four_seconds_gives_398_frames(self):
-        frames = features.frame_signal(np.zeros(32000), CFG)
+    def test_four_seconds_gives_398_frames(self, spectrum_inputs):
+        features.extract_features(audio.AudioClip(np.zeros(32000), 8000), CFG)
+        frames, = spectrum_inputs
         assert frames.shape == (398, 200)
 
-    def test_single_frame_boundary(self):
-        assert features.frame_signal(np.zeros(200), CFG).shape == (1, 200)
+    def test_single_frame_boundary(self, spectrum_inputs):
+        # a frame exactly one window long fits once
+        cfg = features.FeatureConfig(frame_ms=4000, fft_size=32768)
+        features.extract_features(audio.AudioClip(np.zeros(32000), 8000), cfg)
+        frames, = spectrum_inputs
+        assert frames.shape == (1, 32000)
 
     def test_too_short(self):
+        # a 5 s frame does not fit in one 4 s window
+        cfg = features.FeatureConfig(frame_ms=5000, fft_size=65536)
         with pytest.raises(TooShort):
-            features.frame_signal(np.zeros(199), CFG)
+            features.extract_features(audio.AudioClip(np.zeros(32000), 8000), cfg)
 
-    def test_tail_discarded(self):
-        # 279 samples: one full frame, 79-sample tail dropped
-        frames = features.frame_signal(np.arange(279.0), CFG)
-        assert frames.shape == (1, 200)
-        assert frames[0, -1] == 199.0
+    def test_tail_discarded(self, spectrum_inputs):
+        # the last frame starts at 397 * 80 and ends 40 samples before the window
+        samples = np.arange(32000.0) / 32000
+        features.extract_features(audio.AudioClip(samples, 8000), CFG)
+        frames, = spectrum_inputs
+        assert (frames[-1] == samples[31760:31960] * features.hamming_window(200)).all()
 
 
 class TestHamming:
@@ -98,20 +109,29 @@ class TestPowerSpectrum:
 
 class TestFilterBank:
     def test_shape(self):
-        assert BANK.weights.shape == (70, 129)
-        assert BANK.center_freqs_hz.shape == (70,)
+        assert BANK.shape == (70, 129)
+        assert CENTERS.shape == (70,)
+
+    def test_cached_read_only(self):
+        # one bank is shared by every clip, so a write would corrupt later features
+        assert features.build_filterbank(CFG) is BANK
+        with pytest.raises(ValueError):
+            BANK[0, 0] = 0.0
 
     def test_mel_formula_anchor(self):
         assert features.hz_to_mel(700.0) == pytest.approx(2595 * math.log10(2), abs=1e-9)
         assert features.hz_to_mel(700.0) == pytest.approx(781.17, abs=0.01)
 
     def test_boundaries_equally_spaced_in_mel(self):
-        mels = features.hz_to_mel(BANK.center_freqs_hz)
+        mels = features.hz_to_mel(CENTERS)
         gaps = np.diff(mels)
         assert np.allclose(gaps, gaps[0])
+        # each row peaks at a bin next to its centre
+        bin_hz = CFG.sample_rate_hz / CFG.fft_size
+        assert (np.abs(np.argmax(BANK, axis=1) * bin_hz - CENTERS) < bin_hz).all()
 
     def test_rows_nonnegative_unimodal_peak_one(self):
-        for row in BANK.weights:
+        for row in BANK:
             assert (row >= 0).all()
             assert row.max() == 1.0
             peak = np.argmax(row)
@@ -119,13 +139,12 @@ class TestFilterBank:
             assert (np.diff(row[peak:]) <= 0).all()
 
     def test_centers_increasing_within_range(self):
-        c = BANK.center_freqs_hz
-        assert (np.diff(c) > 0).all()
-        assert c[0] > CFG.f_min_hz
-        assert c[-1] < CFG.f_max_hz
+        assert (np.diff(CENTERS) > 0).all()
+        assert CENTERS[0] > CFG.f_min_hz
+        assert CENTERS[-1] < CFG.f_max_hz
 
     def test_full_coverage_between_edges(self):
-        total = BANK.weights.sum(axis=0)
+        total = BANK.sum(axis=0)
         assert (total[1:128] > 0).all()
 
     def test_degenerate_bank_detected(self):
@@ -254,10 +273,16 @@ def direct_pool(log_energies):
     return np.concatenate([log_energies.mean(axis=0), std])
 
 
+def log_energies(samples, cfg):
+    """Frame samples on their own, the incomplete tail dropped, and take each
+    frame's log energies."""
+    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.frame_len)[::cfg.hop_len]
+    return features.frame_log_energies(frames.copy(), cfg)
+
+
 def window_log_energies(clip, cfg):
     """Each window's log energies, framed on their own (the unshared path)."""
-    return [features.frame_log_energies(features.frame_signal(w.samples, cfg).copy(), cfg)
-            for _, w in audio.slide_windows(clip)]
+    return [log_energies(w.samples, cfg) for _, w in audio.slide_windows(clip)]
 
 
 class TestPool:
@@ -277,10 +302,19 @@ class TestPool:
     def test_clip_shorter_than_one_block_is_all_tail(self, cfg):
         rate = cfg.sample_rate_hz
         samples = np.random.default_rng(rate).uniform(-0.5, 0.5, int(0.3 * rate))
-        L = features.frame_log_energies(features.frame_signal(samples, cfg).copy(), cfg)
+        L = log_energies(samples, cfg)
         assert len(L) < audio.STRIDE_S * 1000 / cfg.hop_ms
         v, = features.pool(L, np.arange(len(L))[None], cfg)
         assert np.abs(v - direct_pool(L)).max() <= 1e-12
+
+    def test_fractional_hop_ms_pools_like_direct_pool(self):
+        # hop_ms 0.2 is a 2-sample hop at 8 kHz: the block counts 2000 frames
+        cfg = features.FeatureConfig(hop_ms=0.2)
+        clip = audio.AudioClip(np.random.default_rng(5).uniform(-0.5, 0.5, 36000), 8000)
+        merged = features.extract_features(clip, cfg)
+        expected = [direct_pool(L) for L in window_log_energies(clip, cfg)]
+        assert np.isfinite(merged).all() and len(merged) == len(expected) == 2
+        assert max(np.abs(a - b).max() for a, b in zip(merged, expected)) <= 1e-12
 
     @pytest.mark.parametrize("cfg", MEAN_STD_CONFIGS)
     def test_silence_has_exactly_zero_spread(self, cfg):

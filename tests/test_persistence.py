@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tajweed import persistence, svm
-from tajweed.errors import ConfigMismatch, IoError, SchemaError, TajweedError, VersionMismatch
+from tajweed.errors import IoError, SchemaError, TajweedError, VersionMismatch
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -32,7 +32,6 @@ def test_round_trip_decision_values_bit_exact(small_model, tmp_path):
     assert loaded.tau_wrong == small_model.tau_wrong
     assert loaded.calibration == small_model.calibration
     assert loaded.rule_id == small_model.rule_id
-    assert loaded.config_fingerprint == small_model.config_fingerprint
     assert loaded.feature_config == small_model.feature_config
 
 
@@ -193,10 +192,10 @@ def test_unusable_feature_config_is_schema_error(small_model, model_path, tmp_pa
         persistence.load_model(str(bad))
 
 
-def test_stale_fingerprint_is_config_mismatch(model_path, tmp_path):
+def test_stale_fingerprint_is_schema_error(model_path, tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_header(model_path, lambda h: h.update(config_fingerprint="0" * 64)))
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(SchemaError):
         persistence.load_model(str(bad))
 
 
