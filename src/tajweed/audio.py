@@ -142,31 +142,65 @@ def _lowpass_taps(cutoff_hz: float, rate_hz: int, n_taps: int = 63) -> np.ndarra
     return taps
 
 
+def _centred(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The len(x) centred outputs of the full convolution; mode="same" gives
+    max(len(x), len(taps)) of them."""
+    half = len(taps) // 2
+    return np.convolve(x, taps)[half:half + len(x)]
+
+
+def _centred_every(x: np.ndarray, taps: np.ndarray, m: int) -> np.ndarray:
+    """_centred(x, taps)[::m], byte for byte, computing only those outputs.
+
+    np.convolve(x, taps) is np.correlate(x, taps[::-1]): an output whose 63
+    samples all lie in x is one BLAS ddot of x[j - 31:j + 32] with the
+    contiguous reversed taps, and a (k, 1, 63) @ (63, 1) matmul calls that same
+    ddot once per row, so the kept outputs away from the ends are that matmul
+    over a strided window view (no copy). The outputs within 31 samples of an
+    end are shorter dots, which np.convolve over the first or last 2 x 63
+    samples computes as the full convolution does.
+    """
+    half, edge = len(taps) // 2, 2 * len(taps)
+    n = len(x)
+    if n <= edge:
+        return _centred(x, taps)[::m]
+    # kept outputs 0 .. first-1 lie in the head, last .. ceil(n / m)-1 in the tail
+    first, last = -(-half // m), -(-(n - half) // m)
+    reversed_taps = np.ascontiguousarray(taps[::-1])[:, None]
+    windows = np.lib.stride_tricks.sliding_window_view(x, len(taps))
+    middle = windows[first * m - half:last * m - half:m, None, :] @ reversed_taps
+    head = _centred(x[:edge], taps)[:first * m:m]
+    tail = _centred(x[-edge:], taps)[last * m - (n - edge)::m]
+    return np.concatenate([head, middle.ravel(), tail])
+
+
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample by linear interpolation; decimation applies a 63-tap
-    anti-alias low-pass (cutoff 0.45 x target rate) first. An integer
-    downsampling ratio m takes every m-th filtered sample, which is that
-    interpolation on an exact grid.
+    anti-alias low-pass (cutoff 0.45 x target rate) first, keeping the
+    len(samples) centred outputs of np.convolve.
+
+    An integer downsampling ratio m (rate = m x target) takes every m-th
+    filtered sample, which is that interpolation on an exact grid: k / target
+    and m*k / rate are one double. Only those kept outputs are computed, one
+    BLAS ddot each as np.convolve computes them (see _centred_every), so the
+    bytes equal filtering every sample and slicing.
     """
     if target_hz < MIN_SAMPLE_RATE_HZ:
         raise InvalidRate(f"target rate {target_hz} Hz below {MIN_SAMPLE_RATE_HZ}")
-    if target_hz == clip.sample_rate_hz:
+    rate = clip.sample_rate_hz
+    if target_hz == rate:
         return clip
 
     samples = clip.samples
-    if target_hz < clip.sample_rate_hz:
-        taps = _lowpass_taps(0.45 * target_hz, clip.sample_rate_hz)
-        # the centred len(samples) outputs; mode="same" gives max(len, 63) of them
-        samples = np.convolve(samples, taps)[len(taps) // 2:len(taps) // 2 + len(samples)]
-
-    n_out = max(int(round(len(samples) * target_hz / clip.sample_rate_hz)), 1)
-    if clip.sample_rate_hz % target_hz == 0:
-        # k / target and m*k / rate are one double, so interp copies these samples;
-        # [::m] keeps ceil(n / m) of them, one more than n_out when round() goes down
-        out = samples[::clip.sample_rate_hz // target_hz][:n_out]
+    n_out = max(int(round(len(samples) * target_hz / rate)), 1)
+    if rate % target_hz == 0:
+        # [::m] keeps ceil(n / m) outputs, one more than n_out when round() goes down
+        out = _centred_every(samples, _lowpass_taps(0.45 * target_hz, rate),
+                             rate // target_hz)[:n_out]
     else:
-        out = np.interp(np.arange(n_out) / target_hz,
-                        np.arange(len(samples)) / clip.sample_rate_hz, samples)
+        if target_hz < rate:
+            samples = _centred(samples, _lowpass_taps(0.45 * target_hz, rate))
+        out = np.interp(np.arange(n_out) / target_hz, np.arange(len(samples)) / rate, samples)
     return AudioClip(np.clip(out, -1.0, 1.0), int(target_hz))
 
 

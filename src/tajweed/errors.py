@@ -37,10 +37,6 @@ class FeatureError(TajweedError):
     pass
 
 
-class TooShort(FeatureError):
-    pass
-
-
 class WrongRate(FeatureError):
     pass
 

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import STRIDE_S, AudioClip, window_layout
-from .errors import DegenerateBank, TooFewVectors, TooShort, WrongRate
+from .audio import STRIDE_S, WINDOW_S, AudioClip, window_layout
+from .errors import DegenerateBank, TooFewVectors, WrongRate
 
 AGGREGATIONS = ("mean_std_pool", "flatten")
 
@@ -46,10 +46,12 @@ class FeatureConfig:
     aggregation: str = "mean_std_pool"
 
     def __post_init__(self):
-        if self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
+        if self.fft_size & (self.fft_size - 1) or self.fft_size > 2 ** 16:
+            raise ValueError("fft_size must be a power of two up to 2**16")
         if self.frame_len < 2 or self.hop_len < 1:
             raise ValueError("need a frame of at least 2 samples and a hop of at least 1")
+        if self.frame_len > round(WINDOW_S * self.sample_rate_hz):
+            raise ValueError(f"a frame must fit in one {WINDOW_S:g} s analysis window")
         if self.fft_size < self.frame_len:
             raise ValueError("fft_size must cover one frame")
         if not 0.0 < self.log_floor < np.inf:
@@ -231,8 +233,6 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
         raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, "
                         f"config expects {config.sample_rate_hz} Hz")
     clip, window_n, window_starts = window_layout(clip)
-    if window_n < config.frame_len:
-        raise TooShort(f"{window_n} samples; need at least {config.frame_len} for one frame")
     n_frames = (window_n - config.frame_len) // config.hop_len + 1
     starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))
     distinct, rows = np.unique(starts, return_inverse=True)

@@ -177,6 +177,27 @@ class TestResample:
             assert out.samples.dtype == expected.dtype
             assert out.samples.tobytes() == expected.tobytes(), n
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 11])
+    def test_bytes_match_every_mth_centred_output(self, m):
+        # every length from 1 sample up, so the kept outputs in the head, the
+        # middle and the tail meet at every offset an off-by-one could hide in
+        taps = audio._lowpass_taps(0.45 * 8000, 8000 * m)
+        rng = np.random.default_rng(m)
+        for n in range(1, 201):
+            x = rng.uniform(-1.3, 1.3, n)
+            n_out = max(int(round(n / m)), 1)
+            expected = np.clip(np.convolve(x, taps)[31:31 + n][::m][:n_out], -1.0, 1.0)
+            out = audio.resample(audio.AudioClip(x, 8000 * m), 8000)
+            assert out.samples.tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize("rate", [16000, 24000, 48000])
+    def test_integer_ratio_convolves_only_the_ends(self, monkeypatch, rate):
+        lengths, inner = [], np.convolve
+        monkeypatch.setattr(np, "convolve",
+                            lambda a, v, *args: lengths.append(len(a)) or inner(a, v, *args))
+        audio.resample(audio.AudioClip(np.zeros(4 * rate), rate), 8000)
+        assert lengths and max(lengths) <= 2 * 63
+
     def test_taps_cached_read_only(self):
         taps = audio._lowpass_taps(0.45 * 8000, 16000)
         assert audio._lowpass_taps(0.45 * 8000, 16000) is taps

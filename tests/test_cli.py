@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import re
 import struct
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -71,6 +74,31 @@ class TestExitCodes:
                              lambda h: h.update(config_fingerprint="0" * 64))
         code = run(["detect", "--audio", "x.wav", "--rule", "edgham_meem", "--model", bad])
         assert code == 8
+
+    @pytest.mark.parametrize("change", [{"frame_ms": 5000, "fft_size": 65536},
+                                        {"fft_size": 2 ** 40}])
+    def test_unusable_feature_config_is_persistence_error(self, trained_model_path, tmp_path,
+                                                          change):
+        # the fingerprint matches the crafted config, so only FeatureConfig's
+        # bounds refuse it: at load, before any frame or spectrum is allocated
+        config = {**asdict(persistence.load_model(trained_model_path).feature_config), **change}
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+        def craft(header):
+            header["feature_config"].update(change)
+            header["config_fingerprint"] = hashlib.sha256(canon).hexdigest()
+
+        bad = patched_header(trained_model_path, tmp_path, craft)
+        wav = str(tmp_path / "silence.wav")
+        audio.write_wav(wav, audio.AudioClip(np.zeros(32000), 8000))
+        tracemalloc.start()
+        try:
+            code = run(["detect", "--audio", wav, "--rule", "edgham_meem", "--model", bad])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 8
+        assert peak < 2 ** 24
 
     @pytest.mark.parametrize("payload", [{"rule_id": "edgham_meem"}, {"audio_path": "v.wav"},
                                          ["v.wav", "edgham_meem"]])
