@@ -41,10 +41,6 @@ class WrongRate(FeatureError):
     pass
 
 
-class DegenerateBank(FeatureError):
-    pass
-
-
 class TooFewVectors(FeatureError):
     pass
 

@@ -1,82 +1,76 @@
 """Filter-bank feature extraction.
 
-extract_features is the one front end: it turns a clip into one feature row
-per analysis window of audio.window_layout (4 s windows every 0.5 s). Each
-window is cut into 25 ms frames with a 10 ms hop, each frame is Hamming
-windowed, zero-padded to the FFT size and transformed with numpy's real FFT,
-and pushed through 70 triangular band-pass filters spaced on the mel scale.
-Log energies are then pooled into a fixed-length vector (per-filter mean
-and standard deviation by default, or the raw frame-by-filter matrix
-flattened row-major). Frames are computed once per clip: every window
-pools its rows of one log-energy matrix. Windows overlap by all but one
-stride, so the mean/std pool cuts each window into one-stride blocks plus a
-short tail, reduces each distinct block once and merges a window's blocks
-with the update formula of Chan, Golub & LeVeque (1979, "Updating formulae
-and a pairwise algorithm for computing sample variances"). Everything here is
-deterministic: identical input and config produce byte-identical features.
+The paper fixes one analysis, so it is module constants: SAMPLE_RATE_HZ (8 kHz)
+audio, FRAME_MS (25 ms) frames every HOP_MS (10 ms), each Hamming windowed,
+zero-padded to FFT_SIZE points and transformed with numpy's real FFT, then
+NUM_FILTERS (70) triangular mel-spaced filters between F_MIN_HZ and F_MAX_HZ
+and a log with energies floored at LOG_FLOOR. In samples and frames that is
+FRAME_LEN, HOP_LEN, WINDOW_FRAMES frames a 4 s window and STRIDE_FRAMES hops
+a 0.5 s stride. FeatureConfig only picks how a window's log energies pool into
+one vector: per-filter mean and standard deviation (default), or the
+frame-by-filter matrix flattened row-major.
+
+extract_features is the one front end: one feature row per window of
+audio.window_layout, all pooled from one log-energy matrix per clip. The
+mean/std pool reduces each one-stride block once and merges a window's blocks
+with the update formula of Chan, Golub & LeVeque (1979, "Updating formulae and
+a pairwise algorithm for computing sample variances"). Identical input and
+config give byte-identical features.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import STRIDE_S, WINDOW_S, AudioClip, window_layout
-from .errors import DegenerateBank, TooFewVectors, WrongRate
+from .errors import TooFewVectors, WrongRate
+
+SAMPLE_RATE_HZ = 8000
+FRAME_MS = 25
+HOP_MS = 10
+FFT_SIZE = 256
+NUM_FILTERS = 70
+F_MIN_HZ = 0.0
+F_MAX_HZ = 4000.0
+LOG_FLOOR = 1e-10
+
+FRAME_LEN = FRAME_MS * SAMPLE_RATE_HZ // 1000                       # 200 samples
+HOP_LEN = HOP_MS * SAMPLE_RATE_HZ // 1000                           # 80 samples
+STRIDE_FRAMES = round(STRIDE_S * SAMPLE_RATE_HZ) // HOP_LEN         # 50 hops a stride
+WINDOW_FRAMES = (round(WINDOW_S * SAMPLE_RATE_HZ) - FRAME_LEN) // HOP_LEN + 1   # 398
 
 AGGREGATIONS = ("mean_std_pool", "flatten")
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Deterministic recipe for turning a clip into a feature vector."""
+    """How a window's log energies pool into one feature row."""
 
-    frame_ms: int = 25
-    hop_ms: int = 10
-    num_filters: int = 70
-    fft_size: int = 256
-    sample_rate_hz: int = 8000
-    f_min_hz: float = 0.0
-    f_max_hz: float = 4000.0
-    log_floor: float = 1e-10
     aggregation: str = "mean_std_pool"
 
     def __post_init__(self):
-        if self.fft_size & (self.fft_size - 1) or self.fft_size > 2 ** 16:
-            raise ValueError("fft_size must be a power of two up to 2**16")
-        if self.frame_len < 2 or self.hop_len < 1:
-            raise ValueError("need a frame of at least 2 samples and a hop of at least 1")
-        if self.frame_len > round(WINDOW_S * self.sample_rate_hz):
-            raise ValueError(f"a frame must fit in one {WINDOW_S:g} s analysis window")
-        if self.fft_size < self.frame_len:
-            raise ValueError("fft_size must cover one frame")
-        if not 0.0 < self.log_floor < np.inf:
-            raise ValueError("log_floor must be positive and finite")
-        if not 0 <= self.f_min_hz < self.f_max_hz <= self.sample_rate_hz / 2:
-            raise ValueError("need 0 <= f_min < f_max <= rate/2")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if self.num_filters < 1:
-            raise ValueError("num_filters must be positive")
 
     @property
-    def frame_len(self) -> int:
-        return int(round(self.frame_ms * self.sample_rate_hz / 1000))
+    def dim(self) -> int:
+        return NUM_FILTERS * (2 if self.aggregation == "mean_std_pool" else WINDOW_FRAMES)
 
-    @property
-    def hop_len(self) -> int:
-        return int(round(self.hop_ms * self.sample_rate_hz / 1000))
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
+    def header(self) -> dict:
+        """A model file's feature_config; LOG_FLOOR travels as a binary blob."""
+        return {"frame_ms": FRAME_MS, "hop_ms": HOP_MS, "num_filters": NUM_FILTERS,
+                "fft_size": FFT_SIZE, "sample_rate_hz": SAMPLE_RATE_HZ,
+                "f_min_hz": F_MIN_HZ, "f_max_hz": F_MAX_HZ, "aggregation": self.aggregation}
 
     def fingerprint(self) -> str:
-        canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps({**self.header(), "log_floor": LOG_FLOOR},
+                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
@@ -137,88 +131,71 @@ def power_spectrum(frame, fft_size: int) -> np.ndarray:
     return power
 
 
-@lru_cache(maxsize=8)
-def build_filterbank(config: FeatureConfig) -> np.ndarray:
-    """The (num_filters, n_bins) weights of triangular filters on
-    num_filters + 2 mel-equidistant boundary points.
+@lru_cache(maxsize=1)
+def build_filterbank() -> np.ndarray:
+    """The (NUM_FILTERS, FFT_SIZE // 2 + 1) weights of triangular filters on
+    NUM_FILTERS + 2 mel-equidistant boundary points.
 
     Filter i rises over (boundary i, boundary i+1) and falls over
     (boundary i+1, boundary i+2), evaluated at the FFT bin centers and
-    rescaled so each row peaks at exactly 1. A filter whose support
-    captures no FFT bin makes the bank unusable and raises DegenerateBank.
-    Cached and read-only: every clip under one config shares one bank.
+    rescaled so each row peaks at exactly 1. Cached and read-only.
     """
-    n_pts = config.num_filters + 2
-    mels = np.linspace(hz_to_mel(config.f_min_hz), hz_to_mel(config.f_max_hz), n_pts)
+    mels = np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), NUM_FILTERS + 2)
     bounds_hz = mel_to_hz(mels)
-    bin_freqs = np.arange(config.n_bins) * config.sample_rate_hz / config.fft_size
-
-    weights = np.zeros((config.num_filters, config.n_bins))
-    for i in range(config.num_filters):
+    bin_freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE_HZ / FFT_SIZE
+    weights = np.zeros((NUM_FILTERS, len(bin_freqs)))
+    for i in range(NUM_FILTERS):
         lo, mid, hi = bounds_hz[i], bounds_hz[i + 1], bounds_hz[i + 2]
         rising = (bin_freqs - lo) / (mid - lo)
         falling = (hi - bin_freqs) / (hi - mid)
         tri = np.maximum(0.0, np.minimum(rising, falling))
-        peak = tri.max()
-        if peak <= 0.0:
-            raise DegenerateBank(
-                f"filter {i} spans ({lo:.1f}, {hi:.1f}) Hz but contains no FFT bin"
-            )
-        weights[i] = tri / peak
+        weights[i] = tri / tri.max()
     weights.setflags(write=False)
     return weights
 
 
-def frame_log_energies(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Hamming (in place), power spectrum, filter bank, log (in place): one row
-    per frame."""
-    frames *= hamming_window(frames.shape[1])
-    energies = power_spectrum(frames, config.fft_size) @ build_filterbank(config).T
-    return np.log(np.maximum(energies, config.log_floor, out=energies), out=energies)
+def frame_log_energies(frames: np.ndarray) -> np.ndarray:
+    """Hamming, power spectrum, filter bank, log: one row per FRAME_LEN-sample frame."""
+    energies = power_spectrum(frames * hamming_window(FRAME_LEN), FFT_SIZE) @ build_filterbank().T
+    return np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=energies)
 
 
-def _block_stats(x: np.ndarray):
-    """(sum, squared deviations from the mean, max, min) over axis 0; x is
-    overwritten. Frames-major (frames, blocks, filters) reduces fastest."""
+def _run_stats(log_energies: np.ndarray, first: int, length: int, count: int):
+    """(sum, squared deviations from the mean, max, min) per filter of `count`
+    runs of `length` frames, one every STRIDE_FRAMES from frame `first`, gathered
+    contiguous (frames, runs, filters): that reduces fastest, and a strided
+    view would sum in another order."""
+    x = log_energies[first + np.arange(length)[:, None] + STRIDE_FRAMES * np.arange(count)]
     total, hi, lo = x.sum(axis=0), x.max(axis=0), x.min(axis=0)
-    x -= total / len(x)
+    x -= total / length
     return total, np.square(x, out=x).sum(axis=0), hi, lo
 
 
-def pool(log_energies: np.ndarray, rows: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """The feature vectors of windows, one row per window: row w of the 2-D
-    `rows` holds window w's frame indices into log_energies, in time order.
+def pool(log_energies: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """One feature row per window over a clip's frames: window w is the
+    WINDOW_FRAMES frames from frame STRIDE_FRAMES * w.
 
-    flatten lays out each window's frames row-major. mean_std_pool cuts every
-    window into one-stride blocks (STRIDE_S in samples // hop_len frames) plus a short
-    tail, reduces each distinct block once (keyed by its first frame, since
-    overlapping windows share blocks) and each tail, and merges a window's
-    parts with the update formula of Chan, Golub & LeVeque (1979) for k
-    parts of n_p frames each: mean = sum / n and
-    M2 = sum_p M2_p + sum_p n_p * (mean_p - mean)^2, std = sqrt(M2 / n).
+    flatten lays out each window's frames row-major. mean_std_pool cuts window
+    w into the 7 one-stride blocks w..w+6, shared with its neighbours, and a
+    48-frame tail, reduces each block and tail once, and merges a window's k
+    parts of n_p frames (Chan, Golub & LeVeque 1979): mean = sum / n,
+    M2 = sum_p M2_p + sum_p n_p * (mean_p - mean)^2 and std = sqrt(M2 / n).
     A column is constant, with std exactly 0, when max == min over the parts.
     """
+    n = (len(log_energies) - WINDOW_FRAMES) // STRIDE_FRAMES + 1
     if config.aggregation == "flatten":
-        return log_energies[rows].reshape(len(rows), -1)
-    n = rows.shape[1]
-    block = max(round(STRIDE_S * config.sample_rate_hz) // config.hop_len, 1)
-    n_blocks, tail = divmod(n, block)
-    keys = rows[:, :n_blocks * block:block]
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    # a block's rows come from a window that holds it: frames of different
-    # windows interleave when the stride is not a whole number of hops
-    block_rows = rows[:, :n_blocks * block].reshape(-1, block)[first]
-    parts = [s[which.reshape(keys.shape)] for s in _block_stats(log_energies[block_rows.T])]
-    counts = [block] * n_blocks
-    if tail:
-        tails = _block_stats(log_energies[rows[:, -tail:].T])
-        parts = [np.concatenate([p, t[:, None]], axis=1) for p, t in zip(parts, tails)]
-        counts.append(tail)
-    total, m2, hi, lo = parts  # (window, part, filter)
-    counts = np.array(counts, dtype=np.float64)[:, None]
-    mean = total.sum(axis=1) / n
+        windows = sliding_window_view(log_energies, WINDOW_FRAMES, axis=0)[::STRIDE_FRAMES]
+        return windows.transpose(0, 2, 1).reshape(n, -1)
+    n_blocks, tail = divmod(WINDOW_FRAMES, STRIDE_FRAMES)
+    blocks = _run_stats(log_energies, 0, STRIDE_FRAMES, n + n_blocks - 1)
+    tails = _run_stats(log_energies, n_blocks * STRIDE_FRAMES, tail, n)
+    parts = np.arange(n)[:, None] + np.arange(n_blocks)  # window w's blocks w..w+6
+    total, m2, hi, lo = (np.concatenate([b[parts], t[:, None]], axis=1)  # (window, part, filter)
+                         for b, t in zip(blocks, tails))
+    counts = np.array([STRIDE_FRAMES] * n_blocks + [tail], dtype=np.float64)[:, None]
+    mean = total.sum(axis=1) / WINDOW_FRAMES
     spread = total / counts - mean[:, None]
-    std = np.sqrt((m2.sum(axis=1) + (counts * spread * spread).sum(axis=1)) / n)
+    std = np.sqrt((m2.sum(axis=1) + (counts * spread * spread).sum(axis=1)) / WINDOW_FRAMES)
     std[hi.max(axis=1) == lo.min(axis=1)] = 0.0
     return np.concatenate([mean, std], axis=1)
 
@@ -227,17 +204,14 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """The feature vectors of the clip's analysis windows, one row per window
     of audio.window_layout: a clip shorter than WINDOW_S is zero-padded to one
     window, a longer one has a window every STRIDE_S (a 4 s clip gives 1 row).
-    Each distinct frame is transformed once and every window pools its rows
-    of that one log-energy matrix."""
-    if clip.sample_rate_hz != config.sample_rate_hz:
-        raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, "
-                        f"config expects {config.sample_rate_hz} Hz")
-    clip, window_n, window_starts = window_layout(clip)
-    n_frames = (window_n - config.frame_len) // config.hop_len + 1
-    starts = np.add.outer(np.asarray(window_starts), config.hop_len * np.arange(n_frames))
-    distinct, rows = np.unique(starts, return_inverse=True)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, config.frame_len)
-    return pool(frame_log_energies(frames[distinct], config), rows.reshape(starts.shape), config)
+    A stride is STRIDE_FRAMES whole hops, so all windows' frames are one
+    strided slice of the clip, each transformed once."""
+    if clip.sample_rate_hz != SAMPLE_RATE_HZ:
+        raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, features need {SAMPLE_RATE_HZ} Hz")
+    clip, _, window_starts = window_layout(clip)
+    n_frames = (len(window_starts) - 1) * STRIDE_FRAMES + WINDOW_FRAMES
+    frames = sliding_window_view(clip.samples, FRAME_LEN)[:n_frames * HOP_LEN:HOP_LEN]
+    return pool(frame_log_energies(frames), config)
 
 
 def fit_scaler(rows) -> Scaler:

@@ -16,13 +16,12 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import asdict
 
 import numpy as np
 
 from .detection import RuleModel
 from .errors import IoError, SchemaError, VersionMismatch
-from .features import FeatureConfig, Scaler
+from .features import AGGREGATIONS, LOG_FLOOR, FeatureConfig, Scaler
 from .svm import SvmModel
 
 MAGIC = b"TJWDMODL"
@@ -45,7 +44,7 @@ def save_model(rule_model: RuleModel, path) -> None:
             rule_model.calibration[0], rule_model.calibration[1],
             rule_model.tau_right, rule_model.tau_wrong,
         ])),
-        ("log_floor", np.array([rule_model.feature_config.log_floor])),
+        ("log_floor", np.array([LOG_FLOOR])),
         ("scaler_mean", m.scaler.mean),
         ("scaler_std", m.scaler.std),
         ("support_vectors", m.support_vectors),
@@ -54,9 +53,7 @@ def save_model(rule_model: RuleModel, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "rule_id": rule_model.rule_id,
-        # log_floor is a real number; it travels in the binary section
-        "feature_config": {k: v for k, v in asdict(rule_model.feature_config).items()
-                           if k != "log_floor"},
+        "feature_config": rule_model.feature_config.header(),
         "config_fingerprint": rule_model.feature_config.fingerprint(),
         "dataset_hash": rule_model.dataset_hash,
         "train_seed": rule_model.train_seed,
@@ -92,7 +89,8 @@ def save_model(rule_model: RuleModel, path) -> None:
 def load_model(path) -> RuleModel:
     """Read a model file; raises VersionMismatch for unreadable versions and
     SchemaError for malformed headers, inconsistent shapes, non-finite or
-    out-of-range values, or a fingerprint its feature config does not give.
+    out-of-range values, or a feature config, log floor, fingerprint or
+    dimension other than those train writes.
     """
     try:
         with open(path, "rb") as fh:
@@ -118,6 +116,14 @@ def load_model(path) -> RuleModel:
     for key, kind in _HEADER_TYPES.items():
         if type(header.get(key)) is not kind:
             raise SchemaError(f"{path}: header field {key} missing or not {kind.__name__}")
+    # compared as JSON, so true is not 1 and 4000 is not 4000.0
+    stored = json.dumps(header["feature_config"], sort_keys=True)
+    config = next((c for c in map(FeatureConfig, AGGREGATIONS)
+                   if json.dumps(c.header(), sort_keys=True) == stored), None)
+    if config is None or config.fingerprint() != header["config_fingerprint"]:
+        raise SchemaError(f"{path}: feature config or its fingerprint is not one train writes")
+    if header["dim"] != config.dim:
+        raise SchemaError(f"{path}: dim {header['dim']} is not the {config.dim} of its config")
 
     arrays = {}
     offset = body_start
@@ -155,8 +161,8 @@ def load_model(path) -> RuleModel:
     if arrays["scaler_mean"].shape != (header["dim"],) or \
             arrays["scaler_std"].shape != (header["dim"],):
         raise SchemaError(f"{path}: scaler shape contradicts dimension {header['dim']}")
-    if arrays["scalars"].shape != (len(_SCALARS),) or arrays["log_floor"].shape != (1,):
-        raise SchemaError(f"{path}: expected {len(_SCALARS)} scalars and one log floor")
+    if arrays["scalars"].shape != (len(_SCALARS),) or arrays["log_floor"].tolist() != [LOG_FLOOR]:
+        raise SchemaError(f"{path}: expected {len(_SCALARS)} scalars and log floor {LOG_FLOOR}")
     if (arrays["scaler_std"] < 0).any():
         raise SchemaError(f"{path}: negative scaler standard deviation")
 
@@ -164,11 +170,6 @@ def load_model(path) -> RuleModel:
     if scalars["C"] <= 0 or scalars["gamma"] <= 0:
         raise SchemaError(f"{path}: C and gamma must be positive")
     try:
-        config = FeatureConfig(
-            log_floor=float(arrays["log_floor"][0]), **header["feature_config"]
-        )
-        if config.fingerprint() != header["config_fingerprint"]:
-            raise SchemaError(f"{path}: stale feature config fingerprint")
         model = SvmModel(
             support_vectors=sv,
             dual_coefs=dc,

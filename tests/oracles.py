@@ -5,13 +5,17 @@ the O(n^2) definition, the QP solver is plain projected gradient, the
 sigmoid fit is a grid refinement, the resampler interpolates on two
 explicit time grids, and the reference detector frames, transforms, pools
 and scores every window on its own copy. These stay deliberately
-brute-force. The one thing taken from the package is the filter-bank
-weights, which have their own tests.
+brute-force. What is taken from the package is the analysis constants and
+the filter-bank weights, which have their own tests.
 """
+
+import hashlib
+import json
 
 import numpy as np
 
-from tajweed.features import build_filterbank
+from tajweed.features import (FFT_SIZE, FRAME_MS, HOP_MS, LOG_FLOOR, SAMPLE_RATE_HZ,
+                              build_filterbank)
 
 
 def naive_dft(x):
@@ -47,10 +51,10 @@ def reference_window_scores(rule, clip):
     """
     cfg, model = rule.feature_config, rule.svm
     rate = clip.sample_rate_hz
-    assert rate == cfg.sample_rate_hz
+    assert rate == SAMPLE_RATE_HZ
     window_n, stride_n = int(round(4.0 * rate)), int(round(0.5 * rate))
-    frame_len = int(round(cfg.frame_ms * rate / 1000))
-    hop = int(round(cfg.hop_ms * rate / 1000))
+    frame_len = int(round(FRAME_MS * rate / 1000))
+    hop = int(round(HOP_MS * rate / 1000))
     n_frames = (window_n - frame_len) // hop + 1
     x = np.concatenate([clip.samples, np.zeros(max(window_n - len(clip.samples), 0))])
     offsets = range(0, len(x) - window_n + 1, stride_n)
@@ -60,10 +64,10 @@ def reference_window_scores(rule, clip):
         frames.extend(window[i * hop:i * hop + frame_len] for i in range(n_frames))
     frames = np.array(frames) * hamming(frame_len)
     # samples past frame_len are the zero padding up to fft_size: they add nothing
-    n, k = np.arange(frame_len), np.arange(cfg.fft_size // 2 + 1)
-    dft = np.exp(-2j * np.pi * np.outer(n, k) / cfg.fft_size)
-    power = np.abs(frames @ dft) ** 2 / cfg.fft_size
-    log_e = np.log(np.maximum(power @ build_filterbank(cfg).T, cfg.log_floor))
+    n, k = np.arange(frame_len), np.arange(FFT_SIZE // 2 + 1)
+    dft = np.exp(-2j * np.pi * np.outer(n, k) / FFT_SIZE)
+    power = np.abs(frames @ dft) ** 2 / FFT_SIZE
+    log_e = np.log(np.maximum(power @ build_filterbank().T, LOG_FLOOR))
     rows = []
     for L in log_e.reshape(len(offsets), n_frames, -1):
         if cfg.aggregation == "flatten":
@@ -77,6 +81,13 @@ def reference_window_scores(rule, clip):
     A, B = rule.calibration
     p = 1.0 / (1.0 + np.exp(A * f + B))
     return tuple((start / rate, float(q)) for start, q in zip(offsets, p))
+
+
+def config_fingerprint(stored, log_floor=LOG_FLOOR):
+    """A model file's config_fingerprint for the feature_config `stored` and
+    its log floor: the SHA-256 of their canonical JSON as one object."""
+    canon = json.dumps({**stored, "log_floor": log_floor}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
 def _project_box_hyperplane(target, y, upper):

@@ -154,7 +154,7 @@ def test_criterion_3_dsp_oracles():
 
 def test_criterion_4_framing_arithmetic(spectrum_inputs):
     cfg = features.FeatureConfig()
-    assert cfg.hop_len == 80
+    assert features.HOP_LEN == 80
     assert (32000 - 200) // 80 + 1 == 398
 
     clip = audio.AudioClip(np.full(32000, 0.1), 8000)

@@ -1,13 +1,13 @@
-import hashlib
 import json
 import os
 import re
 import struct
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tajweed import audio, cli, dataset, detection, features, persistence
@@ -32,6 +32,15 @@ def trained_model_path(manifest, tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def flatten_model_path(manifest, tmp_path_factory):
+    out = tmp_path_factory.mktemp("models") / "edgham_flatten.model"
+    code = run(["train", "--manifest", manifest, "--rule", "edgham_meem",
+                "--seed", "5", "--agg", "flatten", "--model", str(out)])
+    assert code == 0
+    return str(out)
+
+
 def patched_header(model_path, tmp_path, mutate):
     """Path of a copy of the model file whose JSON header went through mutate."""
     blob = open(model_path, "rb").read()
@@ -42,6 +51,14 @@ def patched_header(model_path, tmp_path, mutate):
     bad = tmp_path / "bad.model"
     bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
     return str(bad)
+
+
+MISSING = object()
+CRAFTED_KEYS = [*features.FeatureConfig().header(), "log_floor"]
+# explicit sets, sizes among them: load refuses every config but the two train
+# writes before a drawn size is used, so nothing is allocated from a draw
+CRAFTED_VALUES = st.sampled_from([0, -1, 1, 10, 25, 70, 256, 8000, 2 ** 40, 0.0, 0.2, 4000.0,
+                                  True, False, "", "flatten", "mean_std_pool", None, MISSING])
 
 
 class TestExitCodes:
@@ -79,14 +96,14 @@ class TestExitCodes:
                                         {"fft_size": 2 ** 40}])
     def test_unusable_feature_config_is_persistence_error(self, trained_model_path, tmp_path,
                                                           change):
-        # the fingerprint matches the crafted config, so only FeatureConfig's
-        # bounds refuse it: at load, before any frame or spectrum is allocated
-        config = {**asdict(persistence.load_model(trained_model_path).feature_config), **change}
-        canon = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("ascii")
+        # the fingerprint matches the crafted config, so only the loader's match
+        # against the configs train writes refuses it: before any frame or
+        # spectrum is allocated
+        stored = {**features.FeatureConfig().header(), **change}
 
         def craft(header):
-            header["feature_config"].update(change)
-            header["config_fingerprint"] = hashlib.sha256(canon).hexdigest()
+            header["feature_config"] = stored
+            header["config_fingerprint"] = oracles.config_fingerprint(stored)
 
         bad = patched_header(trained_model_path, tmp_path, craft)
         wav = str(tmp_path / "silence.wav")
@@ -99,6 +116,41 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 8
         assert peak < 2 ** 24
+
+    def test_flatten_header_on_a_pooled_model_is_persistence_error(self, trained_model_path,
+                                                                   tmp_path):
+        # config and fingerprint agree, but the 140-dim support vectors do not
+        # fit flatten's 398 x 70 rows: refused at load, not at scoring
+        flatten = features.FeatureConfig("flatten")
+        bad = patched_header(trained_model_path, tmp_path, lambda h: h.update(
+            feature_config=flatten.header(), config_fingerprint=flatten.fingerprint()))
+        wav = str(tmp_path / "silence.wav")
+        audio.write_wav(wav, audio.AudioClip(np.zeros(32000), 8000))
+        code = run(["detect", "--audio", wav, "--rule", "edgham_meem", "--model", bad])
+        assert code == 8
+
+    @given(agg=st.sampled_from(features.AGGREGATIONS),
+           edits=st.dictionaries(st.sampled_from(CRAFTED_KEYS), CRAFTED_VALUES, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_crafted_feature_config_through_detect(self, trained_model_path, flatten_model_path,
+                                                   small_corpus, tmp_path_factory, agg, edits):
+        """Only the config train writes for a model's aggregation detects (exit
+        0); every other one, its fingerprint recomputed, exits 8 at load. Any
+        other exception would escape cli.main and fail the test."""
+        model = trained_model_path if agg == "mean_std_pool" else flatten_model_path
+        root, entries = small_corpus
+        verse = os.path.join(root, next(e.path for e in entries if "right_verse" in e.path))
+        stored = features.FeatureConfig(agg).header()
+        for key, value in edits.items():
+            if value is MISSING:
+                stored.pop(key, None)
+            else:
+                stored[key] = value
+        bad = patched_header(model, tmp_path_factory.getbasetemp(), lambda h: h.update(
+            feature_config=stored, config_fingerprint=oracles.config_fingerprint(stored)))
+        code = run(["detect", "--audio", verse, "--rule", "edgham_meem", "--model", bad])
+        written = json.dumps(features.FeatureConfig(agg).header(), sort_keys=True)
+        assert code == (0 if json.dumps(stored, sort_keys=True) == written else 8)
 
     @pytest.mark.parametrize("payload", [{"rule_id": "edgham_meem"}, {"audio_path": "v.wav"},
                                          ["v.wav", "edgham_meem"]])

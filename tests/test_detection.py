@@ -187,18 +187,19 @@ RATE_22K = 22050
 
 
 def tone_and_noise(seconds, seed):
-    """Noise at 22050 Hz with a 900 Hz tone over its second half."""
+    """Noise recorded at 22050 Hz with a 900 Hz tone over its second half,
+    resampled to the features' 8 kHz."""
     t = np.arange(int(seconds * RATE_22K)) / RATE_22K
     x = 0.05 * np.random.default_rng(seed).standard_normal(len(t))
     x[t > seconds / 2] += 0.4 * np.sin(2 * np.pi * 900 * t[t > seconds / 2])
-    return audio.AudioClip(np.clip(x, -1.0, 1.0), RATE_22K)
+    return audio.resample(audio.AudioClip(np.clip(x, -1.0, 1.0), RATE_22K),
+                          features.SAMPLE_RATE_HZ)
 
 
 def rule_at_22050():
-    """A rule over 22050 Hz features whose support vectors are the windows of
-    one tone_and_noise clip, with a kernel wide enough to spread p_right."""
-    config = features.FeatureConfig(sample_rate_hz=RATE_22K, f_max_hz=RATE_22K / 2,
-                                    fft_size=1024)
+    """A rule whose support vectors are the windows of one resampled
+    tone_and_noise clip, with a kernel wide enough to spread p_right."""
+    config = features.FeatureConfig()
     X = features.extract_features(tone_and_noise(6.0, 1), config)
     scaler = features.fit_scaler(X)
     model = svm.SvmModel(support_vectors=scaler.apply(X),

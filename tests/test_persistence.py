@@ -1,14 +1,13 @@
-import hashlib
 import json
 import struct
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tajweed import persistence, svm
+import oracles
+from tajweed import features, persistence, svm
 from tajweed.errors import IoError, SchemaError, TajweedError, VersionMismatch
 
 JSON_VALUES = st.recursive(
@@ -177,15 +176,15 @@ def test_out_of_range_arrays_are_schema_errors(model_blob, tmp_path, name, index
                                     {"log_floor": -1e-10}])
 def test_unusable_feature_config_is_schema_error(small_model, model_path, tmp_path, change):
     """Rejected even when the crafted header's fingerprint matches its config."""
-    config = {**asdict(small_model.feature_config), **change}
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("ascii")
+    stored = {**small_model.feature_config.header(), **change}
+    log_floor = stored.pop("log_floor", features.LOG_FLOOR)
 
     def craft(header):
-        header["feature_config"].update({k: v for k, v in change.items() if k != "log_floor"})
-        header["config_fingerprint"] = hashlib.sha256(canon).hexdigest()
+        header["feature_config"] = stored
+        header["config_fingerprint"] = oracles.config_fingerprint(stored, log_floor)
 
     blob = _patch_array(_patch_header(model_path, craft), "log_floor",
-                        lambda v: v.__setitem__(0, config["log_floor"]))
+                        lambda v: v.__setitem__(0, log_floor))
     bad = tmp_path / "bad.model"
     bad.write_bytes(blob)
     with pytest.raises(SchemaError):
