@@ -64,14 +64,20 @@ class SvmModel:
     scaler: Scaler
 
 
-def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2), in (0, 1]."""
+def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float,
+             A_sq: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2), in (0, 1].
+
+    A_sq, if given, is (A * A).sum(axis=1), for a caller that reuses one A.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+    if A_sq is None:
+        A_sq = (A * A).sum(axis=1)
     sq = (
-        (A * A).sum(axis=1)[:, None]
+        A_sq[:, None]
         + (B * B).sum(axis=1)[None, :]
         - 2.0 * (A @ B.T)
     )
@@ -176,6 +182,7 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     Each row is expanded over the support vectors on its own, so its value is
     bit-identical whether it is scored alone or in any batch: a Gram against
     many rows is a BLAS gemm, which rounds differently from one row's gemv.
+    The support vectors' squared norms are summed once for all rows.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.support_vectors.shape[1]:
@@ -183,9 +190,11 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
             f"input dim {X.shape[1]} != model dim {model.support_vectors.shape[1]}"
         )
     Xs = model.scaler.apply(X)
+    sv = model.support_vectors
+    sv_sq = (sv * sv).sum(axis=1)
     f = np.empty(len(Xs))
     for i in range(len(Xs)):
-        f[i:i + 1] = model.dual_coefs @ rbf_gram(model.support_vectors, Xs[i:i + 1], model.gamma)
+        f[i:i + 1] = model.dual_coefs @ rbf_gram(sv, Xs[i:i + 1], model.gamma, sv_sq)
     return f + model.bias
 
 

@@ -159,8 +159,9 @@ def test_criterion_4_framing_arithmetic(spectrum_inputs):
 
     clip = audio.AudioClip(np.full(32000, 0.1), 8000)
     vec = features.extract_features(clip, cfg)
-    frames, = spectrum_inputs
+    frames = np.vstack(spectrum_inputs)
     assert frames.shape == (398, 200)
+    assert max(len(block) for block in spectrum_inputs) <= features.STRIDE_FRAMES
     assert vec.shape == (1, 140)
     report(4, "398 frames of 200 samples at hop 80; pooled vector length 140")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +20,17 @@ CENTERS = features.mel_to_hz(np.linspace(features.hz_to_mel(features.F_MIN_HZ),
 class TestFraming:
     def test_four_seconds_gives_398_frames(self, spectrum_inputs):
         features.extract_features(audio.AudioClip(np.zeros(32000), 8000), CFG)
-        frames, = spectrum_inputs
+        frames = np.vstack(spectrum_inputs)
         assert frames.shape == (398, 200)
+        assert max(len(block) for block in spectrum_inputs) <= features.STRIDE_FRAMES
 
     def test_tail_discarded(self, spectrum_inputs):
         # the last frame starts at 397 * 80 and ends 40 samples before the window
         samples = np.arange(32000.0) / 32000
         features.extract_features(audio.AudioClip(samples, 8000), CFG)
-        frames, = spectrum_inputs
+        frames = np.vstack(spectrum_inputs)
         assert (frames[-1] == samples[31760:31960] * features.hamming_window(200)).all()
+        assert max(len(block) for block in spectrum_inputs) <= features.STRIDE_FRAMES
 
 
 class TestHamming:
@@ -199,6 +202,38 @@ class TestExtractFeatures:
         ma = features.extract_features(clip_at(0.5), CFG)[0, :70]
         mb = features.extract_features(clip_at(1.5), CFG)[0, :70]
         assert (np.abs(ma - mb) <= 0.05 * np.abs(ma)).all()
+
+
+def one_shot_log_energies(frames):
+    """The whole chain over all the frames at once, as before blocking."""
+    energies = features.power_spectrum(frames * features.hamming_window(features.FRAME_LEN),
+                                       features.FFT_SIZE) @ BANK.T
+    return np.log(np.maximum(energies, features.LOG_FLOOR, out=energies), out=energies)
+
+
+class TestFrameLogEnergies:
+    @pytest.mark.parametrize("n_frames", [1, 49, 50, 51, 99, 100, 101, 398, 1498])
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_stride_blocks_match_one_shot_bytes(self, n_frames, silent):
+        frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
+        if silent:
+            frames[:] = 0.0
+        blocked = features.frame_log_energies(frames)
+        assert blocked.shape == (n_frames, features.NUM_FILTERS)
+        assert blocked.tobytes() == one_shot_log_energies(frames).tobytes()
+        assert silent == (blocked == np.log(features.LOG_FLOOR)).all()
+
+    def test_one_minute_clip_peaks_under_10_mb(self):
+        # a clip's frames go through in stride blocks, so the temporaries stay
+        # a few hundred KB; transforming all ~6,000 frames at once peaks near 28 MB
+        clip = audio.AudioClip(np.random.default_rng(4).uniform(-0.5, 0.5, 60 * 8000), 8000)
+        tracemalloc.start()
+        try:
+            features.extract_features(clip, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 7
 
 
 WINDOW_CONFIGS = [features.FeatureConfig(agg) for agg in features.AGGREGATIONS]
