@@ -1,10 +1,10 @@
-"""Audio loading and shaping: WAV input, resampling, duration normalization,
-and the sliding windows used by detection. This module owns the window
-geometry: WINDOW_S-long analysis windows every STRIDE_S seconds, shared by
-training exemplars, threshold calibration and detection.
+"""Audio loading and shaping: WAV input, resampling, and cutting or padding a
+clip to one WINDOW_S analysis window. WINDOW_S and STRIDE_S are the paper's
+4 s windows every 0.5 s; features turns them into frame counts, and
+slide_windows cuts them in samples as a reference for tests.
 
-All operations are pure functions of their inputs (plus an explicit seed
-where randomness is involved); clips are immutable and safe to share.
+All operations are pure functions of their inputs (normalize_duration crops
+at an offset drawn with the fixed seed 0); clips are immutable and safe to share.
 
 WAV support is deliberately narrow: RIFF/WAVE, PCM, 8-bit unsigned or
 16-bit signed, 1-2 channels, sample rate >= 1000 Hz.
@@ -130,11 +130,12 @@ def load_clip(path, rate_hz: int) -> AudioClip:
 
 
 @lru_cache(maxsize=8)
-def _lowpass_taps(cutoff_hz: float, rate_hz: int, n_taps: int = 63) -> np.ndarray:
-    """Hamming-windowed-sinc FIR low-pass, DC gain normalized to 1. Cached and
-    read-only: every resample between one pair of rates shares one filter."""
-    mid = (n_taps - 1) / 2
-    t = np.arange(n_taps) - mid
+def _lowpass_taps(target_hz: int, rate_hz: int) -> np.ndarray:
+    """63-tap Hamming-windowed-sinc FIR low-pass at rate_hz, cutoff 0.45 x
+    target_hz, DC gain normalized to 1. Cached and read-only: every resample
+    between one pair of rates shares one filter."""
+    cutoff_hz, n_taps = 0.45 * target_hz, 63
+    t = np.arange(n_taps) - (n_taps - 1) / 2
     taps = 2.0 * cutoff_hz / rate_hz * np.sinc(2.0 * cutoff_hz / rate_hz * t)
     taps *= 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n_taps) / (n_taps - 1))
     taps = taps / taps.sum()
@@ -195,22 +196,21 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     n_out = max(int(round(len(samples) * target_hz / rate)), 1)
     if rate % target_hz == 0:
         # [::m] keeps ceil(n / m) outputs, one more than n_out when round() goes down
-        out = _centred_every(samples, _lowpass_taps(0.45 * target_hz, rate),
-                             rate // target_hz)[:n_out]
+        out = _centred_every(samples, _lowpass_taps(target_hz, rate), rate // target_hz)[:n_out]
     else:
         if target_hz < rate:
-            samples = _centred(samples, _lowpass_taps(0.45 * target_hz, rate))
+            samples = _centred(samples, _lowpass_taps(target_hz, rate))
         out = np.interp(np.arange(n_out) / target_hz, np.arange(len(samples)) / rate, samples)
     return AudioClip(np.clip(out, -1.0, 1.0), int(target_hz))
 
 
-def normalize_duration(clip: AudioClip, target_s: float = WINDOW_S, *, seed: int) -> AudioClip:
-    """Force a clip to exactly round(target_s * rate) samples.
+def normalize_duration(clip: AudioClip) -> AudioClip:
+    """Force a clip to exactly one WINDOW_S window, round(WINDOW_S * rate) samples.
 
     Shorter clips get trailing zeros; longer clips keep one contiguous
-    segment whose start offset is drawn uniformly with the given seed.
+    segment whose start offset is drawn uniformly with seed 0.
     """
-    n_target = int(round(target_s * clip.sample_rate_hz))
+    n_target = int(round(WINDOW_S * clip.sample_rate_hz))
     n = len(clip.samples)
     if n == n_target:
         return clip
@@ -218,24 +218,17 @@ def normalize_duration(clip: AudioClip, target_s: float = WINDOW_S, *, seed: int
         padded = np.zeros(n_target)
         padded[:n] = clip.samples
         return AudioClip(padded, clip.sample_rate_hz)
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, n - n_target + 1))
+    start = int(np.random.default_rng(0).integers(0, n - n_target + 1))
     return AudioClip(clip.samples[start:start + n_target].copy(), clip.sample_rate_hz)
 
 
-def window_layout(clip: AudioClip):
-    """(clip zero-padded to one WINDOW_S window if shorter, window length in
-    samples, sample offsets 0, STRIDE_S, 2*STRIDE_S, ... of the windows that fit)."""
-    rate = clip.sample_rate_hz
-    window_n = int(round(WINDOW_S * rate))
-    if len(clip) < window_n:
-        clip = normalize_duration(clip, WINDOW_S, seed=0)
-    return clip, window_n, range(0, len(clip) - window_n + 1, int(round(STRIDE_S * rate)))
-
-
 def slide_windows(clip: AudioClip):
-    """The windows of window_layout as a list of (offset_s, AudioClip) pairs."""
-    clip, window_n, starts = window_layout(clip)
+    """(offset_s, AudioClip) for each WINDOW_S window that fits, one every
+    STRIDE_S from the start; a clip shorter than one window is zero-padded to
+    one. Cut in samples, independently of features' frame arithmetic."""
     rate = clip.sample_rate_hz
+    window_n, stride_n = int(round(WINDOW_S * rate)), int(round(STRIDE_S * rate))
+    if len(clip) < window_n:
+        clip = normalize_duration(clip)
     return [(start / rate, AudioClip(clip.samples[start:start + window_n].copy(), rate))
-            for start in starts]
+            for start in range(0, len(clip) - window_n + 1, stride_n)]

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="assign stratified train/test splits")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--fraction", type=float, default=0.7)
+    p.add_argument("--fraction", type=float, default=dataset.TRAIN_FRACTION)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="output manifest (default: in place)")
     p.set_defaults(func=_cmd_split)
@@ -320,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="cross-validated (C, gamma) search")
     p.add_argument("--manifest", required=True)
     p.add_argument("--rule", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=svm.K_FOLDS)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c-grid", type=_float_list, default=(0.1, 1.0, 10.0, 100.0))
-    p.add_argument("--gamma-grid", type=_float_list, default=(0.001, 0.01, 0.1, 1.0))
+    p.add_argument("--c-grid", type=_float_list, default=svm.C_GRID)
+    p.add_argument("--gamma-grid", type=_float_list, default=svm.GAMMA_GRID)
     p.add_argument("--agg", choices=features.AGGREGATIONS, default="mean_std_pool")
     p.set_defaults(func=_cmd_gridsearch)
 

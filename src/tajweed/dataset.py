@@ -42,6 +42,7 @@ MANIFEST_HEADER = ["path", "rule_id", "polarity", "onset_s", "split"]
 MANIFEST_NAME = "manifest.csv"
 
 QUEUE_SCHEMA_VERSION = 1
+TRAIN_FRACTION = 0.7
 
 
 class DanglingPathWarning(UserWarning):
@@ -113,7 +114,7 @@ def save_manifest(entries, path) -> None:
         fh.write(buf.getvalue())
 
 
-def split(entries, train_fraction: float = 0.7, seed: int = 0) -> list[ManifestEntry]:
+def split(entries, train_fraction: float = TRAIN_FRACTION, seed: int = 0) -> list[ManifestEntry]:
     """Assign train/test per (rule_id, polarity) stratum: round(fraction*n)
     entries go to train, the rest to test, chosen by a seeded shuffle.
     """
@@ -251,9 +252,13 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
     background clips, verses (10-15 s background with one class event
     injected at a recorded onset, template saved under templates/), and
     event-free verses. Returns the manifest entries (also written to
-    out_dir/manifest.csv).
+    out_dir/manifest.csv). The recipe's sample_rate_hz must be an int that
+    load_wav accepts; anything else raises ValueError before a file is written.
     """
     rate = recipe["sample_rate_hz"]
+    if type(rate) is not int or rate < audio.MIN_SAMPLE_RATE_HZ:
+        raise ValueError(f"sample_rate_hz must be an integer >= {audio.MIN_SAMPLE_RATE_HZ}, "
+                         f"not {rate!r}")
     clip_s = recipe["clip_seconds"]
     n_clips = recipe["clips_per_class"] if clips_per_class is None else clips_per_class
     n_neg = recipe["negatives_per_rule"] if negatives_per_rule is None else negatives_per_rule

@@ -64,8 +64,8 @@ class DetectionReport:
 def exemplar_features(paths, config: features.FeatureConfig) -> np.ndarray:
     """One feature row per WAV file, each read as one analysis window: at the
     rate features.SAMPLE_RATE_HZ, cut or zero-padded to audio.WINDOW_S (seed 0)."""
-    clips = (audio.normalize_duration(audio.load_clip(path, features.SAMPLE_RATE_HZ),
-                                      audio.WINDOW_S, seed=0) for path in paths)
+    clips = (audio.normalize_duration(audio.load_clip(path, features.SAMPLE_RATE_HZ))
+             for path in paths)
     return np.vstack([features.extract_features(clip, config) for clip in clips])
 
 
@@ -75,10 +75,10 @@ def p_right(rule: RuleModel, X) -> np.ndarray:
 
 
 def window_scores(rule: RuleModel, recording: audio.AudioClip):
-    """((offset_s, p_right), ...) for each window of audio.window_layout."""
-    _, _, starts = audio.window_layout(recording)
+    """((offset_s, p_right), ...) for each row of extract_features; row w's
+    window starts at w * audio.STRIDE_S."""
     p = p_right(rule, features.extract_features(recording, rule.feature_config))
-    return tuple((start / recording.sample_rate_hz, q) for start, q in zip(starts, p.tolist()))
+    return tuple((w * audio.STRIDE_S, q) for w, q in enumerate(p.tolist()))
 
 
 def gated(rule: RuleModel, p: float):

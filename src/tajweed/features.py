@@ -5,19 +5,20 @@ audio, FRAME_MS (25 ms) frames every HOP_MS (10 ms), each Hamming windowed,
 zero-padded to FFT_SIZE points and transformed with numpy's real FFT, then
 NUM_FILTERS (70) triangular mel-spaced filters between F_MIN_HZ and F_MAX_HZ
 and a log with energies floored at LOG_FLOOR. In samples and frames that is
-FRAME_LEN, HOP_LEN, WINDOW_FRAMES frames a 4 s window and STRIDE_FRAMES hops
-a 0.5 s stride. FeatureConfig only picks how a window's log energies pool into
-one vector: per-filter mean and standard deviation (default), or the
-frame-by-filter matrix flattened row-major.
+FRAME_LEN, HOP_LEN, WINDOW_LEN samples or WINDOW_FRAMES frames a 4 s window and
+STRIDE_LEN samples or STRIDE_FRAMES hops a 0.5 s stride. FeatureConfig only
+picks how a window's log energies pool into one vector: per-filter mean and
+standard deviation (default), or the frame-by-filter matrix flattened row-major.
 
-extract_features is the one front end: one feature row per window of
-audio.window_layout, all pooled from one log-energy matrix per clip. The
-mean/std pool reduces each one-stride block once and merges a window's blocks
-with the update formula of Chan, Golub & LeVeque (1979, "Updating formulae and
-a pairwise algorithm for computing sample variances"). The frames are
-transformed a block of at most STRIDE_FRAMES at a time, so a call's
-temporaries stay a few hundred KB that malloc reuses, not fresh pages faulted
-in on every call. Identical input and config give byte-identical features.
+extract_features is the one front end: one feature row per audio.WINDOW_S
+window every audio.STRIDE_S, all pooled from one log-energy matrix per clip.
+The mean/std pool reduces each one-stride block once and merges a window's
+blocks with the update formula of Chan, Golub & LeVeque (1979, "Updating
+formulae and a pairwise algorithm for computing sample variances"). The
+frames are transformed a block of at most STRIDE_FRAMES at a time, so a
+call's temporaries stay a few hundred KB that malloc reuses, not fresh pages
+faulted in on every call. Identical input and config give byte-identical
+features.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import STRIDE_S, WINDOW_S, AudioClip, window_layout
+from .audio import STRIDE_S, WINDOW_S, AudioClip, normalize_duration
 from .errors import TooFewVectors, WrongRate
 
 SAMPLE_RATE_HZ = 8000
@@ -42,10 +43,19 @@ F_MIN_HZ = 0.0
 F_MAX_HZ = 4000.0
 LOG_FLOOR = 1e-10
 
-FRAME_LEN = FRAME_MS * SAMPLE_RATE_HZ // 1000                       # 200 samples
-HOP_LEN = HOP_MS * SAMPLE_RATE_HZ // 1000                           # 80 samples
-STRIDE_FRAMES = round(STRIDE_S * SAMPLE_RATE_HZ) // HOP_LEN         # 50 hops a stride
-WINDOW_FRAMES = (round(WINDOW_S * SAMPLE_RATE_HZ) - FRAME_LEN) // HOP_LEN + 1   # 398
+FRAME_LEN = FRAME_MS * SAMPLE_RATE_HZ // 1000               # 200 samples
+HOP_LEN = HOP_MS * SAMPLE_RATE_HZ // 1000                   # 80 samples
+WINDOW_LEN = round(WINDOW_S * SAMPLE_RATE_HZ)               # 32000 samples
+STRIDE_LEN = round(STRIDE_S * SAMPLE_RATE_HZ)               # 4000 samples
+STRIDE_FRAMES = STRIDE_LEN // HOP_LEN                       # 50 hops a stride
+WINDOW_FRAMES = (WINDOW_LEN - FRAME_LEN) // HOP_LEN + 1     # 398 frames a window
+
+# w[k] = 0.54 - 0.46*cos(2*pi*k/(FRAME_LEN-1)), endpoints 0.08, evaluated on
+# min(k, FRAME_LEN-1-k) so the symmetry w[k] == w[FRAME_LEN-1-k] is exact in
+# floating point, not just analytic. Read-only: every frame shares it.
+HAMMING = 0.54 - 0.46 * np.cos(
+    2.0 * np.pi * np.minimum(np.arange(FRAME_LEN), np.arange(FRAME_LEN)[::-1]) / (FRAME_LEN - 1))
+HAMMING.setflags(write=False)
 
 AGGREGATIONS = ("mean_std_pool", "flatten")
 
@@ -97,39 +107,19 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=8)
-def hamming_window(n: int) -> np.ndarray:
-    """w[k] = 0.54 - 0.46*cos(2*pi*k/(n-1)); endpoints are 0.08.
-
-    Evaluated on min(k, n-1-k) so the symmetry w[k] == w[n-1-k] is exact
-    in floating point, not just analytic. Cached and read-only: every frame
-    of a given length shares one window.
-    """
-    if n < 2:
-        raise ValueError("window length must be >= 2")
-    k = np.arange(n)
-    k = np.minimum(k, n - 1 - k)
-    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
-    window.setflags(write=False)
-    return window
-
-
-def power_spectrum(frame, fft_size: int) -> np.ndarray:
-    """One-sided power spectrum P[k] = |X[k]|^2 / fft_size, k = 0..fft_size/2.
-
-    The frame is zero-padded up to fft_size. 2-D input is treated as a
-    batch of frames (one spectrum per row).
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape[-1] > fft_size:
-        raise ValueError("frame longer than fft_size")
-    spectrum = np.fft.rfft(frame, fft_size)
+def power_spectrum(frames) -> np.ndarray:
+    """One-sided power spectrum P[k] = |X[k]|^2 / FFT_SIZE, k = 0..FFT_SIZE/2,
+    of each row of frames (a 1-D frame gives one), zero-padded to FFT_SIZE."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-1] > FFT_SIZE:
+        raise ValueError("frame longer than FFT_SIZE")
+    spectrum = np.fft.rfft(frames, FFT_SIZE)
     # squares re and im in place through a float view: the roundings of
-    # (re**2 + im**2) / fft_size with one new array instead of three
+    # (re**2 + im**2) / FFT_SIZE with one new array instead of three
     parts = spectrum.view(np.float64)
     np.square(parts, out=parts)
     power = parts[..., 0::2] + parts[..., 1::2]
-    power /= fft_size
+    power /= FFT_SIZE
     return power
 
 
@@ -173,7 +163,7 @@ def frame_log_energies(frames: np.ndarray) -> np.ndarray:
     log_energies = np.empty((n, NUM_FILTERS))
     for b in range(n_blocks):
         rows = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
-        energies = power_spectrum(frames[rows] * hamming_window(FRAME_LEN), FFT_SIZE) @ weights
+        energies = power_spectrum(frames[rows] * HAMMING) @ weights
         np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=log_energies[rows])
     return log_energies
 
@@ -219,15 +209,16 @@ def pool(log_energies: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 
 def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """The feature vectors of the clip's analysis windows, one row per window
-    of audio.window_layout: a clip shorter than WINDOW_S is zero-padded to one
-    window, a longer one has a window every STRIDE_S (a 4 s clip gives 1 row).
-    A stride is STRIDE_FRAMES whole hops, so all windows' frames are one
-    strided slice of the clip, each transformed once."""
+    """The feature vectors of the clip's analysis windows, one row per window:
+    a clip shorter than WINDOW_S is zero-padded to one window, a longer one
+    has a window every STRIDE_S that fits (a 4 s clip gives 1 row), row w
+    starting at w * STRIDE_S. A stride is STRIDE_FRAMES whole hops, so all
+    windows' frames are one strided slice of the clip, each transformed once."""
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
         raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, features need {SAMPLE_RATE_HZ} Hz")
-    clip, _, window_starts = window_layout(clip)
-    n_frames = (len(window_starts) - 1) * STRIDE_FRAMES + WINDOW_FRAMES
+    if len(clip) < WINDOW_LEN:
+        clip = normalize_duration(clip)
+    n_frames = (len(clip) - WINDOW_LEN) // STRIDE_LEN * STRIDE_FRAMES + WINDOW_FRAMES
     frames = sliding_window_view(clip.samples, FRAME_LEN)[:n_frames * HOP_LEN:HOP_LEN]
     return pool(frame_log_energies(frames), config)
 

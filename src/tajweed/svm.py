@@ -27,6 +27,11 @@ from .errors import (
 )
 from .features import Scaler
 
+# grid_search's default (C, gamma) grid and fold count
+C_GRID = (0.1, 1.0, 10.0, 100.0)
+GAMMA_GRID = (0.001, 0.01, 0.1, 1.0)
+K_FOLDS = 5
+
 
 @dataclass(frozen=True)
 class TrainingProblem:
@@ -300,9 +305,9 @@ class GridSearchResult:
 
 def grid_search(
     problem: TrainingProblem,
-    C_grid=(0.1, 1.0, 10.0, 100.0),
-    gamma_grid=(0.001, 0.01, 0.1, 1.0),
-    k_folds: int = 5,
+    C_grid=C_GRID,
+    gamma_grid=GAMMA_GRID,
+    k_folds: int = K_FOLDS,
     seed: int = 0,
 ) -> GridSearchResult:
     """Mean stratified-CV accuracy for every (C, gamma); the winner is the

@@ -134,18 +134,18 @@ def test_criterion_3_dsp_oracles():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     frames = rng.uniform(-1, 1, (100, 256))
     oracle_power = np.abs(np.stack([oracles.naive_dft(f) for f in frames])[:, :129]) ** 2 / 256
-    fft_err = np.abs(features.power_spectrum(frames, 256) - oracle_power).max()
+    fft_err = np.abs(features.power_spectrum(frames) - oracle_power).max()
     assert fft_err < 1e-9
 
     parseval_w = np.full(129, 2.0)
     parseval_w[0] = parseval_w[-1] = 1.0
     parseval_err = max(
-        abs((parseval_w * features.power_spectrum(f, 256)).sum() - (f ** 2).sum())
+        abs((parseval_w * features.power_spectrum(f)).sum() - (f ** 2).sum())
         for f in frames
     )
     assert parseval_err < 1e-9
 
-    w = features.hamming_window(200)
+    w = features.HAMMING
     assert abs(w[0] - 0.08) < 1e-15 and abs(w[-1] - 0.08) < 1e-15
     assert (w == w[::-1]).all()
     report(3, f"fft err {fft_err:.2e}, parseval err {parseval_err:.2e}, "

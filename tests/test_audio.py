@@ -157,7 +157,7 @@ class TestResample:
     def test_filter_is_the_centred_convolution(self, n):
         # reference: mode="same", which is the centred crop once n >= 63 taps
         x = np.random.default_rng(n).uniform(-1, 1, n)
-        filtered = np.convolve(x, audio._lowpass_taps(0.45 * 8000, 16000), mode="same")
+        filtered = np.convolve(x, audio._lowpass_taps(8000, 16000), mode="same")
         t_out = np.arange(int(round(n / 2))) / 8000
         expected = np.clip(np.interp(t_out, np.arange(n) / 16000, filtered), -1.0, 1.0)
         out = audio.resample(audio.AudioClip(x, 16000), 8000)
@@ -181,7 +181,7 @@ class TestResample:
     def test_bytes_match_every_mth_centred_output(self, m):
         # every length from 1 sample up, so the kept outputs in the head, the
         # middle and the tail meet at every offset an off-by-one could hide in
-        taps = audio._lowpass_taps(0.45 * 8000, 8000 * m)
+        taps = audio._lowpass_taps(8000, 8000 * m)
         rng = np.random.default_rng(m)
         for n in range(1, 201):
             x = rng.uniform(-1.3, 1.3, n)
@@ -199,8 +199,8 @@ class TestResample:
         assert lengths and max(lengths) <= 2 * 63
 
     def test_taps_cached_read_only(self):
-        taps = audio._lowpass_taps(0.45 * 8000, 16000)
-        assert audio._lowpass_taps(0.45 * 8000, 16000) is taps
+        taps = audio._lowpass_taps(8000, 16000)
+        assert audio._lowpass_taps(8000, 16000) is taps
         assert not taps.flags.writeable
         assert taps.tobytes() == oracles.lowpass_taps(0.45 * 8000, 16000).tobytes()
 
@@ -215,12 +215,12 @@ class TestResample:
 class TestNormalizeDuration:
     def test_exact_length_identity(self):
         clip = audio.AudioClip(np.arange(32000) / 32000.0, 8000)
-        out = audio.normalize_duration(clip, 4.0, seed=0)
+        out = audio.normalize_duration(clip)
         assert np.array_equal(out.samples, clip.samples)
 
     def test_short_clip_padded(self):
         clip = audio.AudioClip(np.ones(24000) * 0.5, 8000)
-        out = audio.normalize_duration(clip, 4.0, seed=0)
+        out = audio.normalize_duration(clip)
         assert len(out) == 32000
         assert (out.samples[24000:] == 0.0).all()
         assert (out.samples[:24000] == 0.5).all()
@@ -229,20 +229,19 @@ class TestNormalizeDuration:
         rng = np.random.default_rng(11)
         src = rng.uniform(-1, 1, 48000)
         clip = audio.AudioClip(src, 8000)
-        out = audio.normalize_duration(clip, 4.0, seed=99)
-        again = audio.normalize_duration(clip, 4.0, seed=99)
+        out = audio.normalize_duration(clip)
+        again = audio.normalize_duration(clip)
         assert np.array_equal(out.samples, again.samples)
         # locate the slice independently: it must be a contiguous run of src
         starts = np.flatnonzero(src[: 48000 - 32000 + 1] == out.samples[0])
         matches = [s for s in starts if np.array_equal(src[s:s + 32000], out.samples)]
-        assert len(matches) == 1
-        assert 0 <= matches[0] <= 16000
+        assert matches == [np.random.default_rng(0).integers(0, 16001)]
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=80_000), seed=st.integers(0, 2**31))
-    def test_output_length_always_exact(self, n, seed):
+    @given(n=st.integers(min_value=1, max_value=80_000))
+    def test_output_length_always_exact(self, n):
         clip = audio.AudioClip(np.linspace(-1, 1, n), 8000)
-        out = audio.normalize_duration(clip, 4.0, seed=seed)
+        out = audio.normalize_duration(clip)
         assert len(out) == 32000
 
 

@@ -215,6 +215,20 @@ class TestExitCodes:
         assert code == 7
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", [500, True, 8000.5])
+    def test_unreadable_synth_rate_is_dataset_error(self, tmp_path, capsys, rate):
+        # 500 and True (1 Hz) would write WAVs that load_wav refuses; the
+        # wave module would round 8000.5 in the headers but not in the onsets
+        recipe = dataset.default_recipe()
+        recipe.update(sample_rate_hz=rate, clips_per_class=1, negatives_per_rule=0,
+                      verses_per_rule=0, event_free_verses_per_rule=0)
+        (tmp_path / "spec.json").write_text(json.dumps(recipe))
+        code = run(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "1",
+                    "--out", str(tmp_path / "corpus")])
+        assert code == 7
+        assert "sample_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
     def test_seed_required_for_train(self, manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--manifest", manifest, "--rule", "edgham_meem",

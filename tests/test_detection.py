@@ -97,8 +97,10 @@ class TestDetect:
         vector = features.extract_features(clip, small_model.feature_config)
         assert report.window_scores[0] == (0.0, float(detection.p_right(small_model, vector)[0]))
 
-    def test_window_scores_cover_slide_windows(self, small_model):
-        clip = recording(7.3)
+    # 1 sample, 3.99 s, 4 s, 4.5 s minus one sample, 4.5 s, 7.3 s and 60 s
+    @pytest.mark.parametrize("n", [1, 31920, 32000, 35999, 36000, 58400, 480000])
+    def test_window_scores_cover_slide_windows(self, small_model, n):
+        clip = audio.AudioClip(np.zeros(n), 8000)
         report = detection.detect(small_model, clip)
         expected = [o for o, _ in audio.slide_windows(clip)]
         assert [o for o, _ in report.window_scores] == expected
