@@ -211,6 +211,9 @@ def _cmd_evaluate(args) -> int:
     test_entries = [e for e in entries
                     if e.split == "test" and e.polarity in dataset.POLARITIES
                     and e.onset_s is None and e.rule_id in known]
+    missing = sorted(known - {e.rule_id for e in test_entries})
+    if missing:
+        raise MissingStratum(f"manifest has no test-split exemplars for {', '.join(missing)}")
     result = detection.evaluate(rules, test_entries, _manifest_root(args.manifest))
     print(detection.format_confusion_tables(result))
     if args.out:
@@ -286,6 +289,16 @@ def _float_list(text):
     return tuple(float(x) for x in text.split(","))
 
 
+def _time_s(text):
+    """A finite time >= 0, as load_manifest requires of onset_s."""
+    try:
+        if 0.0 <= float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite time >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tajweed",
@@ -313,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--agg", choices=features.AGGREGATIONS, default="mean_std_pool")
+    p.add_argument("--agg", choices=features.AGGREGATIONS,
+                   default=features.FeatureConfig.aggregation)
     p.add_argument("--model", required=True, help="output model path")
     p.set_defaults(func=_cmd_train)
 
@@ -324,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c-grid", type=_float_list, default=svm.C_GRID)
     p.add_argument("--gamma-grid", type=_float_list, default=svm.GAMMA_GRID)
-    p.add_argument("--agg", choices=features.AGGREGATIONS, default="mean_std_pool")
+    p.add_argument("--agg", choices=features.AGGREGATIONS,
+                   default=features.FeatureConfig.aggregation)
     p.set_defaults(func=_cmd_gridsearch)
 
     p = sub.add_parser("evaluate", help="confusion tables on the test split")
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="timeline CSV path")
-    p.add_argument("--truth", type=float, help="expert onset for the timeline")
+    p.add_argument("--truth", type=_time_s, help="expert onset for the timeline")
     p.add_argument("--verdict-out", help="verdict JSON (feeds review append)")
     p.set_defaults(func=_cmd_detect)
 

@@ -1,9 +1,12 @@
 """Versioned single-file serialization of rule models.
 
 Layout:  magic "TJWDMODL" | u32 header length | canonical JSON header |
-float64 little-endian array blobs in header order.
+float64 little-endian array blobs. The header's `arrays` lists the six blobs
+train writes, in file order: scalars [7], log_floor [1], scaler_mean [dim],
+scaler_std [dim], support_vectors [n_support, dim] and dual_coefs
+[n_support]; `load_model` accepts only that layout.
 
-All real numbers live in the binary section (scalars are an 8-double blob),
+All real numbers live in the binary section (scalars is a 7-double blob),
 so a load/save round-trip reproduces decision values bit-for-bit. The JSON
 header is emitted with sorted keys and no timestamps, making repeated saves
 of one model byte-identical.
@@ -11,6 +14,7 @@ of one model byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,23 +37,24 @@ _HEADER_TYPES = {"rule_id": str, "feature_config": dict, "config_fingerprint": s
                  "arrays": list}
 
 
+def _layout(n_support: int, dim: int) -> list:
+    """The header's `arrays`: each blob train writes, in file order."""
+    shapes = (("scalars", [len(_SCALARS)]), ("log_floor", [1]), ("scaler_mean", [dim]),
+              ("scaler_std", [dim]), ("support_vectors", [n_support, dim]),
+              ("dual_coefs", [n_support]))
+    return [{"name": name, "shape": shape} for name, shape in shapes]
+
+
 def save_model(rule_model: RuleModel, path) -> None:
     """Atomically write a rule model: a unique temp file in the target
     directory, fsynced, then renamed over the target."""
     m = rule_model.svm
-    dim = m.support_vectors.shape[1]
-    arrays = [
-        ("scalars", np.array([
-            m.bias, m.C, m.gamma,
-            rule_model.calibration[0], rule_model.calibration[1],
-            rule_model.tau_right, rule_model.tau_wrong,
-        ])),
-        ("log_floor", np.array([LOG_FLOOR])),
-        ("scaler_mean", m.scaler.mean),
-        ("scaler_std", m.scaler.std),
-        ("support_vectors", m.support_vectors),
-        ("dual_coefs", m.dual_coefs),
-    ]
+    n_support, dim = m.support_vectors.shape
+    arrays = (
+        [m.bias, m.C, m.gamma, *rule_model.calibration, rule_model.tau_right,
+         rule_model.tau_wrong],
+        [LOG_FLOOR], m.scaler.mean, m.scaler.std, m.support_vectors, m.dual_coefs,
+    )
     header = {
         "format_version": FORMAT_VERSION,
         "rule_id": rule_model.rule_id,
@@ -57,9 +62,9 @@ def save_model(rule_model: RuleModel, path) -> None:
         "config_fingerprint": rule_model.feature_config.fingerprint(),
         "dataset_hash": rule_model.dataset_hash,
         "train_seed": rule_model.train_seed,
-        "n_support": int(m.support_vectors.shape[0]),
-        "dim": int(dim),
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
+        "n_support": n_support,
+        "dim": dim,
+        "arrays": _layout(n_support, dim),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
 
@@ -67,7 +72,7 @@ def save_model(rule_model: RuleModel, path) -> None:
     blob += MAGIC
     blob += struct.pack("<I", len(header_bytes))
     blob += header_bytes
-    for _, arr in arrays:
+    for arr in arrays:
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
     tmp = None
@@ -88,9 +93,9 @@ def save_model(rule_model: RuleModel, path) -> None:
 
 def load_model(path) -> RuleModel:
     """Read a model file; raises VersionMismatch for unreadable versions and
-    SchemaError for malformed headers, inconsistent shapes, non-finite or
-    out-of-range values, or a feature config, log floor, fingerprint or
-    dimension other than those train writes.
+    SchemaError for malformed headers, non-finite or out-of-range values, or
+    a feature config, log floor, fingerprint, dimension or array layout other
+    than those train writes.
     """
     try:
         with open(path, "rb") as fh:
@@ -122,51 +127,29 @@ def load_model(path) -> RuleModel:
                    if json.dumps(c.header(), sort_keys=True) == stored), None)
     if config is None or config.fingerprint() != header["config_fingerprint"]:
         raise SchemaError(f"{path}: feature config or its fingerprint is not one train writes")
-    if header["dim"] != config.dim:
-        raise SchemaError(f"{path}: dim {header['dim']} is not the {config.dim} of its config")
-
-    arrays = {}
-    offset = body_start
-    for spec in header["arrays"]:
-        if not (isinstance(spec, dict) and type(spec.get("name")) is str
-                and type(spec.get("shape")) is list
-                and all(type(n) is int and n >= 0 for n in spec["shape"])):
-            raise SchemaError(f"{path}: bad array spec {spec!r}")
-        count = math.prod(spec["shape"])
-        end = offset + 8 * count
-        if end > len(data):
-            raise SchemaError(f"{path}: array {spec['name']} overruns file")
-        arrays[spec["name"]] = np.frombuffer(
-            data[offset:end], dtype="<f8"
-        ).reshape(spec["shape"]).astype(np.float64)
-        offset = end
-    if offset != len(data):
-        raise SchemaError(f"{path}: trailing bytes after arrays")
-
-    for name in ("scalars", "log_floor", "scaler_mean", "scaler_std",
-                 "support_vectors", "dual_coefs"):
-        if name not in arrays:
-            raise SchemaError(f"{path}: missing array {name}")
-        if not np.isfinite(arrays[name]).all():
-            raise SchemaError(f"{path}: array {name} holds non-finite values")
-
-    sv = arrays["support_vectors"]
-    dc = arrays["dual_coefs"]
-    if sv.ndim != 2 or dc.ndim != 1 or sv.shape[0] != dc.shape[0]:
-        raise SchemaError(
-            f"{path}: {dc.shape[0]} dual coefficients for {sv.shape[0]} support vectors"
-        )
-    if sv.shape != (header["n_support"], header["dim"]):
-        raise SchemaError(f"{path}: support vector shape {sv.shape} contradicts header")
-    if arrays["scaler_mean"].shape != (header["dim"],) or \
-            arrays["scaler_std"].shape != (header["dim"],):
-        raise SchemaError(f"{path}: scaler shape contradicts dimension {header['dim']}")
-    if arrays["scalars"].shape != (len(_SCALARS),) or arrays["log_floor"].tolist() != [LOG_FLOOR]:
-        raise SchemaError(f"{path}: expected {len(_SCALARS)} scalars and log floor {LOG_FLOOR}")
-    if (arrays["scaler_std"] < 0).any():
+    n_support, dim = header["n_support"], header["dim"]
+    if dim != config.dim:
+        raise SchemaError(f"{path}: dim {dim} is not the {config.dim} of its config")
+    if n_support < 0:
+        raise SchemaError(f"{path}: negative n_support {n_support}")
+    layout = _layout(n_support, dim)
+    if json.dumps(header["arrays"], sort_keys=True) != json.dumps(layout, sort_keys=True):
+        raise SchemaError(f"{path}: arrays are not the layout train writes")
+    sizes = [math.prod(spec["shape"]) for spec in layout]
+    if len(data) - body_start != 8 * sum(sizes):
+        raise SchemaError(f"{path}: body is not the {8 * sum(sizes)} bytes its arrays need")
+    body = np.frombuffer(data, "<f8", offset=body_start).astype(np.float64)
+    if not np.isfinite(body).all():
+        raise SchemaError(f"{path}: arrays hold non-finite values")
+    scalars, log_floor, mean, std, sv, dc = (
+        body[end - size:end].reshape(spec["shape"])
+        for spec, size, end in zip(layout, sizes, itertools.accumulate(sizes)))
+    if log_floor.tolist() != [LOG_FLOOR]:
+        raise SchemaError(f"{path}: log floor is not {LOG_FLOOR}")
+    if (std < 0).any():
         raise SchemaError(f"{path}: negative scaler standard deviation")
 
-    scalars = dict(zip(_SCALARS, arrays["scalars"]))
+    scalars = dict(zip(_SCALARS, scalars))
     if scalars["C"] <= 0 or scalars["gamma"] <= 0:
         raise SchemaError(f"{path}: C and gamma must be positive")
     try:
@@ -176,7 +159,7 @@ def load_model(path) -> RuleModel:
             bias=float(scalars["bias"]),
             C=float(scalars["C"]),
             gamma=float(scalars["gamma"]),
-            scaler=Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"]),
+            scaler=Scaler(mean=mean, std=std),
         )
         return RuleModel(
             rule_id=header["rule_id"],

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,16 @@ class TestDetect:
                     "--model", trained_model_path])
         assert code == 6
 
+    @pytest.mark.parametrize("truth", ["nan", "inf", "-1"])
+    def test_truth_must_be_a_finite_time(self, trained_model_path, tmp_path, capsys, truth):
+        timeline = tmp_path / "timeline.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["detect", "--audio", "x.wav", "--rule", "edgham_meem",
+                 "--model", trained_model_path, "--out", str(timeline), f"--truth={truth}"])
+        assert exc.value.code == 2
+        assert "is not a finite time >= 0" in capsys.readouterr().err
+        assert not timeline.exists()
+
 
 class TestGridsearch:
     def test_singleton_grid_echoes(self, manifest, capsys):
@@ -400,6 +411,26 @@ class TestEvaluate:
         rows = open(out_csv).read().splitlines()
         assert rows[0] == "rule_id,tp,fp,tn,fn,accuracy"
         assert rows[1].startswith("edgham_meem,")
+
+    @pytest.mark.parametrize("resplit", [
+        lambda e: "unassigned",
+        lambda e: "train" if e.rule_id == "edgham_meem" else e.split,
+    ], ids=["unsplit_manifest", "no_test_rows_for_the_rule"])
+    def test_rule_without_test_exemplars_is_dataset_error(self, small_corpus,
+                                                          trained_model_path, tmp_path,
+                                                          capsys, resplit):
+        root, entries = small_corpus
+        manifest = str(tmp_path / dataset.MANIFEST_NAME)
+        dataset.save_manifest([replace(e, path=os.path.join(root, e.path), split=resplit(e))
+                               for e in entries], manifest)
+        out_csv = tmp_path / "conf.csv"
+        code = run(["evaluate", "--manifest", manifest, "--model", trained_model_path,
+                    "--out", str(out_csv)])
+        assert code == 7
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no test-split exemplars for edgham_meem" in err
+        assert not out_csv.exists()
 
 
 class TestSynthAndSplit:

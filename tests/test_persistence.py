@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tajweed import features, persistence, svm
+from tajweed import cli, features, persistence, svm
 from tajweed.errors import IoError, SchemaError, TajweedError, VersionMismatch
 
 JSON_VALUES = st.recursive(
@@ -18,20 +18,32 @@ JSON_VALUES = st.recursive(
 )
 
 
-def test_round_trip_decision_values_bit_exact(small_model, tmp_path):
+@pytest.fixture(scope="module", params=features.AGGREGATIONS)
+def any_model(request, small_corpus, small_model):
+    """The small rule model under each aggregation; flatten's 27,860-dim
+    support vectors make most of its body."""
+    if request.param == small_model.feature_config.aggregation:
+        return small_model
+    root, entries = small_corpus
+    model, _ = cli.train_rule_model(entries, root, "edgham_meem", 1.0, 0.1, seed=5,
+                                    config=features.FeatureConfig(request.param))
+    return model
+
+
+def test_round_trip_decision_values_bit_exact(any_model, tmp_path):
     path = str(tmp_path / "m.model")
-    persistence.save_model(small_model, path)
+    persistence.save_model(any_model, path)
     loaded = persistence.load_model(path)
     rng = np.random.default_rng(17)
-    X = rng.uniform(-30, 5, (100, 140))
-    before = svm.decision_values(small_model.svm, X)
+    X = rng.uniform(-30, 5, (100, any_model.feature_config.dim))
+    before = svm.decision_values(any_model.svm, X)
     after = svm.decision_values(loaded.svm, X)
     assert (before == after).all()
-    assert loaded.tau_right == small_model.tau_right
-    assert loaded.tau_wrong == small_model.tau_wrong
-    assert loaded.calibration == small_model.calibration
-    assert loaded.rule_id == small_model.rule_id
-    assert loaded.feature_config == small_model.feature_config
+    assert loaded.tau_right == any_model.tau_right
+    assert loaded.tau_wrong == any_model.tau_wrong
+    assert loaded.calibration == any_model.calibration
+    assert loaded.rule_id == any_model.rule_id
+    assert loaded.feature_config == any_model.feature_config
 
 
 def test_repeated_saves_byte_identical(small_model, tmp_path):
@@ -41,9 +53,9 @@ def test_repeated_saves_byte_identical(small_model, tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_save_load_save_stable(small_model, tmp_path):
+def test_save_load_save_stable(any_model, tmp_path):
     p1, p2 = str(tmp_path / "a.model"), str(tmp_path / "b.model")
-    persistence.save_model(small_model, p1)
+    persistence.save_model(any_model, p1)
     persistence.save_model(persistence.load_model(p1), p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -120,19 +132,30 @@ def test_failed_save_leaves_no_temp_file(small_model, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model"]
 
 
-def _patch_array(blob, name, mutate):
-    """Apply `mutate` in place to one float64 array of a saved model."""
+def _relaid(blob, edit):
+    """A saved model whose list of (array spec, array bytes) went through edit."""
     hlen = struct.unpack_from("<I", blob, 8)[0]
     header, offset = json.loads(blob[12:12 + hlen]), 12 + hlen
-    out = bytearray(blob)
+    parts = []
     for spec in header["arrays"]:
-        count = int(np.prod(spec["shape"]))
+        end = offset + 8 * int(np.prod(spec["shape"]))
+        parts.append((spec, blob[offset:end]))
+        offset = end
+    parts = edit(parts)
+    header["arrays"] = [spec for spec, _ in parts]
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + struct.pack("<I", len(new)) + new + b"".join(b for _, b in parts)
+
+
+def _patch_array(blob, name, mutate):
+    """Apply `mutate` in place to one float64 array of a saved model."""
+    def edit(spec, data):
+        values = np.frombuffer(data, "<f8").copy()
         if spec["name"] == name:
-            values = np.frombuffer(blob, "<f8", count, offset).copy()
             mutate(values)
-            out[offset:offset + 8 * count] = values.tobytes()
-        offset += 8 * count
-    return bytes(out)
+        return spec, values.tobytes()
+
+    return _relaid(blob, lambda parts: [edit(*part) for part in parts])
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +212,34 @@ def test_unusable_feature_config_is_schema_error(small_model, model_path, tmp_pa
     bad.write_bytes(blob)
     with pytest.raises(SchemaError):
         persistence.load_model(str(bad))
+
+
+def _reshaped(name, shape):
+    return lambda parts: [({**spec, "shape": shape} if spec["name"] == name else spec, data)
+                          for spec, data in parts]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda parts: parts[::-1],
+    lambda parts: parts + [({"name": "junk", "shape": [1]}, struct.pack("<d", 1.0))],
+    _reshaped("scalars", [7.0]),
+    _reshaped("log_floor", [True]),
+    lambda parts: parts[:-1] + [(parts[-1][0], parts[-1][1][:-8])],
+], ids=["reversed", "extra_array", "float_shape", "bool_shape", "double_short"])
+def test_layout_other_than_train_writes_is_schema_error(model_blob, tmp_path, edit):
+    """Only the six arrays train writes, in its order, with its int shapes,
+    over exactly their bytes, load."""
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_relaid(model_blob, edit))
+    with pytest.raises(SchemaError):
+        persistence.load_model(str(bad))
+
+
+def test_relaid_identity_loads(model_blob, tmp_path):
+    path = tmp_path / "same.model"
+    path.write_bytes(_relaid(model_blob, lambda parts: parts))
+    assert path.read_bytes() == model_blob
+    persistence.load_model(str(path))
 
 
 def test_stale_fingerprint_is_schema_error(model_path, tmp_path):
