@@ -52,19 +52,6 @@ def _entry_rows(entries):
     )
 
 
-def _train_exemplars(entries, root, rule_id, config):
-    """A rule's train-split exemplars: (entries, feature rows, labels)."""
-    chosen = [e for e in entries
-              if e.rule_id == rule_id and e.split == "train"
-              and e.polarity in dataset.POLARITIES and e.onset_s is None]
-    if not chosen:
-        raise MissingStratum(f"manifest has no train-split exemplars for {rule_id}")
-    X = detection.exemplar_features([dataset.resolve_path(root, e.path) for e in chosen],
-                                    config)
-    y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
-    return chosen, X, y
-
-
 def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
                      config: features.FeatureConfig | None = None):
     """Full training pipeline for one rule: features -> scaler -> SMO ->
@@ -72,7 +59,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     train-split rule-free windows. Returns (RuleModel, summary dict).
     """
     config = config or features.FeatureConfig()
-    train_entries, X, y = _train_exemplars(entries, audio_root, rule_id, config)
+    train_entries, X, y = detection.exemplars(entries, audio_root, rule_id, "train", config)
     for polarity in dataset.POLARITIES:
         if not any(e.polarity == polarity for e in train_entries):
             raise MissingStratum(f"no train-split {polarity} exemplars for {rule_id}")
@@ -186,8 +173,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     entries = dataset.load_manifest(args.manifest)
-    _, X, y = _train_exemplars(entries, _manifest_root(args.manifest), args.rule,
-                               features.FeatureConfig(aggregation=args.agg))
+    _, X, y = detection.exemplars(entries, _manifest_root(args.manifest), args.rule, "train",
+                                  features.FeatureConfig(aggregation=args.agg))
     scaler = features.fit_scaler(X)
     problem = svm.TrainingProblem(scaler.apply(X), y)
     result = svm.grid_search(
@@ -207,14 +194,7 @@ def _cmd_gridsearch(args) -> int:
 def _cmd_evaluate(args) -> int:
     entries = dataset.load_manifest(args.manifest)
     rules = [persistence.load_model(p) for p in args.model]
-    known = {r.rule_id for r in rules}
-    test_entries = [e for e in entries
-                    if e.split == "test" and e.polarity in dataset.POLARITIES
-                    and e.onset_s is None and e.rule_id in known]
-    missing = sorted(known - {e.rule_id for e in test_entries})
-    if missing:
-        raise MissingStratum(f"manifest has no test-split exemplars for {', '.join(missing)}")
-    result = detection.evaluate(rules, test_entries, _manifest_root(args.manifest))
+    result = detection.evaluate(rules, entries, _manifest_root(args.manifest))
     print(detection.format_confusion_tables(result))
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio, dataset, features, svm
-from .errors import EmptyNegatives, MissingModel
+from .errors import EmptyNegatives, MissingStratum
 
 THRESHOLD_MARGIN = 0.01
 THRESHOLD_FLOOR = 0.5
@@ -67,6 +67,20 @@ def exemplar_features(paths, config: features.FeatureConfig) -> np.ndarray:
     clips = (audio.normalize_duration(audio.load_clip(path, features.SAMPLE_RATE_HZ))
              for path in paths)
     return np.vstack([features.extract_features(clip, config) for clip in clips])
+
+
+def exemplars(entries, audio_root, rule_id, split, config: features.FeatureConfig):
+    """A rule's labeled 4 s exemplars of one split: (entries, feature rows,
+    labels), label +1 for Right and -1 for Wrong. Raises MissingStratum when
+    the manifest holds none."""
+    chosen = [e for e in entries
+              if e.rule_id == rule_id and e.split == split
+              and e.polarity in dataset.POLARITIES and e.onset_s is None]
+    if not chosen:
+        raise MissingStratum(f"manifest has no {split}-split exemplars for {rule_id}")
+    X = exemplar_features([dataset.resolve_path(audio_root, e.path) for e in chosen], config)
+    y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
+    return chosen, X, y
 
 
 def p_right(rule: RuleModel, X) -> np.ndarray:
@@ -157,34 +171,26 @@ class EvaluationResult:
 
 
 def evaluate(rules, entries, audio_root) -> EvaluationResult:
-    """Clip-level confusion per rule over labeled manifest entries.
+    """Clip-level confusion per rule over its test-split exemplars.
 
+    Each rule selects its own test-split exemplars from the manifest entries
+    through exemplars, which raises MissingStratum for a rule with none.
     Right-labeled clips are the positives; Wrong-labeled clips the
-    negatives. Each rule's clips are read by exemplar_features and scored in
-    one call; a clip is classified Right when p_right >= 0.5 (the model's raw
-    vote, ungated).
+    negatives. Each rule's clips are scored in one call; a clip is
+    classified Right when p_right >= 0.5 (the model's raw vote, ungated).
     """
-    by_rule = {r.rule_id: r for r in rules}
-    labeled = [e for e in entries if e.polarity in ("Right", "Wrong")]
-    for entry in labeled:
-        if entry.rule_id not in by_rule:
-            raise MissingModel(f"no model for rule {entry.rule_id}")
     tables = []
-    for rid, rule in sorted(by_rule.items()):
-        mine = [e for e in labeled if e.rule_id == rid]
-        if not mine:
-            continue
-        X = exemplar_features([dataset.resolve_path(audio_root, e.path) for e in mine],
-                              rule.feature_config)
+    for rid, rule in sorted({r.rule_id: r for r in rules}.items()):
+        _, X, y = exemplars(entries, audio_root, rid, "test", rule.feature_config)
         voted = p_right(rule, X) >= 0.5
-        right = np.array([e.polarity == "Right" for e in mine])
+        right = y > 0
         tables.append(ConfusionTable(rid, tp=int(np.sum(voted & right)),
                                      fp=int(np.sum(voted & ~right)),
                                      tn=int(np.sum(~voted & ~right)),
                                      fn=int(np.sum(~voted & right))))
     total = sum(t.tp + t.fp + t.tn + t.fn for t in tables)
     correct = sum(t.tp + t.tn for t in tables)
-    return EvaluationResult(tables=tuple(tables), accuracy=correct / total if total else 0.0)
+    return EvaluationResult(tables=tuple(tables), accuracy=correct / total)
 
 
 def format_confusion_tables(result: EvaluationResult) -> str:

@@ -81,10 +81,6 @@ class EmptyNegatives(DetectionError):
     pass
 
 
-class MissingModel(DetectionError):
-    pass
-
-
 # --- dataset -------------------------------------------------------------
 
 class DatasetError(TajweedError):

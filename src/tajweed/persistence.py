@@ -4,7 +4,7 @@ Layout:  magic "TJWDMODL" | u32 header length | canonical JSON header |
 float64 little-endian array blobs. The header's `arrays` lists the six blobs
 train writes, in file order: scalars [7], log_floor [1], scaler_mean [dim],
 scaler_std [dim], support_vectors [n_support, dim] and dual_coefs
-[n_support]; `load_model` accepts only that layout.
+[n_support]; `load_model` accepts only that layout, with n_support >= 1.
 
 All real numbers live in the binary section (scalars is a 7-double blob),
 so a load/save round-trip reproduces decision values bit-for-bit. The JSON
@@ -130,8 +130,8 @@ def load_model(path) -> RuleModel:
     n_support, dim = header["n_support"], header["dim"]
     if dim != config.dim:
         raise SchemaError(f"{path}: dim {dim} is not the {config.dim} of its config")
-    if n_support < 0:
-        raise SchemaError(f"{path}: negative n_support {n_support}")
+    if n_support < 1:
+        raise SchemaError(f"{path}: n_support {n_support} < 1, which train never writes")
     layout = _layout(n_support, dim)
     if json.dumps(header["arrays"], sort_keys=True) != json.dumps(layout, sort_keys=True):
         raise SchemaError(f"{path}: arrays are not the layout train writes")

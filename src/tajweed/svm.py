@@ -115,9 +115,8 @@ def train(
     X = problem.X
     l = problem.l
     K = rbf_gram(X, X, gamma)
-    Q = (y[:, None] * y[None, :]) * K
     alpha = np.zeros(l)
-    grad = -np.ones(l)              # gradient of 1/2 a'Qa - sum(a)
+    grad = -np.ones(l)              # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
 
     def select_pair():
         vals = -y * grad
@@ -147,7 +146,7 @@ def train(
         # snap to the box so bound membership tests stay exact
         alpha[i] = min(max(alpha[i], 0.0), C)
         alpha[j] = min(max(alpha[j], 0.0), C)
-        grad += t * (y[i] * Q[:, i] - y[j] * Q[:, j])
+        grad += t * y * (K[:, i] - K[:, j])
     else:
         _, _, gap = select_pair()
         converged = gap <= tol

@@ -50,9 +50,7 @@ def pipeline(tmp_path_factory):
         models[rule_id], summaries[rule_id] = cli.train_rule_model(
             entries, out, rule_id, C=1.0, gamma=0.1, seed=ACCEPTANCE_SEED
         )
-    exemplar_test = [e for e in entries if e.split == "test" and e.onset_s is None
-                     and e.polarity in dataset.POLARITIES]
-    evaluation = detection.evaluate(list(models.values()), exemplar_test, out)
+    evaluation = detection.evaluate(list(models.values()), entries, out)
     elapsed = time.time() - t0
     return SimpleNamespace(out=out, recipe=recipe, entries=entries, models=models,
                            summaries=summaries, evaluation=evaluation, elapsed=elapsed)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from tajweed import audio, dataset, detection, features, svm
-from tajweed.errors import EmptyNegatives, MissingModel
+from tajweed.errors import EmptyNegatives, MissingStratum
 
 
 def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
@@ -355,10 +355,21 @@ class TestEvaluate:
         assert result.tables[0].accuracy >= 0.8
 
     def test_missing_model(self, small_corpus, small_model):
+        # the model's rule has no test-split exemplar among these entries
         root, entries = small_corpus
         bad = [replace(entries[0], rule_id="tafkheem_lam", polarity="Right")]
-        with pytest.raises(MissingModel):
+        with pytest.raises(MissingStratum):
             detection.evaluate([small_model], bad, root)
+
+    def test_selects_each_rules_test_exemplars_itself(self, small_corpus, small_model):
+        # the whole manifest also holds train rows, verses, rule-free clips
+        # and the other rule's rows
+        root, entries = small_corpus
+        test = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "test"
+                and e.polarity and e.onset_s is None]
+        assert len(test) < len(entries)
+        assert detection.evaluate([small_model], entries, root) == \
+            detection.evaluate([small_model], test, root)
 
     def test_table_format_matches_published_layout(self, small_corpus, small_model):
         root, entries = small_corpus

@@ -143,6 +143,9 @@ def _relaid(blob, edit):
         offset = end
     parts = edit(parts)
     header["arrays"] = [spec for spec, _ in parts]
+    # n_support follows the support_vectors rows, as save_model writes it
+    header["n_support"] = next(spec["shape"][0] for spec, _ in parts
+                               if spec["name"] == "support_vectors")
     new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return blob[:8] + struct.pack("<I", len(new)) + new + b"".join(b for _, b in parts)
 
@@ -225,10 +228,13 @@ def _reshaped(name, shape):
     _reshaped("scalars", [7.0]),
     _reshaped("log_floor", [True]),
     lambda parts: parts[:-1] + [(parts[-1][0], parts[-1][1][:-8])],
-], ids=["reversed", "extra_array", "float_shape", "bool_shape", "double_short"])
+    lambda parts: parts[:4] + [({**spec, "shape": [0, *spec["shape"][1:]]}, b"")
+                               for spec, _ in parts[4:]],
+], ids=["reversed", "extra_array", "float_shape", "bool_shape", "double_short",
+        "no_support_vectors"])
 def test_layout_other_than_train_writes_is_schema_error(model_blob, tmp_path, edit):
     """Only the six arrays train writes, in its order, with its int shapes,
-    over exactly their bytes, load."""
+    over exactly their bytes and with at least one support vector, load."""
     bad = tmp_path / "bad.model"
     bad.write_bytes(_relaid(model_blob, edit))
     with pytest.raises(SchemaError):
