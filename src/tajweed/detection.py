@@ -160,8 +160,7 @@ class ConfusionTable:
 
     @property
     def accuracy(self) -> float:
-        total = self.tp + self.fp + self.tn + self.fn
-        return (self.tp + self.tn) / total if total else 0.0
+        return (self.tp + self.tn) / (self.tp + self.fp + self.tn + self.fn)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Versioned single-file serialization of rule models.
 
 Layout:  magic "TJWDMODL" | u32 header length | canonical JSON header |
-float64 little-endian array blobs. The header's `arrays` lists the six blobs
-train writes, in file order: scalars [7], log_floor [1], scaler_mean [dim],
-scaler_std [dim], support_vectors [n_support, dim] and dual_coefs
-[n_support]; `load_model` accepts only that layout, with n_support >= 1.
+float64 little-endian array blobs, in the order of the header's `arrays`.
+`load_model` accepts a header only if it equals, as JSON (types and extra
+keys count, key order and whitespace do not), the one `save_model` writes
+for the file's rule_id, dataset_hash, train_seed, n_support (>= 1) and
+aggregation. It then checks the body's size, finiteness and log floor,
+scaler std >= 0, C and gamma > 0, and the thresholds `RuleModel` accepts.
 
 All real numbers live in the binary section (scalars is a 7-double blob),
 so a load/save round-trip reproduces decision values bit-for-bit. The JSON
@@ -32,40 +34,39 @@ MAGIC = b"TJWDMODL"
 FORMAT_VERSION = 1
 
 _SCALARS = ("bias", "C", "gamma", "A", "B", "tau_right", "tau_wrong")
-_HEADER_TYPES = {"rule_id": str, "feature_config": dict, "config_fingerprint": str,
-                 "dataset_hash": str, "train_seed": int, "n_support": int, "dim": int,
-                 "arrays": list}
 
 
-def _layout(n_support: int, dim: int) -> list:
-    """The header's `arrays`: each blob train writes, in file order."""
+def _header(rule_id, config: FeatureConfig, dataset_hash, train_seed, n_support) -> dict:
+    """The header train writes; `arrays` lists each blob in file order."""
+    dim = config.dim
     shapes = (("scalars", [len(_SCALARS)]), ("log_floor", [1]), ("scaler_mean", [dim]),
               ("scaler_std", [dim]), ("support_vectors", [n_support, dim]),
               ("dual_coefs", [n_support]))
-    return [{"name": name, "shape": shape} for name, shape in shapes]
+    return {"format_version": FORMAT_VERSION, "rule_id": rule_id,
+            "feature_config": config.header(), "config_fingerprint": config.fingerprint(),
+            "dataset_hash": dataset_hash, "train_seed": train_seed, "n_support": n_support,
+            "dim": dim, "arrays": [{"name": name, "shape": shape} for name, shape in shapes]}
+
+
+def _differing(stored: dict, expected: dict) -> list:
+    """The keys, sorted, that one header lacks or whose JSON values differ."""
+    stored, expected = ({key: json.dumps(value, sort_keys=True) for key, value in h.items()}
+                        for h in (stored, expected))
+    return sorted(key for key in stored.keys() | expected.keys()
+                  if stored.get(key) != expected.get(key))
 
 
 def save_model(rule_model: RuleModel, path) -> None:
     """Atomically write a rule model: a unique temp file in the target
     directory, fsynced, then renamed over the target."""
     m = rule_model.svm
-    n_support, dim = m.support_vectors.shape
     arrays = (
         [m.bias, m.C, m.gamma, *rule_model.calibration, rule_model.tau_right,
          rule_model.tau_wrong],
         [LOG_FLOOR], m.scaler.mean, m.scaler.std, m.support_vectors, m.dual_coefs,
     )
-    header = {
-        "format_version": FORMAT_VERSION,
-        "rule_id": rule_model.rule_id,
-        "feature_config": rule_model.feature_config.header(),
-        "config_fingerprint": rule_model.feature_config.fingerprint(),
-        "dataset_hash": rule_model.dataset_hash,
-        "train_seed": rule_model.train_seed,
-        "n_support": n_support,
-        "dim": dim,
-        "arrays": _layout(n_support, dim),
-    }
+    header = _header(rule_model.rule_id, rule_model.feature_config, rule_model.dataset_hash,
+                     rule_model.train_seed, len(m.support_vectors))
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
 
     blob = bytearray()
@@ -93,10 +94,11 @@ def save_model(rule_model: RuleModel, path) -> None:
 
 def load_model(path) -> RuleModel:
     """Read a model file; raises VersionMismatch for unreadable versions and
-    SchemaError for malformed headers, non-finite or out-of-range values, or
-    a feature config, log floor, fingerprint, dimension or array layout other
-    than those train writes.
-    """
+    SchemaError unless the header equals, as JSON, the one `save_model`
+    writes for the file's rule_id, dataset_hash, train_seed, n_support (>= 1)
+    and aggregation, and the body has the size its arrays need, finite
+    values, log floor LOG_FLOOR, scaler std >= 0, C and gamma > 0, and
+    thresholds RuleModel accepts."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -118,24 +120,22 @@ def load_model(path) -> RuleModel:
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(version, FORMAT_VERSION)
-    for key, kind in _HEADER_TYPES.items():
+    for key, kind in (("rule_id", str), ("dataset_hash", str), ("train_seed", int),
+                      ("n_support", int)):
         if type(header.get(key)) is not kind:
             raise SchemaError(f"{path}: header field {key} missing or not {kind.__name__}")
+    if header["n_support"] < 1:
+        raise SchemaError(f"{path}: n_support {header['n_support']} < 1, which train never writes")
     # compared as JSON, so true is not 1 and 4000 is not 4000.0
-    stored = json.dumps(header["feature_config"], sort_keys=True)
-    config = next((c for c in map(FeatureConfig, AGGREGATIONS)
-                   if json.dumps(c.header(), sort_keys=True) == stored), None)
-    if config is None or config.fingerprint() != header["config_fingerprint"]:
-        raise SchemaError(f"{path}: feature config or its fingerprint is not one train writes")
-    n_support, dim = header["n_support"], header["dim"]
-    if dim != config.dim:
-        raise SchemaError(f"{path}: dim {dim} is not the {config.dim} of its config")
-    if n_support < 1:
-        raise SchemaError(f"{path}: n_support {n_support} < 1, which train never writes")
-    layout = _layout(n_support, dim)
-    if json.dumps(header["arrays"], sort_keys=True) != json.dumps(layout, sort_keys=True):
-        raise SchemaError(f"{path}: arrays are not the layout train writes")
-    sizes = [math.prod(spec["shape"]) for spec in layout]
+    stored = json.dumps(header, sort_keys=True)
+    candidates = {c: _header(header["rule_id"], c, header["dataset_hash"], header["train_seed"],
+                             header["n_support"]) for c in map(FeatureConfig, AGGREGATIONS)}
+    config = next((c for c, e in candidates.items() if json.dumps(e, sort_keys=True) == stored),
+                  None)
+    if config is None:
+        wrong = min((_differing(header, e) for e in candidates.values()), key=len)
+        raise SchemaError(f"{path}: header field {wrong[0]} differs from the one train writes")
+    sizes = [math.prod(spec["shape"]) for spec in header["arrays"]]
     if len(data) - body_start != 8 * sum(sizes):
         raise SchemaError(f"{path}: body is not the {8 * sum(sizes)} bytes its arrays need")
     body = np.frombuffer(data, "<f8", offset=body_start).astype(np.float64)
@@ -143,7 +143,7 @@ def load_model(path) -> RuleModel:
         raise SchemaError(f"{path}: arrays hold non-finite values")
     scalars, log_floor, mean, std, sv, dc = (
         body[end - size:end].reshape(spec["shape"])
-        for spec, size, end in zip(layout, sizes, itertools.accumulate(sizes)))
+        for spec, size, end in zip(header["arrays"], sizes, itertools.accumulate(sizes)))
     if log_floor.tolist() != [LOG_FLOOR]:
         raise SchemaError(f"{path}: log floor is not {LOG_FLOOR}")
     if (std < 0).any():

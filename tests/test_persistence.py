@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -280,6 +280,57 @@ def test_mutated_header_raises_only_tajweed_errors(model_path, tmp_path_factory,
 
     blob = _patch_header(model_path, mutate)
     _load_or_tajweed_error(tmp_path_factory.getbasetemp() / "fuzz.model", blob)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_header_loads_only_as_train_writes_it(model_path, tmp_path_factory, data):
+    """An added key, or any change to the JSON of a field train derives from
+    the free ones, is refused, even where Python calls the values equal."""
+    def mutate(header):
+        before = json.dumps(header, sort_keys=True)
+        if data.draw(st.booleans(), label="add a key"):
+            header[data.draw(st.text(max_size=8).filter(lambda k: k not in header))] = \
+                data.draw(JSON_VALUES)
+            return
+        target, slot = header, data.draw(st.sampled_from(
+            ["format_version", "feature_config", "config_fingerprint", "dim", "arrays"]))
+        while isinstance(target[slot], (dict, list)) and target[slot] and data.draw(st.booleans()):
+            target = target[slot]
+            slot = data.draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                             else range(len(target))))
+        # every int made a float: 1 == 1.0 in Python, not in JSON
+        twin = json.loads(json.dumps(target[slot]), parse_int=float)
+        target[slot] = data.draw(JSON_VALUES | st.just(twin))
+        assume(json.dumps(header, sort_keys=True) != before)
+
+    path = tmp_path_factory.getbasetemp() / "fuzz.model"
+    path.write_bytes(_patch_header(model_path, mutate))
+    with pytest.raises((SchemaError, VersionMismatch)):
+        persistence.load_model(str(path))
+
+
+@pytest.mark.parametrize("change", [{"note": "x"}, {"format_version": True},
+                                    {"format_version": 1.0}, {"config_fingerprint": "0" * 64}],
+                         ids=["extra_key", "version_true", "version_float", "stale_fingerprint"])
+def test_header_train_never_writes_names_its_key(any_model, tmp_path, change):
+    path = str(tmp_path / "m.model")
+    persistence.save_model(any_model, path)
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_patch_header(path, lambda h: h.update(change)))
+    with pytest.raises(SchemaError, match=f"header field {next(iter(change))} "):
+        persistence.load_model(str(bad))
+
+
+def test_header_in_other_whitespace_and_key_order_loads(small_model, model_blob, tmp_path):
+    hlen = struct.unpack_from("<I", model_blob, 8)[0]
+    header = json.loads(model_blob[12:12 + hlen])
+    header = dict(reversed(header.items()))
+    header["feature_config"] = dict(reversed(header["feature_config"].items()))
+    text = json.dumps(header, indent=2).encode()
+    path = tmp_path / "pretty.model"
+    path.write_bytes(model_blob[:8] + struct.pack("<I", len(text)) + text + model_blob[12 + hlen:])
+    assert persistence.load_model(str(path)).feature_config == small_model.feature_config
 
 
 @given(flips=st.lists(st.tuples(st.integers(0, 2**31), st.integers(1, 255)),
