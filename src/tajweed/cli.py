@@ -74,9 +74,9 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
         hold[idx[:n_hold]] = True
 
     scaler = features.fit_scaler(X[~hold])
-    problem = svm.TrainingProblem(scaler.apply(X[~hold]), y[~hold])
-    model = svm.train(problem, C, gamma, scaler=scaler)
-    holdout_f = svm.decision_values(model, X[hold])
+    Xs = scaler.apply(X)
+    model = svm.train(svm.TrainingProblem(Xs[~hold], y[~hold]), C, gamma)
+    holdout_f = svm.decision_values(model, Xs[hold])
     holdout_acc = float(np.mean(np.sign(holdout_f) == y[hold]))
     calibration = svm.platt_fit(holdout_f, y[hold])
 
@@ -95,6 +95,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
         tau_right=0.5,
         tau_wrong=0.5,
         feature_config=config,
+        scaler=scaler,
         dataset_hash=dataset_hash,
         train_seed=seed,
     )
@@ -102,9 +103,9 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     rule_model = replace(rule_model, tau_right=thresholds.tau_right,
                          tau_wrong=thresholds.tau_wrong)
     # share of holdout Right clips that a detect with these taus would gate in;
-    # their rows of X are their window features
-    coverage = float(np.mean([bool(detection.gated(rule_model, p))
-                              for p in detection.p_right(rule_model, X[hold & (y > 0)])]))
+    # each clip is one window, so its holdout score is its window's score
+    coverage = float(np.mean([bool(detection.gated(rule_model, p)) for p in
+                              svm.calibrated_probability(holdout_f[y[hold] > 0], calibration)]))
     summary = {
         "rule_id": rule_id,
         "n_train": int((~hold).sum()),
@@ -245,8 +246,9 @@ def _cmd_review(args) -> int:
                 payload = json.load(fh)
             except ValueError as exc:
                 raise ParseError(f"{args.verdict}: unreadable verdict JSON: {exc}") from exc
-        if not (isinstance(payload, dict) and {"audio_path", "rule_id"} <= payload.keys()):
-            raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id")
+        if not (isinstance(payload, dict) and all(
+                type(payload.get(k)) is str and payload[k] for k in ("audio_path", "rule_id"))):
+            raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id strings")
         record = dataset.ReviewRecord(
             record_id=None,
             audio_path=payload["audio_path"],

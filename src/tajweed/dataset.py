@@ -369,6 +369,8 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
             event = json.loads(line)
             rid = int(event["record_id"])
             if event["kind"] == "record":
+                if type(event["audio_path"]) is not str or type(event["rule_id"]) is not str:
+                    raise TypeError(f"record {rid}: audio_path and rule_id must be strings")
                 if rid not in records:
                     records[rid] = ReviewRecord(
                         record_id=rid,

@@ -2,12 +2,12 @@
 
 features.extract_features turns a recording into one feature row per
 audio.WINDOW_S window every audio.STRIDE_S (a 4 s training exemplar is one
-such window); each row is scored by the rule's SVM and calibrated to p_right
-in [0, 1]. A window is a Right candidate when p_right clears tau_right and a
-Wrong candidate when (1 - p_right) clears tau_wrong. The verdict is the
-candidate with the highest gated score, earliest offset on ties; no surviving
-candidate means no verdict. Thresholds are calibrated so that rule-free
-material produces zero verdicts by construction.
+such window); each row is standardized by the rule's scaler, scored by its SVM
+and calibrated to p_right in [0, 1]. A window is a Right candidate when p_right
+clears tau_right and a Wrong candidate when (1 - p_right) clears tau_wrong. The
+verdict is the candidate with the highest gated score, earliest offset on
+ties; no surviving candidate means no verdict. Thresholds are calibrated so
+that rule-free material produces zero verdicts by construction.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ THRESHOLD_CEIL = 0.99
 
 @dataclass(frozen=True)
 class RuleModel:
-    """Everything needed to score one rule: SVM, calibration, thresholds and
-    the feature config its rows are extracted with."""
+    """Everything needed to score one rule: the feature config and scaler of
+    its rows, the SVM on the standardized rows, calibration and thresholds."""
 
     rule_id: str
     svm: svm.SvmModel
@@ -35,6 +35,7 @@ class RuleModel:
     tau_right: float
     tau_wrong: float
     feature_config: features.FeatureConfig
+    scaler: features.Scaler
     dataset_hash: str = ""
     train_seed: int = 0
 
@@ -84,8 +85,9 @@ def exemplars(entries, audio_root, rule_id, split, config: features.FeatureConfi
 
 
 def p_right(rule: RuleModel, X) -> np.ndarray:
-    """Calibrated p_right for each row of X, in one scoring call."""
-    return svm.calibrated_probability(svm.decision_values(rule.svm, X), rule.calibration)
+    """Calibrated p_right for each feature row of X, standardized and scored in one call."""
+    f = svm.decision_values(rule.svm, rule.scaler.apply(X))
+    return svm.calibrated_probability(f, rule.calibration)
 
 
 def window_scores(rule: RuleModel, recording: audio.AudioClip):

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import STRIDE_S, WINDOW_S, AudioClip, normalize_duration
-from .errors import TooFewVectors, WrongRate
+from .errors import DimensionMismatch, TooFewVectors, WrongRate
 
 SAMPLE_RATE_HZ = 8000
 FRAME_MS = 25
@@ -96,7 +96,11 @@ class Scaler:
     STD_FLOOR = 1e-8
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(v, dtype=np.float64) - self.mean) / np.maximum(self.std, self.STD_FLOOR)
+        """Standardize rows; other widths are refused before broadcasting."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape[-1] != len(self.mean):
+            raise DimensionMismatch(f"input dim {v.shape[-1]} != scaler dim {len(self.mean)}")
+        return (v - self.mean) / np.maximum(self.std, self.STD_FLOOR)
 
 
 def hz_to_mel(f):

@@ -1,7 +1,8 @@
 """Versioned single-file serialization of rule models.
 
 Layout:  magic "TJWDMODL" | u32 header length | canonical JSON header |
-float64 little-endian array blobs, in the order of the header's `arrays`.
+float64 little-endian array blobs, in the order of the header's `arrays`
+(scaler_mean and scaler_std are `RuleModel.scaler`, as in every version-1 file).
 `load_model` accepts a header only if it equals, as JSON (types and extra
 keys count, key order and whitespace do not), the one `save_model` writes
 for the file's rule_id, dataset_hash, train_seed, n_support (>= 1) and
@@ -59,11 +60,11 @@ def _differing(stored: dict, expected: dict) -> list:
 def save_model(rule_model: RuleModel, path) -> None:
     """Atomically write a rule model: a unique temp file in the target
     directory, fsynced, then renamed over the target."""
-    m = rule_model.svm
+    m, scaler = rule_model.svm, rule_model.scaler
     arrays = (
         [m.bias, m.C, m.gamma, *rule_model.calibration, rule_model.tau_right,
          rule_model.tau_wrong],
-        [LOG_FLOOR], m.scaler.mean, m.scaler.std, m.support_vectors, m.dual_coefs,
+        [LOG_FLOOR], scaler.mean, scaler.std, m.support_vectors, m.dual_coefs,
     )
     header = _header(rule_model.rule_id, rule_model.feature_config, rule_model.dataset_hash,
                      rule_model.train_seed, len(m.support_vectors))
@@ -159,7 +160,6 @@ def load_model(path) -> RuleModel:
             bias=float(scalars["bias"]),
             C=float(scalars["C"]),
             gamma=float(scalars["gamma"]),
-            scaler=Scaler(mean=mean, std=std),
         )
         return RuleModel(
             rule_id=header["rule_id"],
@@ -168,6 +168,7 @@ def load_model(path) -> RuleModel:
             tau_right=float(scalars["tau_right"]),
             tau_wrong=float(scalars["tau_wrong"]),
             feature_config=config,
+            scaler=Scaler(mean=mean, std=std),
             dataset_hash=header["dataset_hash"],
             train_seed=header["train_seed"],
         )

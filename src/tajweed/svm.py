@@ -10,7 +10,8 @@ violating pair) working-set selection. Ties in the selection are broken
 by lowest index, which makes training fully deterministic.
 
 Also provides Platt-style sigmoid calibration of decision values and a
-stratified-CV grid search over (C, gamma).
+stratified-CV grid search over (C, gamma). `train` and `decision_values`
+both take standardized rows; standardizing is the caller's job.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
-from .features import Scaler
 
 # grid_search's default (C, gamma) grid and fold count
 C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -59,14 +59,13 @@ class TrainingProblem:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Kernel expansion over support vectors plus the feature scaler."""
+    """Kernel expansion over support vectors (standardized rows)."""
 
     support_vectors: np.ndarray
     dual_coefs: np.ndarray          # alpha_i * y_i, one per support vector
     bias: float
     C: float
     gamma: float
-    scaler: Scaler
 
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float,
@@ -95,44 +94,36 @@ def train(
     gamma: float,
     tol: float = 1e-3,
     max_passes: int = 10_000,
-    scaler: Scaler | None = None,
 ) -> SvmModel:
     """Solve the dual to KKT tolerance `tol`.
 
     max_passes bounds the number of working-pair updates; exhausting it
     raises NoConvergence carrying the best iterate as .model. Samples with
-    a_i > 0 become the support vectors. `scaler` is stored on the model
-    for inference-time standardization (identity if omitted).
+    a_i > 0 become the support vectors.
     """
     if not 0.0 < C < np.inf:
         raise ValueError("C must be positive and finite")
     if not 0.0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
+    if max_passes < 0:
+        raise ValueError("max_passes must be at least 0")
     y = problem.y
     if np.all(y == y[0]):
         raise SingleClass("training labels contain a single class")
 
     X = problem.X
-    l = problem.l
     K = rbf_gram(X, X, gamma)
-    alpha = np.zeros(l)
-    grad = -np.ones(l)              # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
+    alpha = np.zeros(problem.l)
+    grad = -np.ones(problem.l)      # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
 
-    def select_pair():
-        vals = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+    for passes in range(max_passes + 1):
+        vals, up, low = _violators(alpha, grad, y, C)
         up_vals = np.where(up, vals, -np.inf)
         low_vals = np.where(low, vals, np.inf)
         i = int(np.argmax(up_vals))
         j = int(np.argmin(low_vals))
-        return i, j, up_vals[i] - low_vals[j]
-
-    converged = False
-    for _ in range(max_passes):
-        i, j, gap = select_pair()
-        if gap <= tol:
-            converged = True
+        gap = up_vals[i] - low_vals[j]
+        if gap <= tol or passes == max_passes:
             break
         # move along alpha_i += y_i*t, alpha_j -= y_j*t (keeps sum(a*y) fixed)
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
@@ -147,41 +138,41 @@ def train(
         alpha[i] = min(max(alpha[i], 0.0), C)
         alpha[j] = min(max(alpha[j], 0.0), C)
         grad += t * y * (K[:, i] - K[:, j])
-    else:
-        _, _, gap = select_pair()
-        converged = gap <= tol
 
-    bias = _solve_bias(alpha, grad, y, C)
     sv = alpha > 0
     model = SvmModel(
         support_vectors=X[sv].copy(),
         dual_coefs=(alpha[sv] * y[sv]).copy(),
-        bias=bias,
+        bias=_solve_bias(alpha, grad, y, C),
         C=float(C),
         gamma=float(gamma),
-        scaler=scaler if scaler is not None else Scaler(np.zeros(X.shape[1]), np.ones(X.shape[1])),
     )
-    if not converged:
+    if gap > tol:
         raise NoConvergence(
             f"KKT gap still above tol={tol} after {max_passes} pair updates", model=model
         )
     return model
 
 
+def _violators(alpha, grad, y, C):
+    """(-y * grad, up, low): up marks the samples whose y_i * a_i can grow
+    inside the box [0, C], low those whose y_i * a_i can shrink."""
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+    return -y * grad, up, low
+
+
 def _solve_bias(alpha, grad, y, C) -> float:
-    vals = -y * grad
+    vals, up, low = _violators(alpha, grad, y, C)
     free = (alpha > 0) & (alpha < C)
     if np.any(free):
         return float(vals[free].mean())
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-    hi = vals[up].max() if np.any(up) else 0.0
-    lo = vals[low].min() if np.any(low) else 0.0
-    return float((hi + lo) / 2.0)
+    # up and low each hold a sample: both classes are present and sum(a * y) = 0
+    return float((vals[up].max() + vals[low].min()) / 2.0)
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
-    """f(x) for each row of X (raw, unstandardized inputs); sign is the class.
+    """f(x) for each standardized row of X; sign is the class.
 
     Each row is expanded over the support vectors on its own, so its value is
     bit-identical whether it is scored alone or in any batch: a Gram against
@@ -193,12 +184,11 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"input dim {X.shape[1]} != model dim {model.support_vectors.shape[1]}"
         )
-    Xs = model.scaler.apply(X)
     sv = model.support_vectors
     sv_sq = (sv * sv).sum(axis=1)
-    f = np.empty(len(Xs))
-    for i in range(len(Xs)):
-        f[i:i + 1] = model.dual_coefs @ rbf_gram(sv, Xs[i:i + 1], model.gamma, sv_sq)
+    f = np.empty(len(X))
+    for i in range(len(X)):
+        f[i:i + 1] = model.dual_coefs @ rbf_gram(sv, X[i:i + 1], model.gamma, sv_sq)
     return f + model.bias
 
 
@@ -315,8 +305,6 @@ def grid_search(
     if k_folds < 2:
         raise ValueError("k_folds must be at least 2")
     y = problem.y
-    if problem.l < k_folds:
-        raise TooFewSamples(f"{problem.l} samples < {k_folds} folds")
     for cls in (-1.0, 1.0):
         if int((y == cls).sum()) < k_folds:
             raise TooFewSamples(f"class {cls:+.0f} has fewer samples than folds")

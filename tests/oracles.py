@@ -76,7 +76,7 @@ def reference_window_scores(rule, clip):
             std = L.std(axis=0)
             std[np.ptp(L, axis=0) == 0.0] = 0.0
             rows.append(np.concatenate([L.mean(axis=0), std]))
-    z = (np.array(rows) - model.scaler.mean) / np.maximum(model.scaler.std, 1e-8)
+    z = (np.array(rows) - rule.scaler.mean) / np.maximum(rule.scaler.std, 1e-8)
     f = rbf_matrix(z, model.support_vectors, model.gamma) @ model.dual_coefs + model.bias
     A, B = rule.calibration
     p = 1.0 / (1.0 + np.exp(A * f + B))

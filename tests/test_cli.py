@@ -162,6 +162,16 @@ class TestExitCodes:
                     "--verdict", str(verdict)])
         assert code == 7
 
+    @pytest.mark.parametrize("payload", [{"audio_path": 5, "rule_id": ["x"]},
+                                         {"audio_path": "v.wav", "rule_id": None},
+                                         {"audio_path": "", "rule_id": "edgham_meem"}])
+    def test_non_string_identity_verdict_is_dataset_error(self, tmp_path, payload):
+        verdict = tmp_path / "verdict.json"
+        verdict.write_text(json.dumps(payload))
+        queue = tmp_path / "q.jsonl"
+        assert run(["review", "append", "--queue", str(queue), "--verdict", str(verdict)]) == 7
+        assert not queue.exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--manifest", "missing.csv", "--rule", "edgham_meem", "--seed", "1",
          "--model", "m.model"],
@@ -305,8 +315,9 @@ class TestTrain:
         cli.train_rule_model(entries, root, "edgham_meem", 1.0, 0.1, seed=5)
         negatives = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "train"
                      and e.polarity is None]
-        # the Platt holdout, each rule-free recording for the taus, then coverage
-        assert len(decision_calls) == 1 + len(negatives) + 1
+        # the Platt holdout, then each rule-free recording for the taus;
+        # coverage reuses the holdout scores
+        assert len(decision_calls) == 1 + len(negatives)
 
     @pytest.mark.parametrize("coverage", [0.0, 0.5])
     def test_zero_coverage_warns(self, manifest, trained_model_path, tmp_path,

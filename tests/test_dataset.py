@@ -284,6 +284,9 @@ class TestReviewQueue:
         '[1, 2]',                                                # not an object
         '"record"',
         '{"kind":"record","record_id":"two","audio_path":"x.wav","rule_id":"r"}',
+        '{"kind":"record","record_id":2,"audio_path":5,"rule_id":"r"}',      # non-string
+        '{"kind":"record","record_id":2,"audio_path":"x.wav","rule_id":["x"]}',
+        '{"kind":"record","record_id":1,"audio_path":null,"rule_id":"r"}',
         '{"kind":"label","record_id":9,"status":"approved"}',   # unknown record
         '{"kind":"retract","record_id":1}',                      # unknown kind
         '{not json',

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from tajweed import audio, dataset, detection, features, svm
-from tajweed.errors import EmptyNegatives, MissingStratum
+from tajweed.errors import DimensionMismatch, EmptyNegatives, MissingStratum
 
 
 def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
@@ -18,7 +18,6 @@ def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
         bias=0.0,
         gamma=0.1,
         C=1.0,
-        scaler=features.Scaler(np.zeros(1), np.ones(1)),
     )
     return detection.RuleModel(
         rule_id="edgham_meem",
@@ -27,6 +26,7 @@ def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
         tau_right=tau_right,
         tau_wrong=tau_wrong,
         feature_config=features.FeatureConfig(),
+        scaler=features.Scaler(np.zeros(1), np.ones(1)),
     )
 
 
@@ -177,12 +177,27 @@ class TestWindowScores:
             if e.rule_id == "edgham_meem" and "verse" in e.path:
                 per_recording.append(features.extract_features(
                     audio.load_wav(os.path.join(root, e.path)), small_model.feature_config))
+        # the standardized rows that detect scores
+        per_recording = [small_model.scaler.apply(R) for R in per_recording]
         X = np.vstack(per_recording)
         batch = svm.decision_values(small_model.svm, X)
         recordings = np.concatenate([svm.decision_values(small_model.svm, R)
                                      for R in per_recording])
         rows = np.concatenate([svm.decision_values(small_model.svm, x) for x in X])
         assert batch.tobytes() == recordings.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("agg", features.AGGREGATIONS)
+    def test_rows_of_another_width_refused(self, agg):
+        # checked before the scaler's arithmetic, which would broadcast a
+        # width-1 row to full width and score it
+        dim = features.FeatureConfig(agg).dim
+        rule = replace(toy_rule_model(), feature_config=features.FeatureConfig(agg),
+                       scaler=features.Scaler(np.zeros(dim), np.ones(dim)),
+                       svm=replace(toy_rule_model().svm, support_vectors=np.eye(2, dim)))
+        assert detection.p_right(rule, np.zeros((3, dim))).shape == (3,)
+        for width in (1, dim - 1, dim + 1):
+            with pytest.raises(DimensionMismatch):
+                detection.p_right(rule, np.zeros((3, width)))
 
 
 RATE_22K = 22050
@@ -206,9 +221,9 @@ def rule_at_22050():
     scaler = features.fit_scaler(X)
     model = svm.SvmModel(support_vectors=scaler.apply(X),
                          dual_coefs=np.array([1.0, -1.0, 1.0, -1.0, 1.0]), bias=0.0,
-                         gamma=1e-3, C=1.0, scaler=scaler)
+                         gamma=1e-3, C=1.0)
     return detection.RuleModel("edgham_meem", model, (-4.0, 0.0), tau_right=0.6,
-                               tau_wrong=0.5, feature_config=config)
+                               tau_wrong=0.5, feature_config=config, scaler=scaler)
 
 
 def hand_gates_and_verdict(rule, scores):

@@ -90,6 +90,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             svm.train(tiny_problem(), C, 0.1)
 
+    def test_negative_max_passes_rejected(self):
+        with pytest.raises(ValueError):
+            svm.train(tiny_problem(), 1.0, 0.1, max_passes=-1)
+
     def test_no_convergence_carries_best_iterate(self):
         with pytest.raises(NoConvergence) as exc:
             svm.train(tiny_problem(), 100.0, 0.01, max_passes=0)
