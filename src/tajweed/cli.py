@@ -108,8 +108,6 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
                               svm.calibrated_probability(holdout_f[y[hold] > 0], calibration)]))
     summary = {
         "rule_id": rule_id,
-        "n_train": int((~hold).sum()),
-        "n_holdout": int(hold.sum()),
         "n_support": int(model.support_vectors.shape[0]),
         "holdout_accuracy": holdout_acc,
         "tau_right": thresholds.tau_right,
@@ -247,8 +245,10 @@ def _cmd_review(args) -> int:
             except ValueError as exc:
                 raise ParseError(f"{args.verdict}: unreadable verdict JSON: {exc}") from exc
         if not (isinstance(payload, dict) and all(
-                type(payload.get(k)) is str and payload[k] for k in ("audio_path", "rule_id"))):
-            raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id strings")
+                type(payload.get(k)) is str and payload[k] for k in ("audio_path", "rule_id"))
+                and isinstance(payload.get("verdict"), (dict, type(None)))):
+            raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id strings "
+                             "and an object or null verdict")
         record = dataset.ReviewRecord(
             record_id=None,
             audio_path=payload["audio_path"],

@@ -192,8 +192,9 @@ def default_recipe() -> dict:
     }
 
 
-def _render_class_clip(recipe_cls, rate, seconds, rng) -> np.ndarray:
-    n = int(round(seconds * rate))
+def _render_event(recipe, recipe_cls, rate, rng) -> np.ndarray:
+    """A class event of a duration drawn from the recipe, clipped to +-0.98, 20 ms fades."""
+    n = int(round(rng.uniform(recipe["event_seconds_min"], recipe["event_seconds_max"]) * rate))
     t = np.arange(n) / rate
 
     # full-band colored noise: class tilt plus formant bumps
@@ -220,7 +221,13 @@ def _render_class_clip(recipe_cls, rate, seconds, rng) -> np.ndarray:
     )
     sig *= recipe_cls["level"] / max(np.sqrt(np.mean(sig ** 2)), 1e-12)
     sig *= 10.0 ** (recipe_cls["gain_jitter_db"] * rng.uniform(-1.0, 1.0) / 20.0)
-    return np.clip(sig, -0.98, 0.98)
+    sig = np.clip(sig, -0.98, 0.98)
+    k = min(int(round(0.02 * rate)), n // 2)
+    if k > 0:
+        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(k) / k)
+        sig[:k] *= ramp
+        sig[-k:] *= ramp[::-1]
+    return sig
 
 
 def _render_background(recipe, n, rate, rng) -> np.ndarray:
@@ -233,38 +240,38 @@ def _render_background(recipe, n, rate, rng) -> np.ndarray:
     return bg["noise_level"] * (shaped / max(np.sqrt(np.mean(shaped ** 2)), 1e-12))
 
 
-def _fade_edges(sig, rate, fade_s=0.02) -> np.ndarray:
-    k = min(int(round(fade_s * rate)), len(sig) // 2)
-    if k > 0:
-        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(k) / k)
-        sig = sig.copy()
-        sig[:k] *= ramp
-        sig[-k:] *= ramp[::-1]
-    return sig
-
-
 def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
                    negatives_per_rule=None, verses_per_rule=None,
                    event_free_per_rule=None) -> list[ManifestEntry]:
     """Write a deterministic synthetic corpus and its manifest.
 
-    Per class: `clips_per_class` 4 s exemplars. Per rule: rule-free
-    background clips, verses (10-15 s background with one class event
-    injected at a recorded onset, template saved under templates/), and
-    event-free verses. Returns the manifest entries (also written to
-    out_dir/manifest.csv). The recipe's sample_rate_hz must be an int that
-    load_wav accepts; anything else raises ValueError before a file is written.
+    Per class: `clips_per_class` exemplars of `clip_seconds`. Per rule:
+    rule-free clips, verses (a 10-15 s background with one class event at a
+    recorded onset, its template saved under templates/) and event-free
+    verses. Returns the manifest entries, also written to out_dir/manifest.csv.
+    sample_rate_hz must be an int that load_wav accepts, else ValueError before any write.
+
+    Each file draws from its own generator, spawned from `seed` in file
+    order: the verse length (verses only), the background, the event's
+    duration and body, then the event's start; that order keeps corpora
+    byte-identical. An exemplar's event starts at a random lead-in of up to
+    `event_lead_max_s` (one detection stride by default) and is cut at the
+    clip edge, as a random 4 s cut of a recording would be: each window
+    alignment then looks distinct, so the window at or just before an onset
+    is the training-like one and localization stays sharp. A verse's event
+    starts at least 0.5 s from either end and is never cut.
     """
     rate = recipe["sample_rate_hz"]
     if type(rate) is not int or rate < audio.MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample_rate_hz must be an integer >= {audio.MIN_SAMPLE_RATE_HZ}, "
                          f"not {rate!r}")
-    clip_s = recipe["clip_seconds"]
-    n_clips = recipe["clips_per_class"] if clips_per_class is None else clips_per_class
-    n_neg = recipe["negatives_per_rule"] if negatives_per_rule is None else negatives_per_rule
-    n_verse = recipe["verses_per_rule"] if verses_per_rule is None else verses_per_rule
-    n_free = (recipe["event_free_verses_per_rule"]
-              if event_free_per_rule is None else event_free_per_rule)
+    n_clip = int(round(recipe["clip_seconds"] * rate))
+    lead_max = int(round(recipe["event_lead_max_s"] * rate))
+    margin = int(round(0.5 * rate))
+    keys = ("clips_per_class", "negatives_per_rule", "verses_per_rule",
+            "event_free_verses_per_rule")
+    counts = (clips_per_class, negatives_per_rule, verses_per_rule, event_free_per_rule)
+    n_clips, n_neg, n_verse, n_free = (recipe[k] if c is None else c for k, c in zip(keys, counts))
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -276,68 +283,42 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
     seq = np.random.SeedSequence(seed)
     entries = []
 
-    def write(name, samples):
-        try:
-            audio.write_wav(os.path.join(out_dir, name), audio.AudioClip(samples, rate))
-        except OSError as exc:
-            raise IoError(f"cannot write {name}: {exc}") from exc
+    def files():  # (name, rule_id, polarity, event recipe, verse) per file, in file order
+        for rule_id in sorted(recipe["classes"]):
+            classes = {p: recipe["classes"][rule_id][p] for p in POLARITIES}
+            for p, cls in classes.items():
+                for i in range(n_clips):
+                    yield f"{rule_id}_{p.lower()}_{i:04d}.wav", rule_id, p, cls, False
+            for i in range(n_neg):
+                yield f"{rule_id}_neg_{i:04d}.wav", rule_id, None, None, False
+            for p, cls in classes.items():
+                for i in range(n_verse):
+                    yield f"{rule_id}_{p.lower()}_verse_{i:04d}.wav", rule_id, p, cls, True
+            for i in range(n_free):
+                yield f"{rule_id}_free_verse_{i:04d}.wav", rule_id, None, None, True
 
-    def render_event(cls_recipe, rng):
-        dur = rng.uniform(recipe["event_seconds_min"], recipe["event_seconds_max"])
-        return _fade_edges(_render_class_clip(cls_recipe, rate, dur, rng), rate)
-
-    for rule_id in sorted(recipe["classes"]):
-        polarities = recipe["classes"][rule_id]
-        for polarity in POLARITIES:
-            cls_recipe = polarities[polarity]
-            for i in range(n_clips):
-                rng = np.random.default_rng(seq.spawn(1)[0])
-                name = f"{rule_id}_{polarity.lower()}_{i:04d}.wav"
-                n_clip = int(round(clip_s * rate))
-                # manually-cut exemplars: near-window-length event at a random
-                # lead-in of up to one detection stride, truncated at the clip
-                # edge (what a random 4 s cut does to a real recording). This
-                # makes each sliding-window alignment look distinct, so the
-                # window starting at-or-just-before an event onset is the
-                # training-like one and localization stays sharp.
-                samples = _render_background(recipe, n_clip, rate, rng)
-                event = render_event(cls_recipe, rng)
-                lead_max = int(round(recipe["event_lead_max_s"] * rate))
-                start = int(rng.integers(0, lead_max + 1))
-                end = min(start + len(event), n_clip)
-                samples[start:end] += event[: end - start]
-                write(name, np.clip(samples, -1.0, 1.0))
-                entries.append(ManifestEntry(name, rule_id, polarity, None))
-
-        for i in range(n_neg):
-            rng = np.random.default_rng(seq.spawn(1)[0])
-            name = f"{rule_id}_neg_{i:04d}.wav"
-            write(name, _render_background(recipe, int(round(clip_s * rate)), rate, rng))
-            entries.append(ManifestEntry(name, rule_id, None, None))
-
-        for polarity in POLARITIES:
-            for i in range(n_verse):
-                rng = np.random.default_rng(seq.spawn(1)[0])
-                verse_s = rng.uniform(recipe["verse_seconds_min"], recipe["verse_seconds_max"])
-                n = int(round(verse_s * rate))
-                verse = _render_background(recipe, n, rate, rng)
-                event = render_event(polarities[polarity], rng)
-                first = int(round(0.5 * rate))
-                last = n - len(event) - first
-                onset = int(rng.integers(first, last + 1))
-                verse[onset:onset + len(event)] += event
-                name = f"{rule_id}_{polarity.lower()}_verse_{i:04d}.wav"
-                write(name, np.clip(verse, -1.0, 1.0))
-                write(os.path.join("templates", name), event)
-                entries.append(ManifestEntry(name, rule_id, polarity, onset / rate))
-
-        for i in range(n_free):
-            rng = np.random.default_rng(seq.spawn(1)[0])
-            verse_s = rng.uniform(recipe["verse_seconds_min"], recipe["verse_seconds_max"])
-            n = int(round(verse_s * rate))
-            name = f"{rule_id}_free_verse_{i:04d}.wav"
-            write(name, _render_background(recipe, n, rate, rng))
-            entries.append(ManifestEntry(name, rule_id, None, None))
+    # one loop, not a call per file: live arrays keep glibc from trimming the heap between files
+    for name, rule_id, polarity, event_recipe, verse in files():
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        n = n_clip if not verse else int(round(
+            rng.uniform(recipe["verse_seconds_min"], recipe["verse_seconds_max"]) * rate))
+        samples = _render_background(recipe, n, rate, rng)
+        written, onset = {name: samples}, None
+        if event_recipe is not None:
+            event = _render_event(recipe, event_recipe, rate, rng)
+            lo, hi = (margin, n - len(event) - margin) if verse else (0, lead_max)
+            start = int(rng.integers(lo, hi + 1))
+            end = min(start + len(event), n)
+            samples[start:end] += event[:end - start]
+            if verse:
+                written[os.path.join("templates", name)] = event
+                onset = start / rate
+        for path, data in written.items():
+            try:
+                audio.write_wav(os.path.join(out_dir, path), audio.AudioClip(data, rate))
+            except OSError as exc:
+                raise IoError(f"cannot write {path}: {exc}") from exc
+        entries.append(ManifestEntry(name, rule_id, polarity, onset))
 
     save_manifest(entries, os.path.join(out_dir, MANIFEST_NAME))
     return entries
@@ -367,10 +348,14 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
             if not line.strip():
                 continue
             event = json.loads(line)
-            rid = int(event["record_id"])
+            rid = event["record_id"]
+            if type(rid) is not int:
+                raise TypeError(f"record_id {rid!r} is not an integer")
             if event["kind"] == "record":
-                if type(event["audio_path"]) is not str or type(event["rule_id"]) is not str:
-                    raise TypeError(f"record {rid}: audio_path and rule_id must be strings")
+                if type(event["audio_path"]) is not str or type(event["rule_id"]) is not str \
+                        or not isinstance(event.get("verdict"), (dict, type(None))):
+                    raise TypeError(f"record {rid}: audio_path and rule_id must be strings "
+                                    "and verdict an object or null")
                 if rid not in records:
                     records[rid] = ReviewRecord(
                         record_id=rid,

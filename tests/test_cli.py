@@ -172,6 +172,23 @@ class TestExitCodes:
         assert run(["review", "append", "--queue", str(queue), "--verdict", str(verdict)]) == 7
         assert not queue.exists()
 
+    @pytest.mark.parametrize("verdict", [5, ["x"], "Right", True])
+    def test_non_object_verdict_is_dataset_error(self, tmp_path, verdict):
+        payload = tmp_path / "verdict.json"
+        payload.write_text(json.dumps({"audio_path": "v.wav", "rule_id": "edgham_meem",
+                                       "verdict": verdict}))
+        queue = tmp_path / "q.jsonl"
+        assert run(["review", "append", "--queue", str(queue), "--verdict", str(payload)]) == 7
+        assert not queue.exists()
+
+    @pytest.mark.parametrize("extra", [{}, {"verdict": None}, {"verdict": {"polarity": None}}])
+    def test_absent_null_or_object_verdict_is_appended(self, tmp_path, extra):
+        payload = tmp_path / "verdict.json"
+        payload.write_text(json.dumps({"audio_path": "v.wav", "rule_id": "edgham_meem", **extra}))
+        queue = str(tmp_path / "q.jsonl")
+        assert run(["review", "append", "--queue", queue, "--verdict", str(payload)]) == 0
+        assert [r.verdict for r in dataset.review_list(queue)] == [extra.get("verdict")]
+
     @pytest.mark.parametrize("argv", [
         ["train", "--manifest", "missing.csv", "--rule", "edgham_meem", "--seed", "1",
          "--model", "m.model"],

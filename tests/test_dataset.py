@@ -163,18 +163,30 @@ class TestSynthGenerate:
                 pb = pa.replace(str(tmp_path / "a"), str(tmp_path / "b"))
                 assert open(pa, "rb").read() == open(pb, "rb").read(), f
 
-    def test_injected_onset_matches_cross_correlation(self, tmp_path):
-        recipe = dataset.default_recipe()
+    @pytest.mark.parametrize("rate,clip_s,lead_s", [
+        (8000, 4.0, 0.5), (16000, 4.0, 0.5), (22050, 4.0, 0.5),
+        (16000, 3.0, 1.5),      # exemplar events longer than the clip: cut at its edge
+    ])
+    def test_generator_contract_at_every_rate(self, tmp_path, rate, clip_s, lead_s):
+        recipe = dict(dataset.default_recipe(), sample_rate_hz=rate, clip_seconds=clip_s,
+                      event_lead_max_s=lead_s)
         entries = dataset.synth_generate(recipe, 4, str(tmp_path / "c"),
-                                         clips_per_class=0, negatives_per_rule=0,
-                                         verses_per_rule=2, event_free_per_rule=0)
-        verses = [e for e in entries if e.onset_s is not None]
-        assert verses
-        for e in verses:
-            verse = audio.load_wav(str(tmp_path / "c" / e.path)).samples
-            template = audio.load_wav(str(tmp_path / "c" / "templates" / e.path)).samples
-            lags = oracles.correlate_lags(verse, template)
-            assert np.argmax(lags) == int(round(e.onset_s * 8000))
+                                         clips_per_class=2, negatives_per_rule=1,
+                                         verses_per_rule=2, event_free_per_rule=1)
+        assert sum(e.onset_s is not None for e in entries) == 8
+        for e in entries:
+            clip = audio.load_wav(str(tmp_path / "c" / e.path))
+            assert clip.sample_rate_hz == rate
+            n = len(clip.samples)
+            if "_verse_" not in e.path:
+                assert n == round(clip_s * rate), e.path
+                continue
+            assert round(recipe["verse_seconds_min"] * rate) <= n, e.path
+            assert n <= round(recipe["verse_seconds_max"] * rate), e.path
+            if e.onset_s is not None:
+                template = audio.load_wav(str(tmp_path / "c" / "templates" / e.path)).samples
+                lags = oracles.correlate_lags(clip.samples, template)
+                assert np.argmax(lags) == round(e.onset_s * rate), e.path
 
     def test_manifest_written_alongside(self, tmp_path):
         dataset.synth_generate(dataset.default_recipe(), 2, str(tmp_path / "c"),
@@ -295,6 +307,11 @@ class TestReviewQueue:
         '{"kind":"label","record_id":1,"status":"approved","label":"right"}',  # bad label
         '{"kind":"label","record_id":1,"status":"corrected","label":null}',    # no label
         '{"kind":"label","record_id":1,"status":"corrected"}',
+        '{"kind":"label","record_id":1.9,"status":"approved","label":null}',  # non-int ids
+        '{"kind":"label","record_id":true,"status":"approved","label":null}',
+        '{"kind":"record","record_id":"7","audio_path":"x.wav","rule_id":"r"}',
+        '{"kind":"record","record_id":2,"audio_path":"x.wav","rule_id":"r","verdict":5}',
+        '{"kind":"record","record_id":2,"audio_path":"x.wav","rule_id":"r","verdict":["x"]}',
     ])
     def test_malformed_line_reports_its_number(self, tmp_path, line):
         q = tmp_path / "q.jsonl"
@@ -327,6 +344,9 @@ class TestReviewQueue:
         dataset.review_append(str(q), self.record())
         q.write_text(q.read_text(encoding="utf-8") + json.dumps(event) + "\n", encoding="utf-8")
         try:
-            dataset.review_list(str(q))
+            records = dataset.review_list(str(q))
         except ParseError as exc:
             assert exc.line_number == 3
+        else:
+            for r in records:
+                assert type(r.record_id) is int and isinstance(r.verdict, (dict, type(None)))
