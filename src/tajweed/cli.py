@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -281,7 +282,10 @@ def _time_s(text):
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite time >= 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call: argparse keeps no state between parses, and callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="tajweed",
         description="Recitation-rule recognition: train, tune, evaluate, detect.",

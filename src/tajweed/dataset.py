@@ -19,6 +19,7 @@ import fcntl
 import io
 import json
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -249,7 +250,8 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
     rule-free clips, verses (a 10-15 s background with one class event at a
     recorded onset, its template saved under templates/) and event-free
     verses. Returns the manifest entries, also written to out_dir/manifest.csv.
-    sample_rate_hz must be an int that load_wav accepts, else ValueError before any write.
+    sample_rate_hz must be an int that load_wav accepts and each class name must match
+    [a-z][a-z0-9_]*, else ValueError before any write.
 
     Each file draws from its own generator, spawned from `seed` in file
     order: the verse length (verses only), the background, the event's
@@ -265,6 +267,9 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
     if type(rate) is not int or rate < audio.MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample_rate_hz must be an integer >= {audio.MIN_SAMPLE_RATE_HZ}, "
                          f"not {rate!r}")
+    for name in recipe["classes"]:  # each names files under out_dir
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+            raise ValueError(f"class name {name!r} does not match [a-z][a-z0-9_]*")
     n_clip = int(round(recipe["clip_seconds"] * rate))
     lead_max = int(round(recipe["event_lead_max_s"] * rate))
     margin = int(round(0.5 * rate))
@@ -337,6 +342,16 @@ class ReviewRecord:
     corrected_label: str | None = None
 
 
+def _check_record(event: dict, line_number=None) -> None:
+    """Refuse a record event that a queue read would not accept back."""
+    if not (type(event["record_id"]) is int and type(event["audio_path"]) is str
+            and type(event["rule_id"]) is str
+            and isinstance(event.get("verdict"), (dict, type(None)))):
+        raise ParseError(f"record {event['record_id']!r}: record_id must be an integer, "
+                         "audio_path and rule_id strings and verdict an object or null",
+                         line_number)
+
+
 def _parse_queue(fh) -> dict[int, ReviewRecord]:
     records: dict[int, ReviewRecord] = {}
     line_no = 1
@@ -349,13 +364,8 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
                 continue
             event = json.loads(line)
             rid = event["record_id"]
-            if type(rid) is not int:
-                raise TypeError(f"record_id {rid!r} is not an integer")
             if event["kind"] == "record":
-                if type(event["audio_path"]) is not str or type(event["rule_id"]) is not str \
-                        or not isinstance(event.get("verdict"), (dict, type(None))):
-                    raise TypeError(f"record {rid}: audio_path and rule_id must be strings "
-                                    "and verdict an object or null")
+                _check_record(event, line_no)
                 if rid not in records:
                     records[rid] = ReviewRecord(
                         record_id=rid,
@@ -364,7 +374,7 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
                         verdict=event.get("verdict"),
                         created_at=event.get("created_at", ""),
                     )
-            elif event["kind"] == "label" and rid in records:
+            elif event["kind"] == "label" and type(rid) is int and rid in records:
                 status, label = event["status"], event.get("label")
                 if status not in ("approved", "corrected") or label not in (None, *POLARITIES) \
                         or (status == "corrected" and label is None):
@@ -415,22 +425,15 @@ def review_append(queue_path, record: ReviewRecord) -> ReviewRecord:
     and re-appending an existing id is a no-op (idempotent retry).
     """
     with _locked_queue(queue_path) as (records, append):
-        if record.record_id is not None and record.record_id in records:
-            return records[record.record_id]
-        rid = record.record_id if record.record_id is not None else (
-            max(records, default=0) + 1
-        )
+        rid = max(records, default=0) + 1 if record.record_id is None else record.record_id
         created = record.created_at or datetime.now(timezone.utc).isoformat(timespec="seconds")
-        stored = replace(record, record_id=rid, created_at=created, status="pending")
-        append({
-            "kind": "record",
-            "record_id": rid,
-            "audio_path": stored.audio_path,
-            "rule_id": stored.rule_id,
-            "verdict": stored.verdict,
-            "created_at": stored.created_at,
-        })
-    return stored
+        event = {"kind": "record", "record_id": rid, "audio_path": record.audio_path,
+                 "rule_id": record.rule_id, "verdict": record.verdict, "created_at": created}
+        _check_record(event)
+        if rid in records:
+            return records[rid]
+        append(event)
+    return replace(record, record_id=rid, created_at=created, status="pending")
 
 
 def review_list(queue_path, status: str | None = None) -> list[ReviewRecord]:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -257,6 +258,22 @@ class TestExitCodes:
         assert "sample_rate_hz" in capsys.readouterr().err
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("name", ["../evil", "/abs", "edgham_meem/x", "Edgham", "_x", ""])
+    def test_synth_class_name_outside_out_is_dataset_error(self, tmp_path, capsys, name):
+        recipe = dataset.default_recipe()
+        recipe["classes"][name] = recipe["classes"].pop("tarqeeq_lam")
+        recipe.update(clips_per_class=1, negatives_per_rule=0,
+                      verses_per_rule=1, event_free_verses_per_rule=0)
+        (tmp_path / "spec.json").write_text(json.dumps(recipe))
+        parent = tmp_path / "parent"
+        parent.mkdir()
+        code = run(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "1",
+                    "--out", str(parent / "corpus")])
+        assert code == 7
+        assert "class name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["parent", "spec.json"]
+        assert list(parent.iterdir()) == []
+
     def test_seed_required_for_train(self, manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--manifest", manifest, "--rule", "edgham_meem",
@@ -267,6 +284,60 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["synth", "--out", str(tmp_path / "c")])
         assert exc.value.code == 2
+
+
+class TestOneParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_share_nothing_through_the_parser(self, small_corpus, manifest,
+                                                      trained_model_path, flatten_model_path,
+                                                      tmp_path, capsys, monkeypatch):
+        root, entries = small_corpus
+        verse = next(e for e in entries if e.rule_id == "edgham_meem" and e.onset_s is not None)
+        out = tmp_path / "out"
+        detect = ["detect", "--audio", os.path.join(root, verse.path), "--rule", "edgham_meem",
+                  "--model", trained_model_path]
+        evaluate = ["evaluate", "--manifest", manifest, "--model", trained_model_path]
+        commands = [
+            detect + ["--out", str(out / "timeline.csv"), "--verdict-out", str(out / "v.json")],
+            detect,
+            evaluate + ["--model", flatten_model_path, "--out", str(out / "conf.csv")],
+            evaluate,
+            ["synth", "--out", str(out / "corpus")],
+            ["synth", "--out", str(out / "corpus")],
+        ]
+        loaded, load_model = [], persistence.load_model
+        monkeypatch.setattr(persistence, "load_model",
+                            lambda path: loaded.append(path) or load_model(path))
+
+        def session():
+            """Per command: exit code, stdout, stderr, the models it loaded and
+            the files it wrote under out."""
+            results = []
+            for argv in commands:
+                out.mkdir()
+                del loaded[:]
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                written = {p.name: p.read_bytes() for p in out.iterdir()}
+                results.append((code, *capsys.readouterr(), list(loaded), written))
+                shutil.rmtree(out)
+            return results
+
+        shared = session()
+        assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 2]
+        assert sorted(shared[0][4]) == ["timeline.csv", "v.json"]
+        assert shared[1][4] == {}  # the first detect's --out and --verdict-out are gone
+        assert shared[2][3] == [trained_model_path, flatten_model_path]
+        assert shared[3][3] == [trained_model_path]  # --model does not accumulate
+        assert list(shared[2][4]) == ["conf.csv"] and shared[3][4] == {}
+        assert shared[4] == shared[5]
+
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert session() == shared  # a fresh parser per command
 
 
 class TestTrain:

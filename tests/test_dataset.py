@@ -323,6 +323,41 @@ class TestReviewQueue:
         with pytest.raises(ParseError):
             dataset.review_append(str(q), self.record())
 
+    @pytest.mark.parametrize("record", [
+        dataset.ReviewRecord(None, "x.wav", "edgham_meem", 5),
+        dataset.ReviewRecord(None, "x.wav", "edgham_meem", ["Right"]),
+        dataset.ReviewRecord(None, None, "edgham_meem", None),
+        dataset.ReviewRecord(None, "x.wav", 7, None),
+        dataset.ReviewRecord(2.0, "x.wav", "edgham_meem", None),
+        dataset.ReviewRecord(True, "x.wav", "edgham_meem", None),  # not record 1's retry
+        dataset.ReviewRecord("3", "x.wav", "edgham_meem", None),
+    ])
+    def test_append_refuses_a_record_a_read_would_reject(self, tmp_path, record):
+        q = tmp_path / "q.jsonl"
+        dataset.review_append(str(q), self.record())
+        before = q.read_bytes()
+        with pytest.raises(ParseError):
+            dataset.review_append(str(q), record)
+        assert q.read_bytes() == before
+        assert [r.record_id for r in dataset.review_list(str(q))] == [1]
+
+    @given(record_id=st.none() | JSON_VALUES, audio_path=JSON_VALUES, rule_id=JSON_VALUES,
+           verdict=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_appended_queue_stays_readable(self, tmp_path_factory, record_id, audio_path,
+                                           rule_id, verdict):
+        q = tmp_path_factory.getbasetemp() / "append_fuzz.jsonl"
+        q.unlink(missing_ok=True)
+        dataset.review_append(str(q), self.record())
+        try:
+            stored = dataset.review_append(
+                str(q), dataset.ReviewRecord(record_id, audio_path, rule_id, verdict))
+        except ParseError:
+            assert [r.record_id for r in dataset.review_list(str(q))] == [1]
+        else:
+            listed = {r.record_id: r for r in dataset.review_list(str(q))}
+            assert listed[stored.record_id].audio_path == stored.audio_path
+
     @pytest.mark.parametrize("header", ['{"schema_version": 2}', "[]", "{}", "garbage"])
     def test_bad_header_line(self, tmp_path, header):
         q = tmp_path / "q.jsonl"
