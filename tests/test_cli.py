@@ -259,7 +259,7 @@ class TestExitCodes:
         assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("name", ["../evil", "/abs", "edgham_meem/x", "Edgham", "_x", ""])
-    def test_synth_class_name_outside_out_is_dataset_error(self, tmp_path, capsys, name):
+    def test_bad_synth_class_name_writes_nothing(self, tmp_path, capsys, name):
         recipe = dataset.default_recipe()
         recipe["classes"][name] = recipe["classes"].pop("tarqeeq_lam")
         recipe.update(clips_per_class=1, negatives_per_rule=0,

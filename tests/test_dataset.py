@@ -341,7 +341,7 @@ class TestReviewQueue:
         assert q.read_bytes() == before
         assert [r.record_id for r in dataset.review_list(str(q))] == [1]
 
-    @given(record_id=st.none() | JSON_VALUES, audio_path=JSON_VALUES, rule_id=JSON_VALUES,
+    @given(record_id=JSON_VALUES, audio_path=JSON_VALUES, rule_id=JSON_VALUES,
            verdict=JSON_VALUES)
     @settings(max_examples=200, deadline=None)
     def test_appended_queue_stays_readable(self, tmp_path_factory, record_id, audio_path,
