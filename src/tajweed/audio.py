@@ -78,7 +78,7 @@ def load_wav(path) -> AudioClip:
                 raise CorruptHeader(f"{path}: fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
         elif chunk_id == b"data":
-            payload = data[body_start:body_start + chunk_size]
+            payload = memoryview(data)[body_start:body_start + chunk_size]  # borrowed
         # chunks are word-aligned; odd sizes carry a pad byte
         pos = body_start + chunk_size + (chunk_size & 1)
 
@@ -155,11 +155,11 @@ def _centred_every(x: np.ndarray, taps: np.ndarray, m: int) -> np.ndarray:
 
     np.convolve(x, taps) is np.correlate(x, taps[::-1]): an output whose 63
     samples all lie in x is one BLAS ddot of x[j - 31:j + 32] with the
-    contiguous reversed taps, and a (k, 1, 63) @ (63, 1) matmul calls that same
-    ddot once per row, so the kept outputs away from the ends are that matmul
-    over a strided window view (no copy). The outputs within 31 samples of an
-    end are shorter dots, which np.convolve over the first or last 2 x 63
-    samples computes as the full convolution does.
+    contiguous reversed taps, and np.vecdot calls that same ddot once per row,
+    so the kept outputs away from the ends are np.vecdot over a strided window
+    view (no copy). The outputs within 31 samples of an end are shorter dots,
+    which np.convolve over the first or last 2 x 63 samples computes as the
+    full convolution does.
     """
     half, edge = len(taps) // 2, 2 * len(taps)
     n = len(x)
@@ -167,12 +167,12 @@ def _centred_every(x: np.ndarray, taps: np.ndarray, m: int) -> np.ndarray:
         return _centred(x, taps)[::m]
     # kept outputs 0 .. first-1 lie in the head, last .. ceil(n / m)-1 in the tail
     first, last = -(-half // m), -(-(n - half) // m)
-    reversed_taps = np.ascontiguousarray(taps[::-1])[:, None]
     windows = np.lib.stride_tricks.sliding_window_view(x, len(taps))
-    middle = windows[first * m - half:last * m - half:m, None, :] @ reversed_taps
+    reversed_taps = np.ascontiguousarray(taps[::-1])
+    middle = np.vecdot(windows[first * m - half:last * m - half:m], reversed_taps)
     head = _centred(x[:edge], taps)[:first * m:m]
     tail = _centred(x[-edge:], taps)[last * m - (n - edge)::m]
-    return np.concatenate([head, middle.ravel(), tail])
+    return np.concatenate([head, middle, tail])
 
 
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:

@@ -250,8 +250,9 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
     rule-free clips, verses (a 10-15 s background with one class event at a
     recorded onset, its template saved under templates/) and event-free
     verses. Returns the manifest entries, also written to out_dir/manifest.csv.
-    sample_rate_hz must be an int that load_wav accepts and each class name must match
-    [a-z][a-z0-9_]*, else ValueError before any write.
+    A recipe that would write a broken corpus (a rate load_wav refuses, a class
+    name that is no file name, a NaN level, an inverted band, a negative count)
+    raises ValueError naming its key before any write.
 
     Each file draws from its own generator, spawned from `seed` in file
     order: the verse length (verses only), the background, the event's
@@ -267,16 +268,26 @@ def synth_generate(recipe, seed: int, out_dir, *, clips_per_class=None,
     if type(rate) is not int or rate < audio.MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample_rate_hz must be an integer >= {audio.MIN_SAMPLE_RATE_HZ}, "
                          f"not {rate!r}")
-    for name in recipe["classes"]:  # each names files under out_dir
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
-            raise ValueError(f"class name {name!r} does not match [a-z][a-z0-9_]*")
+    keys = ("clips_per_class", "negatives_per_rule", "verses_per_rule",
+            "event_free_verses_per_rule")
+    counts = [recipe[k] if c is None else c for k, c in zip(keys, (
+        clips_per_class, negatives_per_rule, verses_per_rule, event_free_per_rule))]
+    bg = recipe["background"]
+    low, high = bg["band_hz"]
+    for key, value, ok, rule in (  # NaN fails every comparison; True is no count
+            ("background.noise_level", bg["noise_level"], 0.0 <= bg["noise_level"] < np.inf,
+             "finite and >= 0"),
+            ("background.band_hz", bg["band_hz"], 0.0 <= low < high <= rate / 2,
+             f"[low, high] with 0 <= low < high <= {rate / 2:g}"),
+            *(("classes", name, re.fullmatch(r"[a-z][a-z0-9_]*", name),  # names files
+               "keyed by class names matching [a-z][a-z0-9_]*") for name in recipe["classes"]),
+            *((k, c, type(c) is int and c >= 0, "an int >= 0") for k, c in zip(keys, counts))):
+        if not ok:
+            raise ValueError(f"{key} must be {rule}, not {value!r}")
+    n_clips, n_neg, n_verse, n_free = counts
     n_clip = int(round(recipe["clip_seconds"] * rate))
     lead_max = int(round(recipe["event_lead_max_s"] * rate))
     margin = int(round(0.5 * rate))
-    keys = ("clips_per_class", "negatives_per_rule", "verses_per_rule",
-            "event_free_verses_per_rule")
-    counts = (clips_per_class, negatives_per_rule, verses_per_rule, event_free_per_rule)
-    n_clips, n_neg, n_verse, n_free = (recipe[k] if c is None else c for k, c in zip(keys, counts))
 
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -80,6 +80,7 @@ class FeatureConfig:
                 "fft_size": FFT_SIZE, "sample_rate_hz": SAMPLE_RATE_HZ,
                 "f_min_hz": F_MIN_HZ, "f_max_hz": F_MAX_HZ, "aggregation": self.aggregation}
 
+    @lru_cache(maxsize=len(AGGREGATIONS))  # pure: the aggregation and module constants
     def fingerprint(self) -> str:
         canon = json.dumps({**self.header(), "log_floor": LOG_FLOOR},
                            sort_keys=True, separators=(",", ":"))
@@ -134,12 +135,14 @@ def build_filterbank() -> np.ndarray:
 
     Filter i rises over (boundary i, boundary i+1) and falls over
     (boundary i+1, boundary i+2), evaluated at the FFT bin centers and
-    rescaled so each row peaks at exactly 1. Cached and read-only.
+    rescaled so each row peaks at exactly 1. Cached, read-only and column-major,
+    so frame_log_energies multiplies by a C-contiguous transpose, which OpenBLAS
+    runs faster with the same bytes.
     """
     mels = np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), NUM_FILTERS + 2)
     bounds_hz = mel_to_hz(mels)
     bin_freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE_HZ / FFT_SIZE
-    weights = np.zeros((NUM_FILTERS, len(bin_freqs)))
+    weights = np.zeros((NUM_FILTERS, len(bin_freqs)), order="F")
     for i in range(NUM_FILTERS):
         lo, mid, hi = bounds_hz[i], bounds_hz[i + 1], bounds_hz[i + 2]
         rising = (bin_freqs - lo) / (mid - lo)
@@ -159,7 +162,7 @@ def frame_log_energies(frames: np.ndarray) -> np.ndarray:
     to the kernel after each call, while a block's worth is a few hundred KB
     that the free list reuses. The blocks are even, not STRIDE_FRAMES rows and
     a remainder, because OpenBLAS picks its kernel by the product's shape: a
-    short tail (one row is a gemv) rounds otherwise than one product over the
+    short tail (one row is a gemv) rounds otherwise than one gemm over the
     clip, which blocks of 18 to 58 rows match bit for bit (OpenBLAS 0.3.31)."""
     weights = build_filterbank().T
     n = len(frames)

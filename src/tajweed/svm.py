@@ -68,23 +68,13 @@ class SvmModel:
     gamma: float
 
 
-def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float,
-             A_sq: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2), in (0, 1].
-
-    A_sq, if given, is (A * A).sum(axis=1), for a caller that reuses one A.
-    """
+def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """Kernel matrix K[i, j] = exp(-gamma * ||A[i] - B[j]||^2), in (0, 1]."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    if A_sq is None:
-        A_sq = (A * A).sum(axis=1)
-    sq = (
-        A_sq[:, None]
-        + (B * B).sum(axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
@@ -174,22 +164,18 @@ def _solve_bias(alpha, grad, y, C) -> float:
 def decision_values(model: SvmModel, X) -> np.ndarray:
     """f(x) for each standardized row of X; sign is the class.
 
-    Each row is expanded over the support vectors on its own, so its value is
-    bit-identical whether it is scored alone or in any batch: a Gram against
-    many rows is a BLAS gemm, which rounds differently from one row's gemv.
-    The support vectors' squared norms are summed once for all rows.
+    Each row's value is bit-identical whether it is scored alone or in any
+    batch: its cross terms with the support vectors are one gemv of a stacked
+    matmul and its sum over them one ddot of np.vecdot, the calls rbf_gram and
+    a dot make for that row alone. One gemm over all rows would round otherwise.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.support_vectors.shape[1]:
-        raise DimensionMismatch(
-            f"input dim {X.shape[1]} != model dim {model.support_vectors.shape[1]}"
-        )
+    X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     sv = model.support_vectors
-    sv_sq = (sv * sv).sum(axis=1)
-    f = np.empty(len(X))
-    for i in range(len(X)):
-        f[i:i + 1] = model.dual_coefs @ rbf_gram(sv, X[i:i + 1], model.gamma, sv_sq)
-    return f + model.bias
+    if X.shape[1] != sv.shape[1]:
+        raise DimensionMismatch(f"input dim {X.shape[1]} != model dim {sv.shape[1]}")
+    cross = np.matmul(sv, X[:, :, None])[..., 0]  # (rows, support vectors)
+    sq = (sv * sv).sum(axis=1) + (X * X).sum(axis=1)[:, None] - 2.0 * cross
+    return np.vecdot(np.exp(-model.gamma * np.maximum(sq, 0.0)), model.dual_coefs) + model.bias
 
 
 def _prob_pos(z: np.ndarray) -> np.ndarray:

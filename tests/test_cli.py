@@ -274,6 +274,31 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["parent", "spec.json"]
         assert list(parent.iterdir()) == []
 
+    @pytest.mark.parametrize("key,edit", [
+        # each wrote a broken corpus with exit 0: silent WAVs or no exemplars
+        ("background.noise_level", lambda r: r["background"].update(noise_level=float("nan"))),
+        ("background.noise_level", lambda r: r["background"].update(noise_level=-0.01)),
+        ("background.band_hz", lambda r: r["background"].update(band_hz=[3950.0, 50.0])),
+        ("background.band_hz", lambda r: r["background"].update(band_hz=[50.0, 4001.0])),
+        ("background.band_hz", lambda r: r["background"].update(band_hz=[-1.0, 3950.0])),
+        ("clips_per_class", lambda r: r.update(clips_per_class=-1)),
+        ("clips_per_class", lambda r: r.update(clips_per_class=True)),
+        ("negatives_per_rule", lambda r: r.update(negatives_per_rule=1.5)),
+        ("event_free_verses_per_rule", lambda r: r.update(event_free_verses_per_rule=-2)),
+    ])
+    def test_broken_synth_recipe_names_its_key_and_writes_nothing(self, tmp_path, capsys,
+                                                                   key, edit):
+        recipe = dataset.default_recipe()
+        recipe.update(clips_per_class=1, negatives_per_rule=0,
+                      verses_per_rule=1, event_free_verses_per_rule=0)
+        edit(recipe)
+        (tmp_path / "spec.json").write_text(json.dumps(recipe))
+        code = run(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "1",
+                    "--out", str(tmp_path / "corpus")])
+        assert code == 7
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
     def test_seed_required_for_train(self, manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--manifest", manifest, "--rule", "edgham_meem",

@@ -188,6 +188,14 @@ class TestSynthGenerate:
                 lags = oracles.correlate_lags(clip.samples, template)
                 assert np.argmax(lags) == round(e.onset_s * rate), e.path
 
+    @pytest.mark.parametrize("count", [-1, True, 2.0])
+    def test_keyword_counts_checked_before_any_write(self, tmp_path, count):
+        with pytest.raises(ValueError, match="verses_per_rule must be"):
+            dataset.synth_generate(dataset.default_recipe(), 1, str(tmp_path / "c"),
+                                   clips_per_class=0, negatives_per_rule=0,
+                                   verses_per_rule=count, event_free_per_rule=0)
+        assert not (tmp_path / "c").exists()
+
     def test_manifest_written_alongside(self, tmp_path):
         dataset.synth_generate(dataset.default_recipe(), 2, str(tmp_path / "c"),
                                clips_per_class=2, negatives_per_rule=0,

@@ -125,6 +125,11 @@ class TestFilterBank:
         total = BANK.sum(axis=0)
         assert (total[1:128] > 0).all()
 
+    def test_transpose_is_c_contiguous(self):
+        # frame_log_energies multiplies by BANK.T, which OpenBLAS runs fastest
+        # C-contiguous; a row-major bank gives the same bytes more slowly
+        assert BANK.T.flags.c_contiguous
+
 
 class TestExtractFeatures:
     def test_silence_hits_log_floor(self):
@@ -209,6 +214,16 @@ class TestFrameLogEnergies:
         assert blocked.shape == (n_frames, features.NUM_FILTERS)
         assert blocked.tobytes() == one_shot_log_energies(frames).tobytes()
         assert silent == (blocked == np.log(features.LOG_FLOOR)).all()
+
+    @pytest.mark.parametrize("n_frames", [18, 49, 50, 398, 1498])
+    def test_bytes_match_a_row_major_bank(self, n_frames, monkeypatch):
+        # extract_features makes blocks of 49 or 50 rows; from 18 rows on,
+        # OpenBLAS rounds the product alike for either layout of the bank
+        frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
+        column_major = features.frame_log_energies(frames)
+        row_major = np.ascontiguousarray(BANK)
+        monkeypatch.setattr(features, "build_filterbank", lambda: row_major)
+        assert column_major.tobytes() == features.frame_log_energies(frames).tobytes()
 
     def test_one_minute_clip_peaks_under_10_mb(self):
         # a clip's frames go through in stride blocks, so the temporaries stay

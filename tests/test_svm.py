@@ -151,6 +151,36 @@ class TestTrain:
             svm.decision_values(model, [1.0, 2.0])
 
 
+def random_model(dim, n_support=40):
+    rng = np.random.default_rng(dim)
+    return svm.SvmModel(rng.standard_normal((n_support, dim)), rng.standard_normal(n_support),
+                        bias=0.25, C=1.0, gamma=1.0 / dim)
+
+
+class TestDecisionValueBits:
+    """Scoring rows in one call keeps the bytes of each row scored on its own
+    through rbf_gram (one gemv) and a dot; one gemm over all rows would not."""
+
+    @pytest.mark.parametrize("dim", [140, 27860])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 17, 18, 60])
+    def test_equals_each_row_scored_alone(self, dim, n_rows):
+        model = random_model(dim)
+        X = np.random.default_rng(n_rows).standard_normal((n_rows, dim))
+        alone = np.array([(model.dual_coefs @ svm.rbf_gram(model.support_vectors, x[None],
+                                                              model.gamma))[0] + model.bias
+                          for x in X], dtype=np.float64)
+        assert svm.decision_values(model, X).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("dim", [140, 27860])
+    def test_layout_of_the_rows_does_not_matter(self, dim):
+        model = random_model(dim)
+        wide = np.random.default_rng(3).standard_normal((18, dim + 5))
+        sliced = wide[:, 2:2 + dim]
+        expected = svm.decision_values(model, np.ascontiguousarray(sliced)).tobytes()
+        assert svm.decision_values(model, sliced).tobytes() == expected
+        assert svm.decision_values(model, np.asfortranarray(sliced)).tobytes() == expected
+
+
 class TestCalibration:
     def test_separated_scores(self):
         scores = np.array([-2.0] * 10 + [2.0] * 10)
