@@ -245,18 +245,10 @@ def _cmd_review(args) -> int:
                 payload = json.load(fh)
             except ValueError as exc:
                 raise ParseError(f"{args.verdict}: unreadable verdict JSON: {exc}") from exc
-        if not (isinstance(payload, dict) and all(
-                type(payload.get(k)) is str and payload[k] for k in ("audio_path", "rule_id"))
-                and isinstance(payload.get("verdict"), (dict, type(None)))):
-            raise ParseError(f"{args.verdict}: verdict JSON needs audio_path and rule_id strings "
-                             "and an object or null verdict")
-        record = dataset.ReviewRecord(
-            record_id=None,
-            audio_path=payload["audio_path"],
-            rule_id=payload["rule_id"],
-            verdict=payload.get("verdict"),
-        )
-        stored = dataset.review_append(args.queue, record)
+        if not isinstance(payload, dict):
+            raise ParseError(f"{args.verdict}: verdict JSON must be an object")
+        stored = dataset.review_append(args.queue, dataset.ReviewRecord(
+            None, payload.get("audio_path"), payload.get("rule_id"), payload.get("verdict")))
         print(f"record {stored.record_id} appended")
     elif args.review_cmd == "list":
         for r in dataset.review_list(args.queue, status=args.status):
@@ -351,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--verdict", required=True, help="verdict JSON from detect")
     pl = rsub.add_parser("list")
     pl.add_argument("--queue", required=True)
-    pl.add_argument("--status", choices=("pending", "approved", "corrected"))
+    pl.add_argument("--status", choices=dataset.STATUSES)
     pb = rsub.add_parser("label")
     pb.add_argument("--queue", required=True)
     pb.add_argument("--id", type=int, required=True)
-    pb.add_argument("--status", required=True, choices=("approved", "corrected"))
+    pb.add_argument("--status", required=True, choices=dataset.STATUSES[1:])  # not pending
     pb.add_argument("--label", choices=dataset.POLARITIES)
     pb.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_review)

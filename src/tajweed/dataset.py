@@ -9,7 +9,9 @@ empty unless an event start is known (verse files; finite seconds >= 0),
 
 Review queue format: newline-delimited JSON events after a schema header
 line; records are append-only and labels are appended as transition events,
-so the queue survives restarts with no lost or duplicated records.
+so the queue survives restarts with no lost or duplicated records. The record
+rule is `ReviewRecord.checked()`: a read refuses a line whose record it
+refuses, and every writer appends only what a read accepts.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .errors import (
 )
 
 POLARITIES = ("Right", "Wrong")
+# the corrected_label values each review status allows
+STATUS_LABELS = {"pending": (None,), "approved": (None, *POLARITIES), "corrected": POLARITIES}
+STATUSES = tuple(STATUS_LABELS)
 SPLITS = ("train", "test", "unassigned")
 
 MANIFEST_HEADER = ["path", "rule_id", "polarity", "onset_s", "split"]
@@ -352,15 +357,16 @@ class ReviewRecord:
     status: str = "pending"
     corrected_label: str | None = None
 
-
-def _check_record(event: dict, line_number=None) -> None:
-    """Refuse a record event that a queue read would not accept back."""
-    if not (type(event["record_id"]) is int and type(event["audio_path"]) is str
-            and type(event["rule_id"]) is str
-            and isinstance(event.get("verdict"), (dict, type(None)))):
-        raise ParseError(f"record {event['record_id']!r}: record_id must be an integer, "
-                         "audio_path and rule_id strings and verdict an object or null",
-                         line_number)
+    def checked(self) -> ReviewRecord:
+        """This record, or ValueError if a queue read would refuse it."""
+        if not ((self.record_id is None or type(self.record_id) is int)
+                and all(type(s) is str and s for s in (self.audio_path, self.rule_id))
+                and isinstance(self.verdict, (dict, type(None))) and type(self.created_at) is str
+                and self.status in STATUSES and self.corrected_label in STATUS_LABELS[self.status]):
+            raise ValueError(f"a queue read refuses {self!r}; it needs an int or None record_id, "
+                             "non-empty audio_path and rule_id strings, an object or null verdict, "
+                             f"a string created_at and a label its status allows {STATUS_LABELS}")
+        return self
 
 
 def _parse_queue(fh) -> dict[int, ReviewRecord]:
@@ -369,32 +375,23 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
     try:
         header = fh.readline()
         if header and json.loads(header)["schema_version"] != QUEUE_SCHEMA_VERSION:
-            raise ParseError(f"unsupported queue schema {header.strip()}", line_number=1)
+            raise ValueError(f"unsupported queue schema {header.strip()}")
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             event = json.loads(line)
-            rid = event["record_id"]
-            if event["kind"] == "record":
-                _check_record(event, line_no)
-                if rid not in records:
-                    records[rid] = ReviewRecord(
-                        record_id=rid,
-                        audio_path=event["audio_path"],
-                        rule_id=event["rule_id"],
-                        verdict=event.get("verdict"),
-                        created_at=event.get("created_at", ""),
-                    )
-            elif event["kind"] == "label" and type(rid) is int and rid in records:
-                status, label = event["status"], event.get("label")
-                if status not in ("approved", "corrected") or label not in (None, *POLARITIES) \
-                        or (status == "corrected" and label is None):
-                    raise ParseError(f"bad label event {status!r}/{label!r} for record {rid}",
-                                     line_number=line_no)
-                records[rid] = replace(records[rid], status=status, corrected_label=label)
+            kind, rid = event["kind"], event["record_id"]
+            if type(rid) is not int:
+                raise ValueError(f"record_id {rid!r} is not an integer")
+            if kind == "record":
+                records.setdefault(rid, ReviewRecord(
+                    rid, event["audio_path"], event["rule_id"], event.get("verdict"),
+                    event.get("created_at", "")).checked())
+            elif kind == "label" and rid in records and event["status"] != "pending":
+                records[rid] = replace(records[rid], status=event["status"],
+                                       corrected_label=event.get("label")).checked()
             else:
-                raise ParseError(f"unexpected {event['kind']!r} event for record {rid}",
-                                 line_number=line_no)
+                raise ValueError(f"unexpected {kind!r} event for record {rid}")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad queue line: {exc!r}", line_number=line_no) from exc
     return records
@@ -432,49 +429,47 @@ def _locked_queue(path):
 
 
 def review_append(queue_path, record: ReviewRecord) -> ReviewRecord:
-    """Durably append a record; ids are assigned monotonically when absent,
-    and re-appending an existing id is a no-op (idempotent retry).
+    """Durably append a record and return it as a read gives it back: ids are
+    assigned monotonically when absent, and re-appending an existing id is a
+    no-op (idempotent retry). A record checked() refuses raises ParseError.
     """
+    try:
+        record.checked()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     with _locked_queue(queue_path) as (records, append):
         rid = max(records, default=0) + 1 if record.record_id is None else record.record_id
-        created = record.created_at or datetime.now(timezone.utc).isoformat(timespec="seconds")
-        event = {"kind": "record", "record_id": rid, "audio_path": record.audio_path,
-                 "rule_id": record.rule_id, "verdict": record.verdict, "created_at": created}
-        _check_record(event)
         if rid in records:
             return records[rid]
-        append(event)
-    return replace(record, record_id=rid, created_at=created, status="pending")
+        created = record.created_at or datetime.now(timezone.utc).isoformat(timespec="seconds")
+        append({"kind": "record", "record_id": rid, "audio_path": record.audio_path,
+                "rule_id": record.rule_id, "verdict": record.verdict, "created_at": created})
+    return ReviewRecord(rid, record.audio_path, record.rule_id, record.verdict, created)
 
 
 def review_list(queue_path, status: str | None = None) -> list[ReviewRecord]:
+    if status not in (None, *STATUSES):
+        raise ValueError(f"status must be one of {', '.join(STATUSES)}, not {status!r}")
     records = sorted(_read_queue(queue_path).values(), key=lambda r: r.record_id)
-    if status is not None:
-        records = [r for r in records if r.status == status]
-    return records
+    return [r for r in records if status is None or r.status == status]
 
 
 def review_label(queue_path, record_id: int, status: str,
                  label: str | None = None, force: bool = False) -> ReviewRecord:
     """Move a record pending -> approved | corrected. Relabeling an already
-    labeled record requires force=True.
+    labeled record requires force=True. An id that is no int is an
+    UnknownRecord; a status and label that checked() refuses, a ValueError.
     """
-    if status not in ("approved", "corrected"):
-        raise ValueError("status must be approved or corrected")
-    if status == "corrected" and label not in POLARITIES:
-        raise ValueError("corrected records need a Right/Wrong label")
+    if status == "pending":
+        raise ValueError("a label moves a record to approved or corrected, not pending")
     with _locked_queue(queue_path) as (records, append):
-        if record_id not in records:
-            raise UnknownRecord(f"no review record {record_id}")
+        if type(record_id) is not int or record_id not in records:
+            raise UnknownRecord(f"no review record {record_id!r}")
         current = records[record_id]
+        labeled = replace(current, status=status, corrected_label=label).checked()
         if current.status != "pending" and not force:
             raise InvalidTransition(
                 f"record {record_id} is already {current.status}; pass force to relabel"
             )
-        append({
-            "kind": "label",
-            "record_id": record_id,
-            "status": status,
-            "label": label,
-        })
-    return replace(current, status=status, corrected_label=label)
+        append({"kind": "label", "record_id": record_id, "status": status, "label": label})
+    return labeled

@@ -590,3 +590,19 @@ class TestReview:
                     "--status", "corrected", "--label", "Wrong"]) == 0
         assert run(["review", "label", "--queue", q, "--id", "1",
                     "--status", "approved"]) == 7  # InvalidTransition without force
+
+    def test_label_a_read_would_reject_exits_2_and_leaves_the_queue(self, tmp_path, capsys):
+        verdict = tmp_path / "verdict.json"
+        verdict.write_text(json.dumps({"audio_path": "v.wav", "rule_id": "edgham_meem"}))
+        q = tmp_path / "q.jsonl"
+        assert run(["review", "append", "--queue", str(q), "--verdict", str(verdict)]) == 0
+        before = q.read_bytes()
+        assert run(["review", "label", "--queue", str(q), "--id", "1",
+                    "--status", "corrected"]) == 2  # a corrected record needs a label
+        assert q.read_bytes() == before
+        assert run(["review", "label", "--queue", str(q), "--id", "1",
+                    "--status", "corrected", "--label", "Wrong"]) == 0
+        capsys.readouterr()
+        assert run(["review", "list", "--queue", str(q), "--status", "corrected"]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert (listed["record_id"], listed["corrected_label"]) == (1, "Wrong")

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -320,6 +321,8 @@ class TestReviewQueue:
         '{"kind":"record","record_id":"7","audio_path":"x.wav","rule_id":"r"}',
         '{"kind":"record","record_id":2,"audio_path":"x.wav","rule_id":"r","verdict":5}',
         '{"kind":"record","record_id":2,"audio_path":"x.wav","rule_id":"r","verdict":["x"]}',
+        '{"kind":"record","record_id":2,"audio_path":"","rule_id":"r"}',          # empty path
+        '{"kind":"record","record_id":2,"audio_path":"x.wav","rule_id":"r","created_at":5}',
     ])
     def test_malformed_line_reports_its_number(self, tmp_path, line):
         q = tmp_path / "q.jsonl"
@@ -339,6 +342,10 @@ class TestReviewQueue:
         dataset.ReviewRecord(2.0, "x.wav", "edgham_meem", None),
         dataset.ReviewRecord(True, "x.wav", "edgham_meem", None),  # not record 1's retry
         dataset.ReviewRecord("3", "x.wav", "edgham_meem", None),
+        dataset.ReviewRecord(None, "", "edgham_meem", None),
+        dataset.ReviewRecord(None, "x.wav", "", None),
+        dataset.ReviewRecord(None, "x.wav", "edgham_meem", None, created_at=5),
+        dataset.ReviewRecord(None, "x.wav", "edgham_meem", None, created_at=None),
     ])
     def test_append_refuses_a_record_a_read_would_reject(self, tmp_path, record):
         q = tmp_path / "q.jsonl"
@@ -348,6 +355,105 @@ class TestReviewQueue:
             dataset.review_append(str(q), record)
         assert q.read_bytes() == before
         assert [r.record_id for r in dataset.review_list(str(q))] == [1]
+
+    def test_append_returns_the_record_a_read_gives_back(self, tmp_path):
+        q = str(tmp_path / "q.jsonl")
+        stored = dataset.review_append(q, dataset.ReviewRecord(
+            None, "b.wav", "r", None, status="approved", corrected_label="Right"))
+        assert stored.status == "pending" and stored.corrected_label is None
+        assert dataset.review_list(q) == [stored]
+
+    @pytest.mark.parametrize("record_id", [True, 1.0, "1"])
+    def test_label_looks_up_only_int_ids(self, tmp_path, record_id):
+        q = tmp_path / "q.jsonl"
+        dataset.review_append(str(q), self.record())
+        before = q.read_bytes()
+        with pytest.raises(UnknownRecord):
+            dataset.review_label(str(q), record_id, "approved")
+        assert q.read_bytes() == before
+        assert [r.status for r in dataset.review_list(str(q))] == ["pending"]
+
+    @pytest.mark.parametrize("label", ["bogus", 5, "right"])
+    def test_label_refuses_a_label_a_read_would_reject(self, tmp_path, label):
+        q = tmp_path / "q.jsonl"
+        dataset.review_append(str(q), self.record())
+        before = q.read_bytes()
+        with pytest.raises(ValueError):
+            dataset.review_label(str(q), 1, "approved", label=label)
+        assert q.read_bytes() == before
+        assert [r.status for r in dataset.review_list(str(q))] == ["pending"]
+
+    def test_list_refuses_an_unknown_status(self, tmp_path):
+        q = str(tmp_path / "q.jsonl")
+        dataset.review_append(q, self.record())
+        with pytest.raises(ValueError):
+            dataset.review_list(q, status="bogus")
+
+    def test_session_bytes_are_pinned(self, tmp_path):
+        q = tmp_path / "q.jsonl"
+        for i, path in enumerate(["a.wav", "b.wav", "c.wav"]):
+            dataset.review_append(str(q), dataset.ReviewRecord(
+                None, path, "r", {"score": 0.5} if i != 1 else None,
+                created_at=f"2024-01-0{i + 1}T00:00:00+00:00"))
+        dataset.review_label(str(q), 1, "corrected", label="Wrong")
+        dataset.review_label(str(q), 1, "approved", force=True)
+        dataset.review_append(str(q), dataset.ReviewRecord(2, "b.wav", "r", None, created_at="x"))
+        assert q.read_text(encoding="utf-8").splitlines() == [
+            '{"schema_version": 1}',
+            '{"audio_path":"a.wav","created_at":"2024-01-01T00:00:00+00:00","kind":"record",'
+            '"record_id":1,"rule_id":"r","verdict":{"score":0.5}}',
+            '{"audio_path":"b.wav","created_at":"2024-01-02T00:00:00+00:00","kind":"record",'
+            '"record_id":2,"rule_id":"r","verdict":null}',
+            '{"audio_path":"c.wav","created_at":"2024-01-03T00:00:00+00:00","kind":"record",'
+            '"record_id":3,"rule_id":"r","verdict":{"score":0.5}}',
+            '{"kind":"label","label":"Wrong","record_id":1,"status":"corrected"}',
+            '{"kind":"label","label":null,"record_id":1,"status":"approved"}',
+        ]
+
+    @given(record=st.builds(
+        dataset.ReviewRecord,
+        record_id=st.none() | JSON_VALUES, audio_path=st.just("x.wav") | JSON_VALUES,
+        rule_id=st.just("r") | JSON_VALUES, verdict=st.none() | JSON_VALUES,
+        created_at=st.just("") | JSON_VALUES,
+        status=st.sampled_from(dataset.STATUSES) | JSON_VALUES,
+        corrected_label=st.sampled_from([None, *dataset.POLARITIES]) | JSON_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_append_returns_what_a_read_gives_back(self, tmp_path_factory, record):
+        q = tmp_path_factory.getbasetemp() / "append_return_fuzz.jsonl"
+        q.unlink(missing_ok=True)
+        dataset.review_append(str(q), self.record())
+        before = q.read_bytes()
+        try:
+            stored = dataset.review_append(str(q), record)
+        except ParseError:
+            assert q.read_bytes() == before
+            assert [r.record_id for r in dataset.review_list(str(q))] == [1]
+        else:
+            listed = {r.record_id: r for r in dataset.review_list(str(q))}
+            # every field, compared as JSON because a NaN in a verdict is not equal to itself
+            assert json.dumps(asdict(listed[stored.record_id]), sort_keys=True) \
+                == json.dumps(asdict(stored), sort_keys=True)
+
+    @given(record_id=st.sampled_from([1, 2]) | JSON_VALUES,
+           status=st.sampled_from(dataset.STATUSES) | JSON_VALUES,
+           label=st.sampled_from([None, *dataset.POLARITIES]) | JSON_VALUES,
+           force=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_label_leaves_a_readable_queue(self, tmp_path_factory, record_id, status, label,
+                                           force):
+        q = tmp_path_factory.getbasetemp() / "label_fuzz.jsonl"
+        q.unlink(missing_ok=True)
+        dataset.review_append(str(q), self.record())
+        dataset.review_append(str(q), self.record())
+        dataset.review_label(str(q), 2, "approved")
+        before = q.read_bytes()
+        try:
+            labeled = dataset.review_label(str(q), record_id, status, label, force)
+        except (ValueError, UnknownRecord, InvalidTransition):
+            assert q.read_bytes() == before
+            assert [r.record_id for r in dataset.review_list(str(q))] == [1, 2]
+        else:
+            assert {r.record_id: r for r in dataset.review_list(str(q))}[record_id] == labeled
 
     @given(record_id=JSON_VALUES, audio_path=JSON_VALUES, rule_id=JSON_VALUES,
            verdict=JSON_VALUES)
