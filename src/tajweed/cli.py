@@ -9,7 +9,6 @@ stdout. Each error family exits with its own code (see EXIT_CODES).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -125,9 +124,8 @@ def _manifest_root(path) -> str:
 
 def _cmd_synth(args) -> int:
     if args.write_spec:
-        with open(args.write_spec, "w", encoding="utf-8") as fh:
-            json.dump(dataset.default_recipe(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dataset.write_file(args.write_spec, json.dumps(
+            dataset.default_recipe(), indent=2, sort_keys=True).encode() + b"\n")
         print(f"recipe written to {args.write_spec}")
         return 0
     if args.spec:
@@ -197,11 +195,8 @@ def _cmd_evaluate(args) -> int:
     result = detection.evaluate(rules, entries, _manifest_root(args.manifest))
     print(detection.format_confusion_tables(result))
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rule_id", "tp", "fp", "tn", "fn", "accuracy"])
-            for t in result.tables:
-                writer.writerow([t.rule_id, t.tp, t.fp, t.tn, t.fn, f"{t.accuracy:.6f}"])
+        dataset.write_csv(args.out, [["rule_id", "tp", "fp", "tn", "fn", "accuracy"], *(
+            [t.rule_id, t.tp, t.fp, t.tn, t.fn, f"{t.accuracy:.6f}"] for t in result.tables)])
     return 0
 
 
@@ -225,16 +220,11 @@ def _cmd_detect(args) -> int:
 
     if args.out:
         rows = detection.timeline_rows(report, rule, truth_s=args.truth)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        dataset.write_csv(args.out, [list(rows[0]), *(row.values() for row in rows)])
     if args.verdict_out:
-        verdict = asdict(report.verdict) if report.verdict is not None else None
-        with open(args.verdict_out, "w", encoding="utf-8") as fh:
-            json.dump({"audio_path": args.audio, "rule_id": rule.rule_id,
-                       "verdict": verdict}, fh, sort_keys=True)
-            fh.write("\n")
+        verdict = {"audio_path": args.audio, "rule_id": rule.rule_id,
+                   "verdict": report.verdict and asdict(report.verdict)}
+        dataset.write_file(args.verdict_out, json.dumps(verdict, sort_keys=True).encode() + b"\n")
     return 0
 
 

@@ -12,6 +12,10 @@ line; records are append-only and labels are appended as transition events,
 so the queue survives restarts with no lost or duplicated records. The record
 rule is `ReviewRecord.checked()`: a read refuses a line whose record it
 refuses, and every writer appends only what a read accepts.
+
+Every whole file tajweed writes reaches disk through `write_file`, all or
+nothing, except corpus WAVs (the manifest, written last, commits a corpus)
+and the review queue's locked append (a rename would lose a concurrent one).
 """
 
 from __future__ import annotations
@@ -109,15 +113,37 @@ def load_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
-def save_manifest(entries, path) -> None:
+def write_file(path, data: bytes) -> None:
+    """Replace path with data all or nothing: a temp file named for this call beside it (mode
+    0o666 minus the umask, as `open` gives), fsynced, renamed over it. A failure removes the
+    temp file, keeps path and raises IoError. A link, device or pipe is written in place."""
+    in_place = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "wb" if in_place else "xb") as fh:
+            fh.write(data)
+            if not in_place:
+                fh.flush()
+                os.fsync(fh.fileno())
+                os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if not in_place and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def write_csv(path, rows) -> None:
+    """`write_file` of rows as CSV: UTF-8, LF line endings."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
-    for e in entries:
-        onset = repr(float(e.onset_s)) if e.onset_s is not None else ""
-        writer.writerow([e.path, e.rule_id, e.polarity or "", onset, e.split])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_file(path, buf.getvalue().encode("utf-8"))
+
+
+def save_manifest(entries, path) -> None:
+    write_csv(path, [MANIFEST_HEADER, *(
+        [e.path, e.rule_id, e.polarity or "", "" if e.onset_s is None else repr(float(e.onset_s)),
+         e.split] for e in entries)])
 
 
 def split(entries, train_fraction: float = TRAIN_FRACTION, seed: int = 0) -> list[ManifestEntry]:
@@ -419,9 +445,12 @@ def _locked_queue(path):
         records = _parse_queue(fh)
 
         def append(event: dict) -> None:
-            if os.fstat(fh.fileno()).st_size == 0:
-                fh.write(json.dumps({"schema_version": QUEUE_SCHEMA_VERSION}) + "\n")
-            fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
+            try:  # serialized whole before the one write, so a refusal leaves the queue
+                line = json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"cannot serialize queue event: {exc}") from exc
+            header = json.dumps({"schema_version": QUEUE_SCHEMA_VERSION}) + "\n"
+            fh.write(line if os.fstat(fh.fileno()).st_size else header + line)
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -462,6 +491,8 @@ def review_label(queue_path, record_id: int, status: str,
     """
     if status == "pending":
         raise ValueError("a label moves a record to approved or corrected, not pending")
+    if not os.path.exists(queue_path):  # opening it to lock would create it
+        raise UnknownRecord(f"no review queue {queue_path}, so no record {record_id!r}")
     with _locked_queue(queue_path) as (records, append):
         if type(record_id) is not int or record_id not in records:
             raise UnknownRecord(f"no review record {record_id!r}")

@@ -12,7 +12,7 @@ scaler std >= 0, C and gamma > 0, and the thresholds `RuleModel` accepts.
 All real numbers live in the binary section (scalars is a 7-double blob),
 so a load/save round-trip reproduces decision values bit-for-bit. The JSON
 header is emitted with sorted keys and no timestamps, making repeated saves
-of one model byte-identical.
+of one model byte-identical. Saves go through `dataset.write_file`, all or nothing.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import struct
-import tempfile
 
 import numpy as np
 
+from .dataset import write_file
 from .detection import RuleModel
 from .errors import IoError, SchemaError, VersionMismatch
 from .features import AGGREGATIONS, LOG_FLOOR, FeatureConfig, Scaler
@@ -58,8 +57,7 @@ def _differing(stored: dict, expected: dict) -> list:
 
 
 def save_model(rule_model: RuleModel, path) -> None:
-    """Atomically write a rule model: a unique temp file in the target
-    directory, fsynced, then renamed over the target."""
+    """Write a rule model through `dataset.write_file`: all or nothing, IoError on failure."""
     m, scaler = rule_model.svm, rule_model.scaler
     arrays = (
         [m.bias, m.C, m.gamma, *rule_model.calibration, rule_model.tau_right,
@@ -70,27 +68,8 @@ def save_model(rule_model: RuleModel, path) -> None:
                      rule_model.train_seed, len(m.support_vectors))
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
 
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", len(header_bytes))
-    blob += header_bytes
-    for arr in arrays:
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o644)
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write model file {path}: {exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+    write_file(path, b"".join([MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, *(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays)]))
 
 
 def load_model(path) -> RuleModel:

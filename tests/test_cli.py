@@ -1,8 +1,11 @@
 import json
 import os
 import re
+import resource
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -17,6 +20,10 @@ from tajweed import audio, cli, dataset, detection, features, persistence
 
 def run(argv):
     return cli.main(argv)
+
+
+def refuse(*args):
+    raise OSError("refused")
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +578,60 @@ class TestSynthAndSplit:
                     "--seed", "1"]) == 0
         entries = dataset.load_manifest(os.path.join(out, "manifest.csv"))
         assert all(e.split in ("train", "test") for e in entries)
+
+
+class TestAllOrNothingWrites:
+    """Every file the CLI writes: a write that fails keeps the target's bytes."""
+
+    @pytest.fixture
+    def target(self, small_corpus, tmp_path):
+        """A manifest of the small corpus alone in tmp_path, as the target's old bytes."""
+        root, entries = small_corpus
+        path = tmp_path / dataset.MANIFEST_NAME
+        dataset.save_manifest([replace(e, path=os.path.join(root, e.path)) for e in entries],
+                              str(path))
+        return path
+
+    @pytest.mark.parametrize("fail", ["fsync", "replace"])
+    @pytest.mark.parametrize("writer", ["write_spec", "split", "split_out", "evaluate_out",
+                                        "detect_out", "detect_verdict_out"])
+    def test_failed_write_exits_9_and_keeps_the_target(self, small_corpus, manifest,
+                                                       trained_model_path, target, monkeypatch,
+                                                       capsys, writer, fail):
+        root, entries = small_corpus
+        wav = os.path.join(root, next(e.path for e in entries if e.onset_s is not None))
+        detect = ["detect", "--audio", wav, "--rule", "edgham_meem", "--model",
+                  trained_model_path]
+        argv = {
+            "write_spec": ["synth", "--write-spec"],
+            "split": ["split", "--seed", "1", "--manifest"],
+            "split_out": ["split", "--manifest", manifest, "--seed", "1", "--out"],
+            "evaluate_out": ["evaluate", "--manifest", manifest, "--model", trained_model_path,
+                             "--out"],
+            "detect_out": [*detect, "--out"],
+            "detect_verdict_out": [*detect, "--verdict-out"],
+        }[writer]
+        before = target.read_bytes()
+        monkeypatch.setattr(os, fail, refuse)
+        assert run([*argv, str(target)]) == 9
+        assert f"error: cannot write {target}: refused" in capsys.readouterr().err
+        assert target.read_bytes() == before
+        assert os.listdir(target.parent) == [target.name]
+
+    def test_split_in_place_past_the_file_size_limit_keeps_the_manifest(self, target):
+        before = target.read_bytes()
+        assert len(before) > 1024
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        child = subprocess.run(  # Python ignores SIGXFSZ, so the write fails with EFBIG
+            [sys.executable, "-m", "tajweed", "split", "--manifest", str(target), "--seed", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024)))
+        assert child.returncode == 9, child.stderr
+        assert "File too large" in child.stderr
+        assert target.read_bytes() == before
+        assert os.listdir(target.parent) == [target.name]
 
 
 class TestReview:

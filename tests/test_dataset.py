@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import stat
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tajweed import audio, dataset
-from tajweed.errors import InvalidTransition, ParseError, StratumTooSmall, UnknownRecord
+from tajweed.errors import InvalidTransition, IoError, ParseError, StratumTooSmall, UnknownRecord
 
 
 JSON_VALUES = st.recursive(
@@ -29,6 +30,10 @@ def append_many(queue, n):
 
 def entry(path="a.wav", rule="edgham_meem", polarity="Right", onset=None, split="unassigned"):
     return dataset.ManifestEntry(path, rule, polarity, onset, split)
+
+
+def refuse(*args):
+    raise OSError("refused")
 
 
 class TestManifest:
@@ -98,6 +103,57 @@ class TestManifest:
         with pytest.warns(dataset.DanglingPathWarning, match="missing.wav"):
             entries = dataset.load_manifest(str(p))
         assert len(entries) == 1
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+    def test_mode_is_what_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            dataset.write_file(str(tmp_path / "new"), b"x")
+            dataset.write_file(str(tmp_path / "new"), b"y")  # a replaced file too
+            open(tmp_path / "plain", "wb").close()
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("new", "plain")}
+        assert modes == {mode}
+        assert (tmp_path / "new").read_bytes() == b"y"
+        assert sorted(os.listdir(tmp_path)) == ["new", "plain"]
+
+    @pytest.mark.parametrize("fail", ["fsync", "replace"])
+    @pytest.mark.parametrize("write", [
+        lambda path: dataset.write_file(path, b"new bytes"),
+        lambda path: dataset.save_manifest([entry(), entry(path="b.wav")], path),
+    ], ids=["write_file", "save_manifest"])
+    def test_failed_write_keeps_the_target(self, tmp_path, monkeypatch, write, fail):
+        target = tmp_path / "out"
+        target.write_bytes(b"sentinel\n")
+        monkeypatch.setattr(os, fail, refuse)
+        with pytest.raises(IoError, match="refused"):
+            write(str(target))
+        assert target.read_bytes() == b"sentinel\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_write_creates_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fsync", refuse)
+        with pytest.raises(IoError):
+            dataset.write_file(str(tmp_path / "out"), b"x")
+        assert os.listdir(tmp_path) == []
+
+    def test_links_and_devices_are_written_in_place(self, tmp_path):
+        (tmp_path / "real").write_bytes(b"old")
+        for name, target in [("link", tmp_path / "real"), ("null", os.devnull)]:
+            (tmp_path / name).symlink_to(target)  # a rename would leave a regular file here
+            dataset.write_file(str(tmp_path / name), b"new")
+            assert (tmp_path / name).is_symlink()
+        assert (tmp_path / "real").read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["link", "null", "real"]
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_missing_directory_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            dataset.write_file(str(tmp_path / "missing" / "out"), b"x")
 
 
 class TestSplit:
@@ -250,6 +306,28 @@ class TestReviewQueue:
         dataset.review_append(q, self.record())
         with pytest.raises(UnknownRecord):
             dataset.review_label(q, 99, "approved")
+
+    def test_label_on_a_missing_queue_creates_nothing(self, tmp_path):
+        q = tmp_path / "missing.jsonl"
+        with pytest.raises(UnknownRecord):
+            dataset.review_label(str(q), 1, "approved")
+        assert not q.exists()
+
+    @pytest.mark.parametrize("appended", [0, 1], ids=["empty_queue", "one_record"])
+    @pytest.mark.parametrize("record", [
+        dataset.ReviewRecord(10 ** 5000, "x.wav", "edgham_meem", None),  # over 4,300 digits
+        dataset.ReviewRecord(None, "x.wav", "edgham_meem", {"score": {0.5}}),
+    ], ids=["huge_record_id", "set_in_verdict"])
+    def test_append_json_refuses_leaves_the_queue(self, tmp_path, record, appended):
+        q = tmp_path / "q.jsonl"
+        q.touch()
+        for _ in range(appended):
+            dataset.review_append(str(q), self.record())
+        before = q.read_bytes()
+        with pytest.raises(ParseError, match="cannot serialize"):
+            dataset.review_append(str(q), record)
+        assert q.read_bytes() == before
+        assert [r.record_id for r in dataset.review_list(str(q))] == list(range(1, appended + 1))
 
     def test_relabel_requires_force(self, tmp_path):
         q = str(tmp_path / "q.jsonl")

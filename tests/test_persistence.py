@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -124,12 +126,33 @@ def test_no_leftover_temp_file(small_model, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model"]
 
 
-def test_failed_save_leaves_no_temp_file(small_model, tmp_path):
+def refuse(*args):
+    raise OSError("refused")
+
+
+@pytest.mark.parametrize("fail", ["directory", "fsync", "replace"])
+def test_failed_save_leaves_no_temp_file(small_model, tmp_path, monkeypatch, fail):
     target = tmp_path / "m.model"
-    target.mkdir()                      # os.replace cannot overwrite a directory
+    if fail == "directory":
+        target.mkdir()                  # os.replace cannot overwrite a directory
+    else:
+        target.write_bytes(b"sentinel")  # an earlier model, kept whole
+        monkeypatch.setattr(os, fail, refuse)
     with pytest.raises(IoError):
         persistence.save_model(small_model, str(target))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model"]
+    assert target.is_dir() if fail == "directory" else target.read_bytes() == b"sentinel"
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+def test_model_mode_is_what_open_gives(small_model, tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        persistence.save_model(small_model, str(tmp_path / "m.model"))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "m.model").st_mode) == mode
 
 
 def _relaid(blob, edit):
