@@ -30,6 +30,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from decimal import Decimal
 
 import numpy as np
 
@@ -423,14 +424,6 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
     return records
 
 
-def _read_queue(path) -> dict[int, ReviewRecord]:
-    if not os.path.exists(path):
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        return _parse_queue(fh)
-
-
 @contextmanager
 def _locked_queue(path):
     """Yield the queue's records and an append function under one exclusive
@@ -479,7 +472,9 @@ def review_append(queue_path, record: ReviewRecord) -> ReviewRecord:
 def review_list(queue_path, status: str | None = None) -> list[ReviewRecord]:
     if status not in (None, *STATUSES):
         raise ValueError(f"status must be one of {', '.join(STATUSES)}, not {status!r}")
-    records = sorted(_read_queue(queue_path).values(), key=lambda r: r.record_id)
+    with open(queue_path, encoding="utf-8") as fh:  # a missing queue raises, creating nothing
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
+        records = sorted(_parse_queue(fh).values(), key=lambda r: r.record_id)
     return [r for r in records if status is None or r.status == status]
 
 
@@ -491,11 +486,16 @@ def review_label(queue_path, record_id: int, status: str,
     """
     if status == "pending":
         raise ValueError("a label moves a record to approved or corrected, not pending")
+    try:
+        shown = repr(record_id)
+    except ValueError:  # an int past the int-to-str digit limit, alone or in a container
+        shown = (f"of {Decimal(record_id).adjusted() + 1} digits" if type(record_id) is int
+                 else f"of type {type(record_id).__name__}")
     if not os.path.exists(queue_path):  # opening it to lock would create it
-        raise UnknownRecord(f"no review queue {queue_path}, so no record {record_id!r}")
+        raise UnknownRecord(f"no review queue {queue_path}, so no record {shown}")
     with _locked_queue(queue_path) as (records, append):
         if type(record_id) is not int or record_id not in records:
-            raise UnknownRecord(f"no review record {record_id!r}")
+            raise UnknownRecord(f"no review record {shown}")
         current = records[record_id]
         labeled = replace(current, status=status, corrected_label=label).checked()
         if current.status != "pending" and not force:

@@ -11,13 +11,13 @@ picks how a window's log energies pool into one vector: per-filter mean and
 standard deviation (default), or the frame-by-filter matrix flattened row-major.
 
 extract_features is the one front end: one feature row per audio.WINDOW_S
-window every audio.STRIDE_S, all pooled from one log-energy matrix per clip.
-The mean/std pool reduces each one-stride block once and merges a window's
-blocks with the update formula of Chan, Golub & LeVeque (1979, "Updating
-formulae and a pairwise algorithm for computing sample variances"). The
-frames are transformed a block of at most STRIDE_FRAMES at a time, so a
-call's temporaries stay a few hundred KB that malloc reuses, not fresh pages
-faulted in on every call. Identical input and config give byte-identical
+window every audio.STRIDE_S, all pooled from one clip's log energies. Its unit
+is the stride: frame_log_energies gives them as strides of STRIDE_FRAMES
+frames, each one filter-bank product of one shape whatever the clip's length,
+and pool reads a window's strides as views. The mean/std pool reduces each
+stride once and merges a window's strides with the update formula of Chan,
+Golub & LeVeque (1979, "Updating formulae and a pairwise algorithm for
+computing sample variances"). Identical input and config give byte-identical
 features.
 """
 
@@ -154,57 +154,55 @@ def build_filterbank() -> np.ndarray:
 
 
 def frame_log_energies(frames: np.ndarray) -> np.ndarray:
-    """Hamming, power spectrum, filter bank, log: one row per FRAME_LEN-sample frame.
-
-    The frames go through in even blocks of at most STRIDE_FRAMES rows,
-    written into one output. The chain makes about 5 KB of temporaries per
-    frame: a whole clip's worth is fresh pages that glibc malloc hands back
-    to the kernel after each call, while a block's worth is a few hundred KB
-    that the free list reuses. The blocks are even, not STRIDE_FRAMES rows and
-    a remainder, because OpenBLAS picks its kernel by the product's shape: a
-    short tail (one row is a gemv) rounds otherwise than one gemm over the
-    clip, which blocks of 18 to 58 rows match bit for bit (OpenBLAS 0.3.31)."""
+    """Hamming, power spectrum, filter bank, log, one stride at a time: stride s
+    of the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames from
+    STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows past
+    the frames). Every filter-bank product is one (STRIDE_FRAMES, bins) @ (bins,
+    NUM_FILTERS) shape, so a frame's log energies depend on the frame and its
+    offset in a stride, never on the clip's length; a stride's temporaries are
+    a few hundred KB that malloc reuses, not a whole clip's fresh pages."""
     weights = build_filterbank().T
-    n = len(frames)
-    n_blocks = -(-n // STRIDE_FRAMES)
-    log_energies = np.empty((n, NUM_FILTERS))
-    for b in range(n_blocks):
-        rows = slice(n * b // n_blocks, n * (b + 1) // n_blocks)
-        energies = power_spectrum(frames[rows] * HAMMING) @ weights
-        np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=log_energies[rows])
+    log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
+    for s, out in enumerate(log_energies):
+        power = power_spectrum(frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + 1)] * HAMMING)
+        if len(power) < STRIDE_FRAMES:  # the last stride: no power past the clip's frames
+            power = np.vstack([power, np.zeros((STRIDE_FRAMES - len(power), FFT_SIZE // 2 + 1))])
+        energies = power @ weights
+        np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=out)
     return log_energies
 
 
-def _run_stats(log_energies: np.ndarray, first: int, length: int, count: int):
-    """(sum, squared deviations from the mean, max, min) per filter of `count`
-    runs of `length` frames, one every STRIDE_FRAMES from frame `first`, gathered
-    contiguous (frames, runs, filters): that reduces fastest, and a strided
-    view would sum in another order."""
-    x = log_energies[first + np.arange(length)[:, None] + STRIDE_FRAMES * np.arange(count)]
+def _run_stats(runs: np.ndarray):
+    """(sum, squared deviations from the mean, max, min) per filter of each run
+    of a (runs, frames, filters) view, copied frames-major: that reduces
+    fastest, a strided view would sum in another order, and a copy, unlike
+    ascontiguousarray, never reduces the log energies in place."""
+    x = runs.transpose(1, 0, 2).copy()
     total, hi, lo = x.sum(axis=0), x.max(axis=0), x.min(axis=0)
-    x -= total / length
+    x -= total / len(x)
     return total, np.square(x, out=x).sum(axis=0), hi, lo
 
 
 def pool(log_energies: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """One feature row per window over a clip's frames: window w is the
-    WINDOW_FRAMES frames from frame STRIDE_FRAMES * w.
+    """One feature row per window over a clip's strides of log energies, as
+    frame_log_energies gives them: window w is the WINDOW_FRAMES frames from
+    stride w, so 7 + n strides hold n windows.
 
-    flatten lays out each window's frames row-major. mean_std_pool cuts window
-    w into the 7 one-stride blocks w..w+6, shared with its neighbours, and a
-    48-frame tail, reduces each block and tail once, and merges a window's k
-    parts of n_p frames (Chan, Golub & LeVeque 1979): mean = sum / n,
+    flatten lays out each window's frames row-major. mean_std_pool reads window
+    w as the 7 strides w..w+6, shared with its neighbours, and the first 48
+    frames of stride w+7, reduces each stride and tail once, and merges a
+    window's k parts of n_p frames (Chan, Golub & LeVeque 1979): mean = sum / n,
     M2 = sum_p M2_p + sum_p n_p * (mean_p - mean)^2 and std = sqrt(M2 / n).
     A column is constant, with std exactly 0, when max == min over the parts.
     """
-    n = (len(log_energies) - WINDOW_FRAMES) // STRIDE_FRAMES + 1
-    if config.aggregation == "flatten":
-        windows = sliding_window_view(log_energies, WINDOW_FRAMES, axis=0)[::STRIDE_FRAMES]
-        return windows.transpose(0, 2, 1).reshape(n, -1)
     n_blocks, tail = divmod(WINDOW_FRAMES, STRIDE_FRAMES)
-    blocks = _run_stats(log_energies, 0, STRIDE_FRAMES, n + n_blocks - 1)
-    tails = _run_stats(log_energies, n_blocks * STRIDE_FRAMES, tail, n)
-    parts = np.arange(n)[:, None] + np.arange(n_blocks)  # window w's blocks w..w+6
+    n = len(log_energies) - n_blocks
+    if config.aggregation == "flatten":
+        windows = sliding_window_view(log_energies.reshape(-1, NUM_FILTERS), WINDOW_FRAMES, axis=0)
+        return windows[:n * STRIDE_FRAMES:STRIDE_FRAMES].transpose(0, 2, 1).reshape(n, -1)
+    blocks = _run_stats(log_energies[:n + n_blocks - 1])
+    tails = _run_stats(log_energies[n_blocks:n + n_blocks, :tail])
+    parts = np.arange(n)[:, None] + np.arange(n_blocks)  # window w's strides w..w+6
     total, m2, hi, lo = (np.concatenate([b[parts], t[:, None]], axis=1)  # (window, part, filter)
                          for b, t in zip(blocks, tails))
     counts = np.array([STRIDE_FRAMES] * n_blocks + [tail], dtype=np.float64)[:, None]

@@ -207,6 +207,12 @@ class TestExitCodes:
         assert run(argv) == 9
         assert "error:" in capsys.readouterr().err
 
+    def test_list_of_a_missing_queue_exits_9_and_creates_nothing(self, tmp_path, capsys):
+        queue = tmp_path / "typo.jsonl"
+        assert run(["review", "list", "--queue", str(queue)]) == 9
+        assert "typo.jsonl" in capsys.readouterr().err
+        assert not queue.exists()
+
     def test_unparsable_verdict_is_dataset_error(self, tmp_path):
         verdict = tmp_path / "verdict.json"
         verdict.write_text("{not json")

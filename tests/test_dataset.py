@@ -313,6 +313,25 @@ class TestReviewQueue:
             dataset.review_label(str(q), 1, "approved")
         assert not q.exists()
 
+    @pytest.mark.parametrize("appended", [0, 1], ids=["missing_queue", "one_record"])
+    def test_label_names_an_id_past_the_digit_limit_by_its_digits(self, tmp_path, appended):
+        q = tmp_path / "q.jsonl"
+        if appended:
+            dataset.review_append(str(q), self.record())
+        before = q.read_bytes() if appended else None
+        with pytest.raises(UnknownRecord, match="of 5001 digits"):
+            dataset.review_label(str(q), 10 ** 5000, "approved")
+        if appended:
+            assert q.read_bytes() == before
+        else:
+            assert not q.exists()
+
+    def test_list_on_a_missing_queue_raises_and_creates_nothing(self, tmp_path):
+        q = tmp_path / "typo.jsonl"
+        with pytest.raises(FileNotFoundError):
+            dataset.review_list(str(q))
+        assert not q.exists()
+
     @pytest.mark.parametrize("appended", [0, 1], ids=["empty_queue", "one_record"])
     @pytest.mark.parametrize("record", [
         dataset.ReviewRecord(10 ** 5000, "x.wav", "edgham_meem", None),  # over 4,300 digits

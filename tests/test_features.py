@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ def one_shot_log_energies(frames):
     return np.log(np.maximum(energies, features.LOG_FLOOR, out=energies), out=energies)
 
 
+def frame_rows(log_energies):
+    """A clip's log energies one frame a row, the last stride's padding rows
+    included."""
+    return log_energies.reshape(-1, features.NUM_FILTERS)
+
+
+class RecordingBank:
+    """Stands in for the filter bank's transpose: records the left operand of
+    each product and computes it with the real bank."""
+
+    __array_ufunc__ = None  # so ndarray @ RecordingBank calls __rmatmul__
+
+    def __init__(self, weights):
+        self.weights, self.lefts = weights, []
+
+    def __rmatmul__(self, left):
+        self.lefts.append(left.copy())
+        return left @ self.weights
+
+
 class TestFrameLogEnergies:
     @pytest.mark.parametrize("n_frames", [1, 49, 50, 51, 99, 100, 101, 398, 1498])
     @pytest.mark.parametrize("silent", [False, True])
@@ -210,15 +231,50 @@ class TestFrameLogEnergies:
         frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
         if silent:
             frames[:] = 0.0
-        blocked = features.frame_log_energies(frames)
-        assert blocked.shape == (n_frames, features.NUM_FILTERS)
-        assert blocked.tobytes() == one_shot_log_energies(frames).tobytes()
-        assert silent == (blocked == np.log(features.LOG_FLOOR)).all()
+        strides = features.frame_log_energies(frames)
+        assert strides.shape == (-(-n_frames // features.STRIDE_FRAMES), features.STRIDE_FRAMES,
+                                 features.NUM_FILTERS)
+        rows = frame_rows(strides)
+        # one gemm over all the frames; one frame alone would be a gemv, so its
+        # reference is its stride, zero frames after it
+        padded = np.zeros((features.STRIDE_FRAMES, features.FRAME_LEN))
+        padded[:n_frames] = frames[:features.STRIDE_FRAMES]
+        one_shot = one_shot_log_energies(frames if n_frames > 1 else padded)[:n_frames]
+        assert rows[:n_frames].tobytes() == one_shot.tobytes()
+        assert (rows[n_frames:] == np.log(features.LOG_FLOOR)).all()
+        assert silent == (rows[:n_frames] == np.log(features.LOG_FLOOR)).all()
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 17, 18, 49, 50, 51, 398, 1498])
+    @pytest.mark.parametrize("start", [0, 50, 350])
+    def test_a_frame_does_not_depend_on_the_clip_around_it(self, n_frames, start):
+        # the frames at the same stride offset in a longer clip
+        clip = np.random.default_rng(start + n_frames).uniform(
+            -1, 1, (start + n_frames + 123, features.FRAME_LEN))
+        alone = frame_rows(features.frame_log_energies(clip[start:start + n_frames]))[:n_frames]
+        within = frame_rows(features.frame_log_energies(clip))[start:start + n_frames]
+        assert alone.tobytes() == within.tobytes()
+
+    @pytest.mark.parametrize("seconds", [1 / 8000, 3.99, 4.0, 12.5, 60.0])
+    def test_one_product_shape_per_stride_from_frame_0(self, seconds, spectrum_inputs,
+                                                        monkeypatch):
+        bank = RecordingBank(BANK.T)
+        monkeypatch.setattr(features, "build_filterbank", lambda: types.SimpleNamespace(T=bank))
+        clip = audio.AudioClip(np.random.default_rng(5).uniform(-0.5, 0.5, round(seconds * RATE)),
+                               RATE)
+        windows = len(features.extract_features(clip, CFG))
+        inputs = list(spectrum_inputs)  # before the checks below add their own calls
+        n_frames = (windows - 1) * features.STRIDE_FRAMES + features.WINDOW_FRAMES
+        assert len(bank.lefts) == len(inputs) == -(-n_frames // features.STRIDE_FRAMES)
+        assert sum(map(len, inputs)) == n_frames  # the clip's frames, no padding
+        for frames, left in zip(inputs, bank.lefts):
+            assert left.shape == (features.STRIDE_FRAMES, features.FFT_SIZE // 2 + 1)
+            assert left[:len(frames)].tobytes() == features.power_spectrum(frames).tobytes()
+            assert not left[len(frames):].any()
 
     @pytest.mark.parametrize("n_frames", [18, 49, 50, 398, 1498])
     def test_bytes_match_a_row_major_bank(self, n_frames, monkeypatch):
-        # extract_features makes blocks of 49 or 50 rows; from 18 rows on,
-        # OpenBLAS rounds the product alike for either layout of the bank
+        # every product is one stride of 50 rows, which OpenBLAS rounds alike
+        # for either layout of the bank
         frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
         column_major = features.frame_log_energies(frames)
         row_major = np.ascontiguousarray(BANK)
@@ -291,7 +347,8 @@ def log_energies(samples):
     """Frame samples on their own, the incomplete tail dropped, and take each
     frame's log energies."""
     frames = np.lib.stride_tricks.sliding_window_view(samples, features.FRAME_LEN)
-    return features.frame_log_energies(frames[::features.HOP_LEN])
+    frames = frames[::features.HOP_LEN]
+    return frame_rows(features.frame_log_energies(frames))[:len(frames)]
 
 
 def window_log_energies(clip):

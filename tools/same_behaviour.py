@@ -1,0 +1,222 @@
+#!/usr/bin/env python3
+"""Same-behaviour gate: run one fixed list of tajweed commands on a base
+revision and on the working tree, and name every difference.
+
+    python tools/same_behaviour.py [--base REF]
+
+The base is the `src` of REF (default HEAD), exported with `git archive`. Each
+command is a fresh `python -m tajweed` process with that tree's `src` on
+PYTHONPATH, run in a scratch directory of the tree's own. The list covers
+synth of the default recipe with reduced counts at 8,000 and 16,000 Hz, split,
+train of both rules x both aggregations at both rates, evaluate with one and
+with two models, a one-cell gridsearch, detect on every verse with each model
+of its rule and rate, a review queue session, and the failing cases of the CI
+pipeline step with their exit codes.
+
+Each command's exit code, stdout and stderr and the SHA-256 of every file the
+session leaves are compared, after normalizing only the tree's own
+directories and the review queue's created_at times. Prints each difference
+and exits 1 if there is one, 0 if there is none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import os
+import re
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+RULES = ("edgham_meem", "tarqeeq_lam")
+AGGREGATIONS = ("mean_std_pool", "flatten")
+RATES = (8000, 16000)
+REDUCED = {"clips_per_class": 8, "negatives_per_rule": 3, "verses_per_rule": 1,
+           "event_free_verses_per_rule": 1}
+CREATED_AT = re.compile(rb"""(created_at["']?(?:: ?|=)["'])[^"']*""")  # JSON or repr
+
+
+def tajweed(*args: str) -> list[str]:
+    return [sys.executable, "-m", "tajweed", *args]
+
+
+def model(rate: int, rule: str, agg: str) -> str:
+    return f"m{rate}_{rule}_{agg}.model"
+
+
+def add_header_key(src: Path, dst: Path) -> None:
+    """A copy of a model whose header has one key train never writes."""
+    blob = src.read_bytes()
+    n = struct.unpack_from("<I", blob, 8)[0]
+    header = {**json.loads(blob[12:12 + n]), "note": "x"}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:])
+
+
+def session(run: Path):
+    """The command list, as (name, argv) pairs run in order in `run`; the
+    inputs tajweed does not write are made in between, from earlier outputs."""
+    yield "write-spec", tajweed("synth", "--write-spec", "spec.json")
+    recipe = json.loads((run / "spec.json").read_text())
+    for rate in RATES:
+        (run / f"spec{rate}.json").write_text(
+            json.dumps({**recipe, **REDUCED, "sample_rate_hz": rate}))
+        yield f"synth-{rate}", tajweed("synth", "--spec", f"spec{rate}.json", "--seed", "1",
+                                       "--out", f"c{rate}")
+    (run / "not_a_recipe.json").write_text('["not", "a", "recipe"]\n')
+    yield "synth-not-a-recipe", tajweed("synth", "--spec", "not_a_recipe.json", "--seed", "1",
+                                        "--out", "no_corpus")
+
+    shutil.copy(run / "c8000/manifest.csv", run / "c8000/unsplit.csv")
+    yield "split-past-1KiB", ["sh", "-c", 'ulimit -f 1 && exec "$@"', "sh",
+                              *tajweed("split", "--manifest", "c8000/manifest.csv", "--seed", "2")]
+    yield "split-8000", tajweed("split", "--manifest", "c8000/manifest.csv", "--seed", "2")
+    yield "split-16000-out", tajweed("split", "--manifest", "c16000/manifest.csv", "--seed", "2",
+                                     "--out", "c16000/split.csv")
+    manifests = {8000: "c8000/manifest.csv", 16000: "c16000/split.csv"}
+
+    for rate, rule, agg in ((r, u, a) for r in RATES for u in RULES for a in AGGREGATIONS):
+        gamma = ["--gamma", "0.00002"] if agg == "flatten" else []
+        yield f"train-{rate}-{rule}-{agg}", tajweed(
+            "train", "--manifest", manifests[rate], "--rule", rule, "--seed", "3", "--agg", agg,
+            *gamma, "--model", model(rate, rule, agg))
+
+    pool = [model(8000, rule, "mean_std_pool") for rule in RULES]
+    yield "evaluate-one-model", tajweed("evaluate", "--manifest", manifests[8000],
+                                        "--model", pool[0], "--out", "evaluate1.csv")
+    yield "evaluate-two-models", tajweed("evaluate", "--manifest", manifests[8000],
+                                         "--model", pool[0], "--model", pool[1],
+                                         "--out", "evaluate2.csv")
+    yield "evaluate-unsplit", tajweed("evaluate", "--manifest", "c8000/unsplit.csv",
+                                      "--model", pool[0])
+    yield "gridsearch", tajweed("gridsearch", "--manifest", manifests[8000], "--rule", RULES[0],
+                                "--seed", "3", "--c-grid", "1", "--gamma-grid", "0.1")
+    yield "gridsearch-unsplit", tajweed("gridsearch", "--manifest", "c8000/unsplit.csv",
+                                        "--rule", RULES[0], "--seed", "3",
+                                        "--c-grid", "1", "--gamma-grid", "0.1")
+
+    for rate in RATES:
+        with open(run / manifests[rate], newline="") as fh:
+            verses = [row for row in csv.DictReader(fh) if "_verse_" in row["path"]]
+        for row, agg in ((row, agg) for row in verses for agg in AGGREGATIONS):
+            stem = f"{rate}_{Path(row['path']).stem}_{agg}"
+            truth = ["--truth", row["onset_s"]] if row["onset_s"] else []
+            yield f"detect-{stem}", tajweed(
+                "detect", "--audio", f"c{rate}/{row['path']}", "--rule", row["rule_id"],
+                "--model", model(rate, row["rule_id"], agg), *truth,
+                "--out", f"timeline_{stem}.csv", "--verdict-out", f"verdict_{stem}.json")
+
+    verse = f"c8000/{RULES[0]}_right_verse_0000.wav"
+    (run / "not_a_model").write_text("not a model\n")
+    yield "detect-not-a-model", tajweed("detect", "--audio", verse, "--rule", RULES[0],
+                                        "--model", "not_a_model")
+    add_header_key(run / pool[0], run / "extra_key.model")
+    yield "detect-extra-key", tajweed("detect", "--audio", verse, "--rule", RULES[0],
+                                      "--model", "extra_key.model")
+
+    verdict = f"verdict_8000_{RULES[0]}_right_verse_0000_mean_std_pool.json"
+    queue = ["--queue", "queue.jsonl"]
+    yield "review-append", tajweed("review", "append", *queue, "--verdict", verdict)
+    yield "review-list-pending", tajweed("review", "list", *queue, "--status", "pending")
+    yield "review-label-corrected", tajweed("review", "label", *queue, "--id", "1",
+                                            "--status", "corrected", "--label", "Wrong")
+    yield "review-list-corrected", tajweed("review", "list", *queue, "--status", "corrected")
+    yield "review-relabel-unforced", tajweed("review", "label", *queue, "--id", "1",
+                                             "--status", "approved")
+    yield "review-corrected-no-label", tajweed("review", "label", *queue, "--id", "1",
+                                               "--status", "corrected", "--force")
+    yield "review-list", tajweed("review", "list", *queue)
+
+
+def run_tree(src: Path, work: Path) -> tuple[dict, dict]:
+    """Run the session on one tree: {command: (exit, stdout, stderr)} and
+    {file: sha256}, both normalized."""
+    run = work / "run"
+    run.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": str(work / "pycache")}
+    found = subprocess.run([sys.executable, "-c", "import tajweed; print(tajweed.__file__)"],
+                           env=env, capture_output=True, text=True).stdout.strip()
+    if not found.startswith(str(src) + os.sep):
+        sys.exit(f"PYTHONPATH={src} imports tajweed from {found or 'nowhere'}")
+
+    def normal(data: bytes) -> bytes:
+        for path, name in ((run, b"<run>"), (src.parent, b"<tree>")):
+            data = data.replace(str(path).encode(), name)
+        return CREATED_AT.sub(rb"\1<created_at>", data)
+
+    results = {}
+    commands = session(run)
+    try:
+        for name, argv in commands:
+            done = subprocess.run(argv, cwd=run, env=env, capture_output=True)
+            results[name] = (done.returncode, normal(done.stdout), normal(done.stderr))
+    except (OSError, ValueError, KeyError) as exc:  # an input the session makes is missing
+        results["session"] = (f"stopped: {exc!r}", b"", b"")
+    files = {p.relative_to(run).as_posix(): hashlib.sha256(normal(p.read_bytes())).hexdigest()
+             for p in sorted(run.rglob("*")) if p.is_file()}
+    return results, files
+
+
+def first_difference(base: bytes, change: bytes) -> str:
+    pairs = zip(base.splitlines() + [b"<end>"], change.splitlines() + [b"<end>"])
+    line, (b, c) = next((i, p) for i, p in enumerate(pairs, start=1) if p[0] != p[1])
+    return f"line {line}: {b.decode(errors='replace')!r} != {c.decode(errors='replace')!r}"
+
+
+def differences(base: tuple[dict, dict], change: tuple[dict, dict]) -> list[str]:
+    (base_runs, base_files), (change_runs, change_files) = base, change
+    found = []
+    for name in dict.fromkeys([*base_runs, *change_runs]):
+        if name not in base_runs or name not in change_runs:
+            found.append(f"{name}: run only in {'base' if name in base_runs else 'change'}")
+            continue
+        (b_exit, *b_out), (c_exit, *c_out) = base_runs[name], change_runs[name]
+        if b_exit != c_exit:
+            found.append(f"{name}: exit {b_exit} != {c_exit}")
+        for stream, b, c in zip(("stdout", "stderr"), b_out, c_out):
+            if b != c:
+                found.append(f"{name}: {stream} {first_difference(b, c)}")
+    for path in sorted(set(base_files) | set(change_files)):
+        b, c = base_files.get(path, "absent"), change_files.get(path, "absent")
+        if b != c:
+            found.append(f"file {path}: sha256 {b[:16]} != {c[:16]}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="same_behaviour_") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", args.base,
+                                  "src"], stdout=subprocess.PIPE)
+        if archive.returncode:
+            parser.error(f"cannot export src at {args.base}")
+        (tmp / "base").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "base")], input=archive.stdout, check=True)
+        with ThreadPoolExecutor(2) as pool:
+            base = pool.submit(run_tree, tmp / "base" / "src", tmp / "base")
+            change = pool.submit(run_tree, REPO / "src", tmp / "change")
+            base, change = base.result(), change.result()
+    found = differences(base, change)
+    for line in found:
+        print(line)
+    print(f"{args.base} against the working tree: {len(base[0])} commands, {len(base[1])} "
+          f"files, {len(found) or 'no'} difference{'' if len(found) == 1 else 's'} "
+          f"in {time.monotonic() - start:.0f} s")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
