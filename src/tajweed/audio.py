@@ -101,13 +101,13 @@ def load_wav(path) -> AudioClip:
     if len(payload) == 0:
         raise CorruptHeader(f"{path}: empty data chunk")
 
-    if bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2") / 32768.0
+    ints = np.frombuffer(payload, dtype="<i2" if bits == 16 else np.uint8)
+    if channels == 2:  # each pair summed exactly in int32, so one division gives the mean's bytes
+        pairs = np.add(ints[0::2], ints[1::2], dtype=np.int32)
+        raw = pairs / 65536.0 if bits == 16 else (pairs - 256) / 256.0
     else:
-        raw = (np.frombuffer(payload, dtype=np.uint8) - 128.0) / 128.0
-    if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    # both scalings land in [-1, 1) already
+        raw = ints / 32768.0 if bits == 16 else (ints - 128.0) / 128.0
+    # every scaling lands in [-1, 1) already
     return AudioClip(raw, int(rate))
 
 
@@ -159,20 +159,20 @@ def _centred_every(x: np.ndarray, taps: np.ndarray, m: int) -> np.ndarray:
     so the kept outputs away from the ends are np.vecdot over a strided window
     view (no copy). The outputs within 31 samples of an end are shorter dots,
     which np.convolve over the first or last 2 x 63 samples computes as the
-    full convolution does.
+    full convolution does. Each is written once, into one fresh array.
     """
     half, edge = len(taps) // 2, 2 * len(taps)
     n = len(x)
     if n <= edge:
-        return _centred(x, taps)[::m]
+        return np.ascontiguousarray(_centred(x, taps)[::m])
     # kept outputs 0 .. first-1 lie in the head, last .. ceil(n / m)-1 in the tail
     first, last = -(-half // m), -(-(n - half) // m)
+    out = np.empty(-(-n // m))
     windows = np.lib.stride_tricks.sliding_window_view(x, len(taps))
-    reversed_taps = np.ascontiguousarray(taps[::-1])
-    middle = np.vecdot(windows[first * m - half:last * m - half:m], reversed_taps)
-    head = _centred(x[:edge], taps)[:first * m:m]
-    tail = _centred(x[-edge:], taps)[last * m - (n - edge)::m]
-    return np.concatenate([head, middle, tail])
+    np.vecdot(windows[first * m - half:last * m - half:m], taps[::-1].copy(), out=out[first:last])
+    out[:first] = _centred(x[:edge], taps)[:first * m:m]
+    out[last:] = _centred(x[-edge:], taps)[last * m - (n - edge)::m]
+    return out
 
 
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
@@ -184,7 +184,8 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     filtered sample, which is that interpolation on an exact grid: k / target
     and m*k / rate are one double. Only those kept outputs are computed, one
     BLAS ddot each as np.convolve computes them (see _centred_every), so the
-    bytes equal filtering every sample and slicing.
+    bytes equal filtering every sample and slicing. Other rates give a fresh
+    C-contiguous array, clipped to [-1, 1] in place; the same rate, the clip.
     """
     if target_hz < MIN_SAMPLE_RATE_HZ:
         raise InvalidRate(f"target rate {target_hz} Hz below {MIN_SAMPLE_RATE_HZ}")
@@ -201,7 +202,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
         if target_hz < rate:
             samples = _centred(samples, _lowpass_taps(target_hz, rate))
         out = np.interp(np.arange(n_out) / target_hz, np.arange(len(samples)) / rate, samples)
-    return AudioClip(np.clip(out, -1.0, 1.0), int(target_hz))
+    return AudioClip(np.clip(out, -1.0, 1.0, out=out), int(target_hz))
 
 
 def normalize_duration(clip: AudioClip) -> AudioClip:
@@ -215,9 +216,7 @@ def normalize_duration(clip: AudioClip) -> AudioClip:
     if n == n_target:
         return clip
     if n < n_target:
-        padded = np.zeros(n_target)
-        padded[:n] = clip.samples
-        return AudioClip(padded, clip.sample_rate_hz)
+        return AudioClip(np.pad(clip.samples, (0, n_target - n)), clip.sample_rate_hz)
     start = int(np.random.default_rng(0).integers(0, n - n_target + 1))
     return AudioClip(clip.samples[start:start + n_target].copy(), clip.sample_rate_hz)
 

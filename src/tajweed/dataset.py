@@ -11,7 +11,8 @@ Review queue format: newline-delimited JSON events after a schema header
 line; records are append-only and labels are appended as transition events,
 so the queue survives restarts with no lost or duplicated records. The record
 rule is `ReviewRecord.checked()`: a read refuses a line whose record it
-refuses, and every writer appends only what a read accepts.
+refuses, and every writer appends only what a read accepts. A last line with
+no newline is a torn append: reads ignore it, and the next append cuts it off.
 
 Every whole file tajweed writes reaches disk through `write_file`, all or
 nothing, except corpus WAVs (the manifest, written last, commits a corpus)
@@ -158,17 +159,15 @@ def split(entries, train_fraction: float = TRAIN_FRACTION, seed: int = 0) -> lis
         strata.setdefault((e.rule_id, e.polarity or ""), []).append(i)
 
     rng = np.random.default_rng(seed)
-    assignment = {}
+    splits = np.full(len(entries), "test", dtype=object)  # a str array would store "trai"
     for key in sorted(strata):
         idx = strata[key]
         if len(idx) < 2:
             raise StratumTooSmall(f"stratum {key} has {len(idx)} entries (need >= 2)")
         order = np.array(idx)
         rng.shuffle(order)
-        n_train = round(train_fraction * len(idx))
-        for pos, i in enumerate(order):
-            assignment[int(i)] = "train" if pos < n_train else "test"
-    return [replace(e, split=assignment[i]) for i, e in enumerate(entries)]
+        splits[order[:round(train_fraction * len(idx))]] = "train"
+    return [replace(e, split=s) for e, s in zip(entries, splits)]
 
 
 # --- synthetic corpus ------------------------------------------------------
@@ -396,14 +395,14 @@ class ReviewRecord:
         return self
 
 
-def _parse_queue(fh) -> dict[int, ReviewRecord]:
+def _parse_queue(data: bytes) -> dict[int, ReviewRecord]:
     records: dict[int, ReviewRecord] = {}
+    lines = data.split(b"\n")[:-1]  # past the last newline: nothing, or a torn append
     line_no = 1
     try:
-        header = fh.readline()
-        if header and json.loads(header)["schema_version"] != QUEUE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported queue schema {header.strip()}")
-        for line_no, line in enumerate(fh, start=2):
+        if lines and json.loads(lines[0])["schema_version"] != QUEUE_SCHEMA_VERSION:
+            raise ValueError(f"unsupported queue schema {lines[0].decode(errors='replace')}")
+        for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
             event = json.loads(line)
@@ -426,26 +425,31 @@ def _parse_queue(fh) -> dict[int, ReviewRecord]:
 
 @contextmanager
 def _locked_queue(path):
-    """Yield the queue's records and an append function under one exclusive
-    lock, so concurrent writers never read stale ids. Closing unlocks."""
+    """Yield the queue's records and an append function, which first cuts a torn last line
+    off, under one exclusive lock, so concurrent writers never read stale ids. Closing unlocks."""
     try:
-        fh = open(path, "a+", encoding="utf-8")
+        fh = open(path, "a+b")
     except OSError as exc:
         raise IoError(f"cannot open review queue {path}: {exc}") from exc
     with fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         fh.seek(0)
-        records = _parse_queue(fh)
+        data = fh.read()
+        records, end = _parse_queue(data), data.rfind(b"\n") + 1  # end: whole lines' bytes
 
         def append(event: dict) -> None:
+            nonlocal end
             try:  # serialized whole before the one write, so a refusal leaves the queue
                 line = json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"cannot serialize queue event: {exc}") from exc
             header = json.dumps({"schema_version": QUEUE_SCHEMA_VERSION}) + "\n"
-            fh.write(line if os.fstat(fh.fileno()).st_size else header + line)
+            text = (line if end else header + line).encode("utf-8")
+            os.ftruncate(fh.fileno(), end)
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
+            end += len(text)
 
         yield records, append
 
@@ -472,9 +476,9 @@ def review_append(queue_path, record: ReviewRecord) -> ReviewRecord:
 def review_list(queue_path, status: str | None = None) -> list[ReviewRecord]:
     if status not in (None, *STATUSES):
         raise ValueError(f"status must be one of {', '.join(STATUSES)}, not {status!r}")
-    with open(queue_path, encoding="utf-8") as fh:  # a missing queue raises, creating nothing
+    with open(queue_path, "rb") as fh:  # a missing queue raises, creating nothing
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        records = sorted(_parse_queue(fh).values(), key=lambda r: r.record_id)
+        records = sorted(_parse_queue(fh.read()).values(), key=lambda r: r.record_id)
     return [r for r in records if status is None or r.status == status]
 
 

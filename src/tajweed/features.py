@@ -124,7 +124,7 @@ def power_spectrum(frames) -> np.ndarray:
     parts = spectrum.view(np.float64)
     np.square(parts, out=parts)
     power = parts[..., 0::2] + parts[..., 1::2]
-    power /= FFT_SIZE
+    power *= 1.0 / FFT_SIZE  # exact: FFT_SIZE is a power of two
     return power
 
 
@@ -135,27 +135,24 @@ def build_filterbank() -> np.ndarray:
 
     Filter i rises over (boundary i, boundary i+1) and falls over
     (boundary i+1, boundary i+2), evaluated at the FFT bin centers and
-    rescaled so each row peaks at exactly 1. Cached, read-only and column-major,
-    so frame_log_energies multiplies by a C-contiguous transpose, which OpenBLAS
-    runs faster with the same bytes.
+    rescaled so each row peaks at exactly 1: one broadcast of the (NUM_FILTERS,
+    1) lower, centre and upper bounds against the bins. Cached, read-only and
+    column-major, so frame_log_energies multiplies by a C-contiguous transpose,
+    which OpenBLAS runs faster with the same bytes.
     """
-    mels = np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), NUM_FILTERS + 2)
-    bounds_hz = mel_to_hz(mels)
+    bounds_hz = mel_to_hz(np.linspace(hz_to_mel(F_MIN_HZ), hz_to_mel(F_MAX_HZ), NUM_FILTERS + 2))
+    lo, mid, hi = (bounds_hz[i:i + NUM_FILTERS, None] for i in range(3))
     bin_freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE_HZ / FFT_SIZE
-    weights = np.zeros((NUM_FILTERS, len(bin_freqs)), order="F")
-    for i in range(NUM_FILTERS):
-        lo, mid, hi = bounds_hz[i], bounds_hz[i + 1], bounds_hz[i + 2]
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
-        tri = np.maximum(0.0, np.minimum(rising, falling))
-        weights[i] = tri / tri.max()
+    tri = np.maximum(0.0, np.minimum((bin_freqs - lo) / (mid - lo), (hi - bin_freqs) / (hi - mid)))
+    weights = np.asfortranarray(tri / tri.max(axis=1, keepdims=True))
     weights.setflags(write=False)
     return weights
 
 
 def frame_log_energies(frames: np.ndarray) -> np.ndarray:
-    """Hamming, power spectrum, filter bank, log, one stride at a time: stride s
-    of the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames from
+    """Hamming, power spectrum and filter bank one stride at a time, each product
+    written into the result, then one floor and log over all of it: stride s of
+    the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames from
     STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows past
     the frames). Every filter-bank product is one (STRIDE_FRAMES, bins) @ (bins,
     NUM_FILTERS) shape, so a frame's log energies depend on the frame and its
@@ -167,9 +164,8 @@ def frame_log_energies(frames: np.ndarray) -> np.ndarray:
         power = power_spectrum(frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + 1)] * HAMMING)
         if len(power) < STRIDE_FRAMES:  # the last stride: no power past the clip's frames
             power = np.vstack([power, np.zeros((STRIDE_FRAMES - len(power), FFT_SIZE // 2 + 1))])
-        energies = power @ weights
-        np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=out)
-    return log_energies
+        out[...] = power @ weights
+    return np.log(np.maximum(log_energies, LOG_FLOOR, out=log_energies), out=log_energies)
 
 
 def _run_stats(runs: np.ndarray):

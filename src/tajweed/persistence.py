@@ -76,9 +76,10 @@ def load_model(path) -> RuleModel:
     """Read a model file; raises VersionMismatch for unreadable versions and
     SchemaError unless the header equals, as JSON, the one `save_model`
     writes for the file's rule_id, dataset_hash, train_seed, n_support (>= 1)
-    and aggregation, and the body has the size its arrays need, finite
-    values, log floor LOG_FLOOR, scaler std >= 0, C and gamma > 0, and
-    thresholds RuleModel accepts."""
+    and aggregation (the first of AGGREGATIONS if missing or unknown; the error
+    names the first key that differs from that header), and the body has the
+    size its arrays need, finite values, log floor LOG_FLOOR, scaler std >= 0,
+    C and gamma > 0, and thresholds RuleModel accepts."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -106,14 +107,13 @@ def load_model(path) -> RuleModel:
             raise SchemaError(f"{path}: header field {key} missing or not {kind.__name__}")
     if header["n_support"] < 1:
         raise SchemaError(f"{path}: n_support {header['n_support']} < 1, which train never writes")
+    stored = header.get("feature_config")
+    aggregation = stored.get("aggregation") if isinstance(stored, dict) else None
+    config = FeatureConfig(aggregation if aggregation in AGGREGATIONS else AGGREGATIONS[0])
     # compared as JSON, so true is not 1 and 4000 is not 4000.0
-    stored = json.dumps(header, sort_keys=True)
-    candidates = {c: _header(header["rule_id"], c, header["dataset_hash"], header["train_seed"],
-                             header["n_support"]) for c in map(FeatureConfig, AGGREGATIONS)}
-    config = next((c for c, e in candidates.items() if json.dumps(e, sort_keys=True) == stored),
-                  None)
-    if config is None:
-        wrong = min((_differing(header, e) for e in candidates.values()), key=len)
+    wrong = _differing(header, _header(header["rule_id"], config, header["dataset_hash"],
+                                       header["train_seed"], header["n_support"]))
+    if wrong:
         raise SchemaError(f"{path}: header field {wrong[0]} differs from the one train writes")
     sizes = [math.prod(spec["shape"]) for spec in header["arrays"]]
     if len(data) - body_start != 8 * sum(sizes):

@@ -250,18 +250,17 @@ def calibrated_probability(f, calibration: tuple[float, float]):
 
 
 def stratified_folds(y, k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic stratified k-fold assignment: each class is shuffled
-    with the seed and dealt round-robin, so every fold sees both classes.
-    """
+    """Deterministic stratified k-fold assignment: each class is shuffled with the
+    seed and dealt round-robin (its i-th sample to fold i % k), so every fold sees
+    both classes; a fold's indices are sorted."""
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in sorted(np.unique(y).tolist()):
+    fold = np.empty(len(y), dtype=np.int64)
+    for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        for pos, sample in enumerate(idx):
-            folds[pos % k].append(int(sample))
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+        fold[idx] = np.arange(len(idx)) % k
+    return [np.flatnonzero(fold == f) for f in range(k)]
 
 
 @dataclass(frozen=True)

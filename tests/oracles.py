@@ -6,7 +6,10 @@ sigmoid fit is a grid refinement, the resampler interpolates on two
 explicit time grids, and the reference detector frames, transforms, pools
 and scores every window on its own copy. These stay deliberately
 brute-force. What is taken from the package is the analysis constants and
-the filter-bank weights, which have their own tests.
+the filter-bank weights, which have their own tests. The filter bank, the CV
+folds and the train/test split are also kept here as the loops they once were,
+one filter, sample or position at a time, as byte references for the package's
+whole-array forms.
 """
 
 import hashlib
@@ -230,3 +233,51 @@ def interp_resample(samples, rate_hz, target_hz):
     t_out = np.arange(n_out) / target_hz
     t_in = np.arange(len(x)) / rate_hz
     return np.clip(np.interp(t_out, t_in, x), -1.0, 1.0)
+
+
+def filterbank_per_filter(num_filters, fft_size, rate_hz, f_min_hz, f_max_hz):
+    """Triangular filters on num_filters + 2 mel-equidistant boundaries, built
+    one row at a time: row i rises over (b_i, b_i+1), falls over (b_i+1, b_i+2)
+    at the FFT bin centres, and is divided by its own peak."""
+    mel_lo, mel_hi = (2595.0 * np.log10(1.0 + f / 700.0) for f in (f_min_hz, f_max_hz))
+    bounds = 700.0 * (10.0 ** (np.linspace(mel_lo, mel_hi, num_filters + 2) / 2595.0) - 1.0)
+    bins = np.arange(fft_size // 2 + 1) * rate_hz / fft_size
+    weights = np.zeros((num_filters, len(bins)))
+    for i in range(num_filters):
+        lo, mid, hi = bounds[i:i + 3]
+        tri = np.maximum(0.0, np.minimum((bins - lo) / (mid - lo), (hi - bins) / (hi - mid)))
+        weights[i] = tri / tri.max()
+    return weights
+
+
+def round_robin_folds(y, k, seed):
+    """Stratified k folds dealt one sample at a time: each class, in sorted
+    order, is shuffled by one seeded generator and its pos-th sample joins
+    fold pos % k; each fold's indices sorted."""
+    y = np.asarray(y)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for cls in sorted(np.unique(y).tolist()):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        for pos, sample in enumerate(idx):
+            folds[pos % k].append(int(sample))
+    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+
+
+def split_per_position(entries, train_fraction, seed):
+    """Each entry's train/test split, assigned one position at a time: every
+    (rule_id, polarity) stratum, in sorted order, is shuffled by one seeded
+    generator and its first round(train_fraction * n) positions train."""
+    strata = {}
+    for i, e in enumerate(entries):
+        strata.setdefault((e.rule_id, e.polarity or ""), []).append(i)
+    rng = np.random.default_rng(seed)
+    splits = [None] * len(entries)
+    for key in sorted(strata):
+        order = np.array(strata[key])
+        rng.shuffle(order)
+        n_train = round(train_fraction * len(order))
+        for pos, i in enumerate(order):
+            splits[int(i)] = "train" if pos < n_train else "test"
+    return splits

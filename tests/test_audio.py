@@ -47,6 +47,20 @@ class TestLoadWav:
                                          channels=2))
         assert audio.load_wav(path).samples.tolist() == [-1.0 / 65536, -1.0]
 
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_stereo_fold_bytes_match_the_float_mean(self, tmp_path, bits):
+        # every pair of extremes and zeros, then random pairs: the integer sum
+        # over one division must give the bytes of the mean of the scaled pair
+        lo, hi, zero = (-32768, 32767, 0) if bits == 16 else (0, 255, 128)
+        edges = [lo, lo + 1, zero - 1, zero, zero + 1, hi - 1, hi]
+        pairs = [v for a in edges for b in edges for v in (a, b)]
+        ints = np.concatenate([pairs, np.random.default_rng(bits).integers(lo, hi + 1, 4000)])
+        ints = ints.astype("<i2" if bits == 16 else np.uint8)
+        path = write(tmp_path, wav_bytes(ints.tobytes(), channels=2, bits=bits))
+        scaled = ints / 32768.0 if bits == 16 else (ints - 128.0) / 128.0
+        expected = scaled.reshape(-1, 2).mean(axis=1)
+        assert audio.load_wav(path).samples.tobytes() == expected.tobytes()
+
     def test_8bit_unsigned(self, tmp_path):
         path = write(tmp_path, wav_bytes(bytes([128, 255, 0]), bits=8))
         clip = audio.load_wav(path)
@@ -167,15 +181,17 @@ class TestResample:
                                               (48000, 8000), (22050, 8000), (11025, 8000),
                                               (8000, 16000)])
     def test_bytes_match_interp_oracle(self, rate, target):
-        # integer ratios take the slice path, the others interpolate; both
-        # must give the parent algorithm's exact bytes, clipping included
+        # integer ratios take the slice path (up to 126 samples, one short
+        # convolution), the others interpolate; every path must give the parent
+        # algorithm's exact bytes, clipping included, in a fresh C-contiguous array
         rng = np.random.default_rng(rate)
-        for n in [*range(1, 71), 64000, 64001, 200001]:
+        for n in [*range(1, 71), 126, 127, 64000, 64001, 200001]:
             x = rng.uniform(-1.3, 1.3, n)
             out = audio.resample(audio.AudioClip(x, rate), target)
             expected = oracles.interp_resample(x, rate, target)
             assert out.samples.dtype == expected.dtype
             assert out.samples.tobytes() == expected.tobytes(), n
+            assert out.samples.flags.c_contiguous and not np.shares_memory(out.samples, x), n
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 11])
     def test_bytes_match_every_mth_centred_output(self, m):

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import stat
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -26,6 +27,12 @@ def append_many(queue, n):
     """Worker for the concurrency test: n appends with fresh ids."""
     for _ in range(n):
         dataset.review_append(queue, dataset.ReviewRecord(None, "x.wav", "edgham_meem", None))
+
+
+def append_forever(queue):
+    """Worker for the kill test: appends with fresh ids until killed."""
+    while True:
+        append_many(queue, 1)
 
 
 def entry(path="a.wav", rule="edgham_meem", polarity="Right", onset=None, split="unassigned"):
@@ -195,6 +202,22 @@ class TestSplit:
     def test_stratum_too_small(self):
         with pytest.raises(StratumTooSmall):
             dataset.split(self.make_entries(1), 0.7, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strata=st.lists(st.tuples(st.sampled_from(["edgham_meem", "tarqeeq_lam"]),
+                                     st.sampled_from(["Right", "Wrong", None])),
+                           min_size=2, max_size=60),
+           seed=st.integers(0, 2**32 - 1), frac=st.floats(0.01, 0.99))
+    def test_matches_the_per_position_loop(self, strata, seed, frac):
+        entries = [entry(path=f"{i}.wav", rule=rule, polarity=polarity)
+                   for i, (rule, polarity) in enumerate(strata)]
+        try:
+            out = dataset.split(entries, frac, seed=seed)
+        except StratumTooSmall:
+            assert min(strata.count(s) for s in strata) < 2
+            return
+        assert [e.split for e in out] == oracles.split_per_position(entries, frac, seed)
+        assert all(type(e.split) is str for e in out)  # not a numpy str
 
 
 class TestSynthGenerate:
@@ -568,6 +591,52 @@ class TestReviewQueue:
         else:
             listed = {r.record_id: r for r in dataset.review_list(str(q))}
             assert listed[stored.record_id].audio_path == stored.audio_path
+
+    @pytest.mark.parametrize("cut", [1, 10, 100])
+    def test_torn_last_line_is_ignored_and_cut_by_the_next_write(self, tmp_path, cut):
+        # a crash or a full disk mid-append leaves a last line with no newline
+        torn, whole = tmp_path / "torn.jsonl", tmp_path / "whole.jsonl"
+        for q, n in ((torn, 2), (whole, 1)):
+            for _ in range(n):
+                dataset.review_append(str(q), self.record())
+        torn.write_bytes(torn.read_bytes()[:-cut])
+        assert dataset.review_list(str(torn)) == dataset.review_list(str(whole))
+        for q in (torn, whole):
+            dataset.review_label(str(q), 1, "approved")
+            assert dataset.review_append(str(q), self.record()).record_id == 2
+        assert torn.read_bytes() == whole.read_bytes()
+
+    def test_torn_header_is_ignored_and_cut_by_the_next_append(self, tmp_path):
+        torn, whole = tmp_path / "torn.jsonl", tmp_path / "whole.jsonl"
+        torn.write_bytes(b'{"schema_vers')
+        assert dataset.review_list(str(torn)) == []
+        for q in (torn, whole):
+            dataset.review_append(str(q), self.record())
+        assert torn.read_bytes() == whole.read_bytes()
+
+    def test_bad_line_before_a_torn_one_still_reports_its_number(self, tmp_path):
+        q = tmp_path / "q.jsonl"
+        dataset.review_append(str(q), self.record())
+        q.write_bytes(q.read_bytes() + b'{not json\n{"kind":"rec')
+        with pytest.raises(ParseError) as exc:
+            dataset.review_list(str(q))
+        assert exc.value.line_number == 3
+
+    def test_appender_killed_at_random_points_leaves_a_listable_queue(self, tmp_path):
+        q = str(tmp_path / "q.jsonl")
+        # fork, not spawn: 50 fresh numpy imports would take about 25 s, and the
+        # child runs only the queue's json and file calls, no BLAS
+        ctx = multiprocessing.get_context("fork")
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            worker = ctx.Process(target=append_forever, args=(q,))
+            worker.start()
+            time.sleep(rng.uniform(0.0, 0.03))
+            worker.kill()
+            worker.join()
+            ids = [r.record_id for r in dataset.review_list(q)] if os.path.exists(q) else []
+            assert ids == list(range(1, len(ids) + 1))
+        assert ids  # some appends landed
 
     @pytest.mark.parametrize("header", ['{"schema_version": 2}', "[]", "{}", "garbage"])
     def test_bad_header_line(self, tmp_path, header):

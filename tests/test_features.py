@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_dft
+from oracles import filterbank_per_filter, naive_dft
 from tajweed import audio, features
 from tajweed.errors import TooFewVectors, WrongRate
 
@@ -130,6 +130,12 @@ class TestFilterBank:
         # frame_log_energies multiplies by BANK.T, which OpenBLAS runs fastest
         # C-contiguous; a row-major bank gives the same bytes more slowly
         assert BANK.T.flags.c_contiguous
+
+    def test_bytes_match_the_per_filter_loop(self):
+        expected = filterbank_per_filter(features.NUM_FILTERS, features.FFT_SIZE,
+                                         features.SAMPLE_RATE_HZ, features.F_MIN_HZ,
+                                         features.F_MAX_HZ)
+        assert BANK.tobytes() == expected.tobytes()
 
 
 class TestExtractFeatures:

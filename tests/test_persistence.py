@@ -345,6 +345,33 @@ def test_header_train_never_writes_names_its_key(any_model, tmp_path, change):
         persistence.load_model(str(bad))
 
 
+def test_flatten_header_with_pooled_fields_names_a_key_of_the_flatten_header(any_model,
+                                                                            tmp_path):
+    """A flatten file with the pooled dim, or a pooled file relabelled flatten,
+    is checked against the flatten header and names a key that differs from it."""
+    pooled, flat = (features.FeatureConfig(agg) for agg in features.AGGREGATIONS)
+    path = str(tmp_path / "m.model")
+    persistence.save_model(any_model, path)
+
+    def craft(header):
+        if any_model.feature_config == flat:
+            header["dim"] = pooled.dim
+        else:
+            header["feature_config"]["aggregation"] = flat.aggregation
+
+    blob = _patch_header(path, craft)
+    header = json.loads(blob[12:12 + struct.unpack_from("<I", blob, 8)[0]])
+    differing = persistence._differing(header, persistence._header(
+        header["rule_id"], flat, header["dataset_hash"], header["train_seed"],
+        header["n_support"]))
+    assert differing == (["dim"] if any_model.feature_config == flat
+                         else ["arrays", "config_fingerprint", "dim"])
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(blob)
+    with pytest.raises(SchemaError, match=f"header field {differing[0]} "):
+        persistence.load_model(str(bad))
+
+
 def test_header_in_other_whitespace_and_key_order_loads(small_model, model_blob, tmp_path):
     hlen = struct.unpack_from("<I", model_blob, 8)[0]
     header = json.loads(model_blob[12:12 + hlen])

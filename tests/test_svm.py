@@ -312,3 +312,14 @@ class TestGridSearch:
         assert sorted(flat.tolist()) == list(range(20))
         for fold in folds:
             assert {1.0, -1.0} <= set(y[fold].tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.sampled_from([-1.0, 1.0, 2.0]), min_size=1, max_size=120),
+           k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_stratified_folds_match_the_round_robin_loop(self, labels, k, seed):
+        folds = svm.stratified_folds(labels, k, seed)
+        expected = oracles.round_robin_folds(labels, k, seed)
+        assert len(folds) == len(expected) == k
+        for fold, ref in zip(folds, expected):
+            assert fold.dtype == ref.dtype
+            assert fold.tobytes() == ref.tobytes()

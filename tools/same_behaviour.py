@@ -10,8 +10,10 @@ PYTHONPATH, run in a scratch directory of the tree's own. The list covers
 synth of the default recipe with reduced counts at 8,000 and 16,000 Hz, split,
 train of both rules x both aggregations at both rates, evaluate with one and
 with two models, a one-cell gridsearch, detect on every verse with each model
-of its rule and rate, a review queue session, and the failing cases of the CI
-pipeline step with their exit codes.
+of its rule and rate, a one-rule corpus at 22,050 Hz (interpolating resample)
+and at 48,000 Hz (integer ratio 6) with one pooled train and a detect per
+verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and the
+failing cases of the CI pipeline step with their exit codes.
 
 Each command's exit code, stdout and stderr and the SHA-256 of every file the
 session leaves are compared, after normalizing only the tree's own
@@ -22,6 +24,7 @@ and exits 1 if there is one, 0 if there is none.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import hashlib
 import json
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import wave
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -40,6 +44,9 @@ REPO = Path(__file__).resolve().parent.parent
 RULES = ("edgham_meem", "tarqeeq_lam")
 AGGREGATIONS = ("mean_std_pool", "flatten")
 RATES = (8000, 16000)
+# the resample paths 16,000 Hz does not take: interpolation and integer ratio 6, each on
+# a one-rule corpus with RESAMPLED_CLIPS clips a class, which synth writes in a few seconds
+RESAMPLED, RESAMPLED_CLIPS = (22050, 48000), 6
 REDUCED = {"clips_per_class": 8, "negatives_per_rule": 3, "verses_per_rule": 1,
            "event_free_verses_per_rule": 1}
 CREATED_AT = re.compile(rb"""(created_at["']?(?:: ?|=)["'])[^"']*""")  # JSON or repr
@@ -60,6 +67,40 @@ def add_header_key(src: Path, dst: Path) -> None:
     header = {**json.loads(blob[12:12 + n]), "note": "x"}
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     dst.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:])
+
+
+def verses(manifest: Path, rule: str | None = None) -> list[dict]:
+    with open(manifest, newline="") as fh:
+        return [row for row in csv.DictReader(fh)
+                if "_verse_" in row["path"] and rule in (None, row["rule_id"])]
+
+
+def detect(rate: int, row: dict, agg: str) -> tuple[str, list[str]]:
+    """A detect of one corpus verse with --out, --verdict-out and, where the
+    onset is known, --truth."""
+    stem = f"{rate}_{Path(row['path']).stem}_{agg}"
+    truth = ["--truth", row["onset_s"]] if row["onset_s"] else []
+    return f"detect-{stem}", tajweed(
+        "detect", "--audio", f"c{rate}/{row['path']}", "--rule", row["rule_id"],
+        "--model", model(rate, row["rule_id"], agg), *truth,
+        "--out", f"timeline_{stem}.csv", "--verdict-out", f"verdict_{stem}.json")
+
+
+def write_stereo(left: Path, right: Path, dst: Path, bits: int) -> None:
+    """A stereo WAV of two 16-bit mono WAVs' samples as its channels, cut to
+    the shorter, at 16 bits or at 8 (the high byte, offset to unsigned)."""
+    channels = []
+    for src in (left, right):
+        with wave.open(str(src)) as w:
+            channels.append(array.array("h", w.readframes(w.getnframes())))
+            rate = w.getframerate()
+    pairs = [v for pair in zip(*channels) for v in pair]
+    with wave.open(str(dst), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(bits // 8)
+        w.setframerate(rate)
+        w.writeframes(array.array("h", pairs).tobytes() if bits == 16
+                      else bytes((v >> 8) + 128 for v in pairs))
 
 
 def session(run: Path):
@@ -105,17 +146,31 @@ def session(run: Path):
                                         "--c-grid", "1", "--gamma-grid", "0.1")
 
     for rate in RATES:
-        with open(run / manifests[rate], newline="") as fh:
-            verses = [row for row in csv.DictReader(fh) if "_verse_" in row["path"]]
-        for row, agg in ((row, agg) for row in verses for agg in AGGREGATIONS):
-            stem = f"{rate}_{Path(row['path']).stem}_{agg}"
-            truth = ["--truth", row["onset_s"]] if row["onset_s"] else []
-            yield f"detect-{stem}", tajweed(
-                "detect", "--audio", f"c{rate}/{row['path']}", "--rule", row["rule_id"],
-                "--model", model(rate, row["rule_id"], agg), *truth,
-                "--out", f"timeline_{stem}.csv", "--verdict-out", f"verdict_{stem}.json")
+        for row, agg in ((row, agg) for row in verses(run / manifests[rate])
+                         for agg in AGGREGATIONS):
+            yield detect(rate, row, agg)
+
+    for rate in RESAMPLED:
+        (run / f"spec{rate}.json").write_text(json.dumps(
+            {**recipe, **REDUCED, "clips_per_class": RESAMPLED_CLIPS, "sample_rate_hz": rate,
+             "classes": {RULES[0]: recipe["classes"][RULES[0]]}}))
+        yield f"synth-{rate}", tajweed("synth", "--spec", f"spec{rate}.json", "--seed", "1",
+                                       "--out", f"c{rate}")
+        yield f"split-{rate}", tajweed("split", "--manifest", f"c{rate}/manifest.csv",
+                                       "--seed", "2")
+        yield f"train-{rate}-{RULES[0]}-mean_std_pool", tajweed(
+            "train", "--manifest", f"c{rate}/manifest.csv", "--rule", RULES[0], "--seed", "3",
+            "--model", model(rate, RULES[0], "mean_std_pool"))
+        for row in verses(run / f"c{rate}/manifest.csv", RULES[0]):
+            yield detect(rate, row, "mean_std_pool")
 
     verse = f"c8000/{RULES[0]}_right_verse_0000.wav"
+    for bits in (8, 16):
+        write_stereo(run / verse, run / f"c8000/{RULES[0]}_wrong_verse_0000.wav",
+                     run / f"stereo{bits}.wav", bits)
+        yield f"detect-stereo{bits}", tajweed(
+            "detect", "--audio", f"stereo{bits}.wav", "--rule", RULES[0], "--model", pool[0],
+            "--out", f"timeline_stereo{bits}.csv", "--verdict-out", f"verdict_stereo{bits}.json")
     (run / "not_a_model").write_text("not a model\n")
     yield "detect-not-a-model", tajweed("detect", "--audio", verse, "--rule", RULES[0],
                                         "--model", "not_a_model")
@@ -159,7 +214,7 @@ def run_tree(src: Path, work: Path) -> tuple[dict, dict]:
         for name, argv in commands:
             done = subprocess.run(argv, cwd=run, env=env, capture_output=True)
             results[name] = (done.returncode, normal(done.stdout), normal(done.stderr))
-    except (OSError, ValueError, KeyError) as exc:  # an input the session makes is missing
+    except (OSError, ValueError, KeyError, wave.Error) as exc:  # a session input is missing
         results["session"] = (f"stopped: {exc!r}", b"", b"")
     files = {p.relative_to(run).as_posix(): hashlib.sha256(normal(p.read_bytes())).hexdigest()
              for p in sorted(run.rglob("*")) if p.is_file()}
