@@ -102,11 +102,13 @@ def load_wav(path) -> AudioClip:
         raise CorruptHeader(f"{path}: empty data chunk")
 
     ints = np.frombuffer(payload, dtype="<i2" if bits == 16 else np.uint8)
-    if channels == 2:  # each pair summed exactly in int32, so one division gives the mean's bytes
+    # each scale is a power of two, so multiplying by its exact reciprocal gives
+    # the quotient's bytes; each stereo pair is summed exactly in int32 first
+    if channels == 2:
         pairs = np.add(ints[0::2], ints[1::2], dtype=np.int32)
-        raw = pairs / 65536.0 if bits == 16 else (pairs - 256) / 256.0
+        raw = pairs * (1 / 65536.0) if bits == 16 else (pairs - 256) * (1 / 256.0)
     else:
-        raw = ints / 32768.0 if bits == 16 else (ints - 128.0) / 128.0
+        raw = ints * (1 / 32768.0) if bits == 16 else (ints - 128.0) * (1 / 128.0)
     # every scaling lands in [-1, 1) already
     return AudioClip(raw, int(rate))
 

@@ -13,12 +13,13 @@ standard deviation (default), or the frame-by-filter matrix flattened row-major.
 extract_features is the one front end: one feature row per audio.WINDOW_S
 window every audio.STRIDE_S, all pooled from one clip's log energies. Its unit
 is the stride: frame_log_energies gives them as strides of STRIDE_FRAMES
-frames, each one filter-bank product of one shape whatever the clip's length,
-and pool reads a window's strides as views. The mean/std pool reduces each
-stride once and merges a window's strides with the update formula of Chan,
-Golub & LeVeque (1979, "Updating formulae and a pairwise algorithm for
-computing sample variances"). Identical input and config give byte-identical
-features.
+frames, each one filter-bank product of one shape whatever the clip's length;
+a pass covers two strides, windowed into one buffer of rows pre-padded to
+FFT_SIZE, and pool reads a window's strides as views. The mean/std pool
+reduces each stride once and merges a window's strides with the update
+formula of Chan, Golub & LeVeque (1979, "Updating formulae and a pairwise
+algorithm for computing sample variances"). Identical input and config give
+byte-identical features.
 """
 
 from __future__ import annotations
@@ -150,21 +151,28 @@ def build_filterbank() -> np.ndarray:
 
 
 def frame_log_energies(frames: np.ndarray) -> np.ndarray:
-    """Hamming, power spectrum and filter bank one stride at a time, each product
+    """Hamming, power spectrum and filter bank two strides a pass, each product
     written into the result, then one floor and log over all of it: stride s of
     the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames from
     STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows past
-    the frames). Every filter-bank product is one (STRIDE_FRAMES, bins) @ (bins,
-    NUM_FILTERS) shape, so a frame's log energies depend on the frame and its
-    offset in a stride, never on the clip's length; a stride's temporaries are
-    a few hundred KB that malloc reuses, not a whole clip's fresh pages."""
+    the frames). A pass windows its frames into one zeroed (2 * STRIDE_FRAMES,
+    FFT_SIZE) buffer whose columns past FRAME_LEN are never written, so the FFT
+    gets rows already FFT_SIZE wide. Every filter-bank product is a stack of
+    (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS) items, one a stride, so a
+    frame's log energies depend on the frame and its offset in a stride, never
+    on the clip's length; a pass's temporaries are a few hundred KB that malloc
+    reuses, not a whole clip's fresh pages."""
     weights = build_filterbank().T
     log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
-    for s, out in enumerate(log_energies):
-        power = power_spectrum(frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + 1)] * HAMMING)
-        if len(power) < STRIDE_FRAMES:  # the last stride: no power past the clip's frames
-            power = np.vstack([power, np.zeros((STRIDE_FRAMES - len(power), FFT_SIZE // 2 + 1))])
-        out[...] = power @ weights
+    windowed = np.zeros((2 * STRIDE_FRAMES, FFT_SIZE))
+    for s in range(0, len(log_energies), 2):
+        chunk = frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + 2)]
+        rows, k = len(chunk), min(2, len(log_energies) - s)
+        np.multiply(chunk, HAMMING, out=windowed[:rows, :FRAME_LEN])
+        power = power_spectrum(windowed[:rows])
+        if rows < k * STRIDE_FRAMES:  # the last pass: no power past the clip's frames
+            power = np.vstack([power, np.zeros((k * STRIDE_FRAMES - rows, FFT_SIZE // 2 + 1))])
+        np.matmul(power.reshape(k, STRIDE_FRAMES, -1), weights, out=log_energies[s:s + k])
     return np.log(np.maximum(log_energies, LOG_FLOOR, out=log_energies), out=log_energies)
 
 

@@ -47,7 +47,8 @@ def decision_calls(monkeypatch):
 @pytest.fixture
 def spectrum_inputs(monkeypatch):
     """A copy of the frames of every features.power_spectrum call made while
-    the test runs (frame_log_energies Hamming-windows them first)."""
+    the test runs (frame_log_energies Hamming-windows them into rows
+    zero-padded to FFT_SIZE first)."""
     calls, inner = [], features.power_spectrum
     monkeypatch.setattr(features, "power_spectrum",
                         lambda frames: calls.append(frames.copy()) or inner(frames))

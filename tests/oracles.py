@@ -9,7 +9,9 @@ brute-force. What is taken from the package is the analysis constants and
 the filter-bank weights, which have their own tests. The filter bank, the CV
 folds and the train/test split are also kept here as the loops they once were,
 one filter, sample or position at a time, as byte references for the package's
-whole-array forms.
+whole-array forms; so is the front end's stride loop, one stride a product,
+which takes the package's power spectrum and bank as the reference for how
+frame_log_energies batches them.
 """
 
 import hashlib
@@ -17,8 +19,8 @@ import json
 
 import numpy as np
 
-from tajweed.features import (FFT_SIZE, FRAME_MS, HOP_MS, LOG_FLOOR, SAMPLE_RATE_HZ,
-                              build_filterbank)
+from tajweed.features import (FFT_SIZE, FRAME_MS, HAMMING, HOP_MS, LOG_FLOOR, NUM_FILTERS,
+                              SAMPLE_RATE_HZ, STRIDE_FRAMES, build_filterbank, power_spectrum)
 
 
 def naive_dft(x):
@@ -281,3 +283,18 @@ def split_per_position(entries, train_fraction, seed):
         for pos, i in enumerate(order):
             splits[int(i)] = "train" if pos < n_train else "test"
     return splits
+
+
+def log_energies_per_stride(frames):
+    """Log filter-bank energies one stride of STRIDE_FRAMES frames at a time:
+    Hamming, power spectrum zero-padded inside the FFT, the last stride's power
+    padded with zero rows, one (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS)
+    product a stride, then one floor and log."""
+    weights = build_filterbank().T
+    log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
+    for s, out in enumerate(log_energies):
+        power = power_spectrum(frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + 1)] * HAMMING)
+        if len(power) < STRIDE_FRAMES:
+            power = np.vstack([power, np.zeros((STRIDE_FRAMES - len(power), FFT_SIZE // 2 + 1))])
+        out[...] = power @ weights
+    return np.log(np.maximum(log_energies, LOG_FLOOR, out=log_energies), out=log_energies)

@@ -61,6 +61,14 @@ class TestLoadWav:
         expected = scaled.reshape(-1, 2).mean(axis=1)
         assert audio.load_wav(path).samples.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_every_mono_sample_has_the_quotients_bytes(self, tmp_path, bits):
+        ints = np.arange(-32768, 32768) if bits == 16 else np.arange(256)
+        ints = ints.astype("<i2" if bits == 16 else np.uint8)
+        path = write(tmp_path, wav_bytes(ints.tobytes(), bits=bits))
+        expected = ints / 32768.0 if bits == 16 else (ints - 128.0) / 128.0
+        assert audio.load_wav(path).samples.tobytes() == expected.tobytes()
+
     def test_8bit_unsigned(self, tmp_path):
         path = write(tmp_path, wav_bytes(bytes([128, 255, 0]), bits=8))
         clip = audio.load_wav(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import filterbank_per_filter, naive_dft
+from oracles import filterbank_per_filter, log_energies_per_stride, naive_dft
 from tajweed import audio, features
 from tajweed.errors import TooFewVectors, WrongRate
 
@@ -18,20 +18,28 @@ CENTERS = features.mel_to_hz(np.linspace(features.hz_to_mel(features.F_MIN_HZ),
                                          features.NUM_FILTERS + 2))[1:-1]
 
 
+def spectrum_frames(inputs):
+    """The frames of the recorded power_spectrum calls, one a row, after
+    checking that each call holds at most two strides of rows FFT_SIZE wide
+    whose columns past FRAME_LEN are exactly 0."""
+    rows = np.vstack(inputs)
+    assert rows.shape[1] == features.FFT_SIZE and not rows[:, features.FRAME_LEN:].any()
+    assert max(len(block) for block in inputs) <= 2 * features.STRIDE_FRAMES
+    return rows[:, :features.FRAME_LEN]
+
+
 class TestFraming:
     def test_four_seconds_gives_398_frames(self, spectrum_inputs):
         features.extract_features(audio.AudioClip(np.zeros(32000), 8000), CFG)
-        frames = np.vstack(spectrum_inputs)
-        assert frames.shape == (398, 200)
-        assert max(len(block) for block in spectrum_inputs) <= features.STRIDE_FRAMES
+        assert spectrum_frames(spectrum_inputs).shape == (398, 200)
 
     def test_tail_discarded(self, spectrum_inputs):
         # the last frame starts at 397 * 80 and ends 40 samples before the window
         samples = np.arange(32000.0) / 32000
         features.extract_features(audio.AudioClip(samples, 8000), CFG)
-        frames = np.vstack(spectrum_inputs)
+        frames = spectrum_frames(spectrum_inputs)
+        assert frames.shape == (398, 200)
         assert (frames[-1] == samples[31760:31960] * features.HAMMING).all()
-        assert max(len(block) for block in spectrum_inputs) <= features.STRIDE_FRAMES
 
 
 class TestHamming:
@@ -218,16 +226,15 @@ def frame_rows(log_energies):
 
 class RecordingBank:
     """Stands in for the filter bank's transpose: records the left operand of
-    each product and computes it with the real bank."""
-
-    __array_ufunc__ = None  # so ndarray @ RecordingBank calls __rmatmul__
+    each np.matmul and computes it with the real bank."""
 
     def __init__(self, weights):
         self.weights, self.lefts = weights, []
 
-    def __rmatmul__(self, left):
+    def __array_ufunc__(self, ufunc, method, left, right, **kwargs):
+        assert (ufunc, method, right) == (np.matmul, "__call__", self)
         self.lefts.append(left.copy())
-        return left @ self.weights
+        return ufunc(left, self.weights, **kwargs)
 
 
 class TestFrameLogEnergies:
@@ -270,12 +277,27 @@ class TestFrameLogEnergies:
         windows = len(features.extract_features(clip, CFG))
         inputs = list(spectrum_inputs)  # before the checks below add their own calls
         n_frames = (windows - 1) * features.STRIDE_FRAMES + features.WINDOW_FRAMES
-        assert len(bank.lefts) == len(inputs) == -(-n_frames // features.STRIDE_FRAMES)
+        spectrum_frames(inputs)  # at most two strides a call, FFT_SIZE wide
+        assert len(bank.lefts) == len(inputs) == -(-n_frames // (2 * features.STRIDE_FRAMES))
         assert sum(map(len, inputs)) == n_frames  # the clip's frames, no padding
+        # one stack item a stride, strides in order from frame 0
+        assert sum(map(len, bank.lefts)) == -(-n_frames // features.STRIDE_FRAMES)
         for frames, left in zip(inputs, bank.lefts):
-            assert left.shape == (features.STRIDE_FRAMES, features.FFT_SIZE // 2 + 1)
-            assert left[:len(frames)].tobytes() == features.power_spectrum(frames).tobytes()
-            assert not left[len(frames):].any()
+            assert left.shape == (-(-len(frames) // features.STRIDE_FRAMES),
+                                  features.STRIDE_FRAMES, features.FFT_SIZE // 2 + 1)
+            rows = left.reshape(-1, left.shape[-1])
+            assert rows[:len(frames)].tobytes() == features.power_spectrum(frames).tobytes()
+            assert not rows[len(frames):].any()
+
+    @pytest.mark.parametrize("n_frames", [1, 49, 50, 51, 99, 100, 101, 149, 150, 151, 199, 200,
+                                          201, 398, 1248, 1498])
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_bytes_match_the_per_stride_loop(self, n_frames, silent):
+        frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
+        if silent:
+            frames[:] = 0.0
+        assert (features.frame_log_energies(frames).tobytes()
+                == log_energies_per_stride(frames).tobytes())
 
     @pytest.mark.parametrize("n_frames", [18, 49, 50, 398, 1498])
     def test_bytes_match_a_row_major_bank(self, n_frames, monkeypatch):

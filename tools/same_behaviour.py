@@ -10,9 +10,9 @@ PYTHONPATH, run in a scratch directory of the tree's own. The list covers
 synth of the default recipe with reduced counts at 8,000 and 16,000 Hz, split,
 train of both rules x both aggregations at both rates, evaluate with one and
 with two models, a one-cell gridsearch, detect on every verse with each model
-of its rule and rate, a one-rule corpus at 22,050 Hz (interpolating resample)
-and at 48,000 Hz (integer ratio 6) with one pooled train and a detect per
-verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and the
+of its rule and rate, a one-rule corpus at 11,025, 22,050 and 44,100 Hz
+(interpolating resample) and at 48,000 Hz (integer ratio 6) with one pooled
+train and a detect per verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and the
 failing cases of the CI pipeline step with their exit codes.
 
 Each command's exit code, stdout and stderr and the SHA-256 of every file the
@@ -44,9 +44,10 @@ REPO = Path(__file__).resolve().parent.parent
 RULES = ("edgham_meem", "tarqeeq_lam")
 AGGREGATIONS = ("mean_std_pool", "flatten")
 RATES = (8000, 16000)
-# the resample paths 16,000 Hz does not take: interpolation and integer ratio 6, each on
-# a one-rule corpus with RESAMPLED_CLIPS clips a class, which synth writes in a few seconds
-RESAMPLED, RESAMPLED_CLIPS = (22050, 48000), 6
+# the resample paths 16,000 Hz does not take: interpolation from 11,025, 22,050 and 44,100
+# Hz and integer ratio 6, each on a one-rule corpus with RESAMPLED_CLIPS clips a class,
+# which synth writes in a few seconds
+RESAMPLED, RESAMPLED_CLIPS = (11025, 22050, 44100, 48000), 6
 REDUCED = {"clips_per_class": 8, "negatives_per_rule": 3, "verses_per_rule": 1,
            "event_free_verses_per_rule": 1}
 CREATED_AT = re.compile(rb"""(created_at["']?(?:: ?|=)["'])[^"']*""")  # JSON or repr
