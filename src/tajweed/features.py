@@ -14,8 +14,8 @@ extract_features is the one front end: one feature row per audio.WINDOW_S
 window every audio.STRIDE_S, all pooled from one clip's log energies. Its unit
 is the stride: frame_log_energies gives them as strides of STRIDE_FRAMES
 frames, each one filter-bank product of one shape whatever the clip's length;
-a pass covers two strides, windowed into one buffer of rows pre-padded to
-FFT_SIZE, and pool reads a window's strides as views. The mean/std pool
+a pass covers PASS_STRIDES strides, windowed into one buffer of rows
+pre-padded to FFT_SIZE, and pool reads a window's strides as views. The mean/std pool
 reduces each stride once and merges a window's strides with the update
 formula of Chan, Golub & LeVeque (1979, "Updating formulae and a pairwise
 algorithm for computing sample variances"). Identical input and config give
@@ -49,6 +49,7 @@ HOP_LEN = HOP_MS * SAMPLE_RATE_HZ // 1000                   # 80 samples
 WINDOW_LEN = round(WINDOW_S * SAMPLE_RATE_HZ)               # 32000 samples
 STRIDE_LEN = round(STRIDE_S * SAMPLE_RATE_HZ)               # 4000 samples
 STRIDE_FRAMES = STRIDE_LEN // HOP_LEN                       # 50 hops a stride
+PASS_STRIDES = 2                                            # strides a front-end pass
 WINDOW_FRAMES = (WINDOW_LEN - FRAME_LEN) // HOP_LEN + 1     # 398 frames a window
 
 # w[k] = 0.54 - 0.46*cos(2*pi*k/(FRAME_LEN-1)), endpoints 0.08, evaluated on
@@ -151,23 +152,25 @@ def build_filterbank() -> np.ndarray:
 
 
 def frame_log_energies(frames: np.ndarray) -> np.ndarray:
-    """Hamming, power spectrum and filter bank two strides a pass, each product
-    written into the result, then one floor and log over all of it: stride s of
-    the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames from
-    STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows past
-    the frames). A pass windows its frames into one zeroed (2 * STRIDE_FRAMES,
-    FFT_SIZE) buffer whose columns past FRAME_LEN are never written, so the FFT
-    gets rows already FFT_SIZE wide. Every filter-bank product is a stack of
-    (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS) items, one a stride, so a
-    frame's log energies depend on the frame and its offset in a stride, never
-    on the clip's length; a pass's temporaries are a few hundred KB that malloc
-    reuses, not a whole clip's fresh pages."""
+    """Hamming, power spectrum and filter bank PASS_STRIDES strides a pass, each
+    product written into the result, then one floor and log over all of it:
+    stride s of the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames
+    from STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows
+    past the frames). A pass windows its frames into one zeroed (PASS_STRIDES *
+    STRIDE_FRAMES, FFT_SIZE) buffer whose columns past FRAME_LEN are never
+    written, so the FFT gets rows already FFT_SIZE wide. Every filter-bank
+    product is a stack of (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS) items, one
+    a stride, so a frame's log energies depend on the frame and its offset in a
+    stride, never on the clip's length. A 4 s clip peaks at about 740 KB (result,
+    pass buffer, complex spectrum, power); the 205 KB pass buffer is past glibc's
+    128 KB mmap threshold, so a process that has freed no larger block gets it
+    as fresh pages on every call."""
     weights = build_filterbank().T
     log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
-    windowed = np.zeros((2 * STRIDE_FRAMES, FFT_SIZE))
-    for s in range(0, len(log_energies), 2):
-        chunk = frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + 2)]
-        rows, k = len(chunk), min(2, len(log_energies) - s)
+    windowed = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
+    for s in range(0, len(log_energies), PASS_STRIDES):
+        chunk = frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + PASS_STRIDES)]
+        rows, k = len(chunk), min(PASS_STRIDES, len(log_energies) - s)
         np.multiply(chunk, HAMMING, out=windowed[:rows, :FRAME_LEN])
         power = power_spectrum(windowed[:rows])
         if rows < k * STRIDE_FRAMES:  # the last pass: no power past the clip's frames

@@ -111,11 +111,10 @@ def load_model(path) -> RuleModel:
     aggregation = stored.get("aggregation") if isinstance(stored, dict) else None
     config = FeatureConfig(aggregation if aggregation in AGGREGATIONS else AGGREGATIONS[0])
     # compared as JSON, so true is not 1 and 4000 is not 4000.0
-    expected = _header(header["rule_id"], config, header["dataset_hash"], header["train_seed"],
-                       header["n_support"])
-    if json.dumps(header, sort_keys=True) != json.dumps(expected, sort_keys=True):
-        raise SchemaError(f"{path}: header field {_differing(header, expected)[0]} "
-                          "differs from the one train writes")
+    wrong = _differing(header, _header(header["rule_id"], config, header["dataset_hash"],
+                                       header["train_seed"], header["n_support"]))
+    if wrong:
+        raise SchemaError(f"{path}: header field {wrong[0]} differs from the one train writes")
     sizes = [math.prod(spec["shape"]) for spec in header["arrays"]]
     if len(data) - body_start != 8 * sum(sizes):
         raise SchemaError(f"{path}: body is not the {8 * sum(sizes)} bytes its arrays need")

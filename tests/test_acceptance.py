@@ -160,7 +160,7 @@ def test_criterion_4_framing_arithmetic(spectrum_inputs):
     rows = np.vstack(spectrum_inputs)  # each frame windowed, zero-padded to FFT_SIZE
     assert rows.shape == (398, features.FFT_SIZE) and not rows[:, 200:].any()
     assert (rows[:, :200] == 0.1 * features.HAMMING).all()
-    assert max(len(block) for block in spectrum_inputs) <= 2 * features.STRIDE_FRAMES
+    assert max(map(len, spectrum_inputs)) <= features.PASS_STRIDES * features.STRIDE_FRAMES
     assert vec.shape == (1, 140)
     report(4, "398 frames of 200 samples at hop 80; pooled vector length 140")
 

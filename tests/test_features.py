@@ -20,11 +20,11 @@ CENTERS = features.mel_to_hz(np.linspace(features.hz_to_mel(features.F_MIN_HZ),
 
 def spectrum_frames(inputs):
     """The frames of the recorded power_spectrum calls, one a row, after
-    checking that each call holds at most two strides of rows FFT_SIZE wide
-    whose columns past FRAME_LEN are exactly 0."""
+    checking that each call holds at most PASS_STRIDES strides of rows
+    FFT_SIZE wide whose columns past FRAME_LEN are exactly 0."""
     rows = np.vstack(inputs)
     assert rows.shape[1] == features.FFT_SIZE and not rows[:, features.FRAME_LEN:].any()
-    assert max(len(block) for block in inputs) <= 2 * features.STRIDE_FRAMES
+    assert max(map(len, inputs)) <= features.PASS_STRIDES * features.STRIDE_FRAMES
     return rows[:, :features.FRAME_LEN]
 
 
@@ -277,8 +277,9 @@ class TestFrameLogEnergies:
         windows = len(features.extract_features(clip, CFG))
         inputs = list(spectrum_inputs)  # before the checks below add their own calls
         n_frames = (windows - 1) * features.STRIDE_FRAMES + features.WINDOW_FRAMES
-        spectrum_frames(inputs)  # at most two strides a call, FFT_SIZE wide
-        assert len(bank.lefts) == len(inputs) == -(-n_frames // (2 * features.STRIDE_FRAMES))
+        spectrum_frames(inputs)  # at most PASS_STRIDES strides a call, FFT_SIZE wide
+        passes = -(-n_frames // (features.PASS_STRIDES * features.STRIDE_FRAMES))
+        assert len(bank.lefts) == len(inputs) == passes
         assert sum(map(len, inputs)) == n_frames  # the clip's frames, no padding
         # one stack item a stride, strides in order from frame 0
         assert sum(map(len, bank.lefts)) == -(-n_frames // features.STRIDE_FRAMES)
