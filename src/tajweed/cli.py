@@ -3,7 +3,7 @@ and manage the expert review queue.
 
 Commands are deterministic given their explicit --seed; synth/split/train
 refuse to run without one. Diagnostics go to stderr, data to files or
-stdout. Each error family exits with its own code (see EXIT_CODES).
+stdout. Each error family exits with its own code (its exit_code).
 """
 
 from __future__ import annotations
@@ -19,28 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import audio, dataset, detection, features, persistence, svm
-from .errors import (
-    AudioError,
-    DatasetError,
-    DetectionError,
-    FeatureError,
-    IoError,
-    MissingStratum,
-    ParseError,
-    PersistenceError,
-    SvmError,
-    TajweedError,
-)
-
-EXIT_CODES = (
-    (AudioError, 3),
-    (FeatureError, 4),
-    (SvmError, 5),
-    (DetectionError, 6),
-    (DatasetError, 7),
-    (PersistenceError, 8),
-    ((IoError, OSError), 9),
-)
+from .errors import DetectionError, IoError, MissingStratum, ParseError, TajweedError
 
 CAL_HOLDOUT_FRACTION = 0.2
 
@@ -355,10 +334,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TajweedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        for family, code in EXIT_CODES:
-            if isinstance(err, family):
-                return code
-        return 1
+        return err.exit_code if isinstance(err, TajweedError) else IoError.exit_code
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -75,37 +75,38 @@ def resolve_path(root, path) -> str:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    """Parse a manifest; malformed rows raise ParseError with their line
-    number, rows pointing at missing audio trigger one DanglingPathWarning.
+    """Parse a manifest; bytes that are not UTF-8 and malformed rows raise
+    ParseError naming the path and line, rows pointing at missing audio
+    trigger one DanglingPathWarning.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} {data[exc.start]:#04x}",
+                         data.count(b"\n", 0, exc.start) + 1, path) from exc
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty manifest (missing header)", line_number=1)
-        if header != MANIFEST_HEADER:
-            raise ParseError(f"bad header {header!r}", line_number=1)
-        for line_no, row in enumerate(reader, start=2):
+    try:
+        if (header := next(rows, None)) != MANIFEST_HEADER:
+            raise ValueError("empty manifest (missing header)" if header is None
+                             else f"bad header {header!r}")
+        for row in rows:
             if len(row) != len(MANIFEST_HEADER):
-                raise ParseError(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}",
-                                 line_number=line_no)
+                raise ValueError(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}")
             p, rule_id, polarity, onset, split = row
             if not p or not rule_id:
-                raise ParseError("path and rule_id are required", line_number=line_no)
+                raise ValueError("path and rule_id are required")
             if polarity not in ("Right", "Wrong", ""):
-                raise ParseError(f"bad polarity {polarity!r}", line_number=line_no)
+                raise ValueError(f"bad polarity {polarity!r}")
             if split not in SPLITS:
-                raise ParseError(f"bad split {split!r}", line_number=line_no)
-            try:
-                onset_s = float(onset) if onset else None
-            except ValueError:
-                raise ParseError(f"bad onset_s {onset!r}", line_number=line_no)
+                raise ValueError(f"bad split {split!r}")
+            onset_s = float(onset) if onset else None
             if onset_s is not None and not 0.0 <= onset_s < np.inf:
-                raise ParseError(f"onset_s {onset!r} is not a finite time >= 0",
-                                 line_number=line_no)
+                raise ValueError(f"onset_s {onset!r} is not a finite time >= 0")
             entries.append(ManifestEntry(p, rule_id, polarity or None, onset_s, split))
+    except (ValueError, csv.Error) as exc:
+        raise ParseError(str(exc), max(rows.line_num, 1), path) from exc
 
     root = os.path.dirname(os.path.abspath(path))
     missing = [e.path for e in entries if not os.path.isfile(resolve_path(root, e.path))]
@@ -395,7 +396,7 @@ class ReviewRecord:
         return self
 
 
-def _parse_queue(data: bytes) -> dict[int, ReviewRecord]:
+def _parse_queue(data: bytes, path) -> dict[int, ReviewRecord]:
     records: dict[int, ReviewRecord] = {}
     lines = data.split(b"\n")[:-1]  # past the last newline: nothing, or a torn append
     line_no = 1
@@ -419,7 +420,7 @@ def _parse_queue(data: bytes) -> dict[int, ReviewRecord]:
             else:
                 raise ValueError(f"unexpected {kind!r} event for record {rid}")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ParseError(f"bad queue line: {exc!r}", line_number=line_no) from exc
+        raise ParseError(f"bad queue line: {exc!r}", line_no, path) from exc
     return records
 
 
@@ -435,7 +436,7 @@ def _locked_queue(path):
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         fh.seek(0)
         data = fh.read()
-        records, end = _parse_queue(data), data.rfind(b"\n") + 1  # end: whole lines' bytes
+        records, end = _parse_queue(data, path), data.rfind(b"\n") + 1  # end: whole lines' bytes
 
         def append(event: dict) -> None:
             nonlocal end
@@ -478,7 +479,7 @@ def review_list(queue_path, status: str | None = None) -> list[ReviewRecord]:
         raise ValueError(f"status must be one of {', '.join(STATUSES)}, not {status!r}")
     with open(queue_path, "rb") as fh:  # a missing queue raises, creating nothing
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-        records = sorted(_parse_queue(fh.read()).values(), key=lambda r: r.record_id)
+        records = sorted(_parse_queue(fh.read(), queue_path).values(), key=lambda r: r.record_id)
     return [r for r in records if status is None or r.status == status]
 
 

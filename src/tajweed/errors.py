@@ -1,18 +1,20 @@
 """Exception taxonomy shared by all tajweed modules.
 
-Each family maps to one CLI exit code (see cli.EXIT_CODES), so errors must
-stay within their family tree.
+Each family carries the CLI exit code of every error in its tree as
+exit_code, so errors must stay within their family tree.
 """
 
 
 class TajweedError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 1
+
 
 # --- audio ---------------------------------------------------------------
 
 class AudioError(TajweedError):
-    pass
+    exit_code = 3
 
 
 class NotFound(AudioError):
@@ -34,7 +36,7 @@ class InvalidRate(AudioError):
 # --- features ------------------------------------------------------------
 
 class FeatureError(TajweedError):
-    pass
+    exit_code = 4
 
 
 class WrongRate(FeatureError):
@@ -48,7 +50,7 @@ class TooFewVectors(FeatureError):
 # --- svm -----------------------------------------------------------------
 
 class SvmError(TajweedError):
-    pass
+    exit_code = 5
 
 
 class DimensionMismatch(SvmError):
@@ -74,7 +76,7 @@ class NoConvergence(SvmError):
 # --- detection -----------------------------------------------------------
 
 class DetectionError(TajweedError):
-    pass
+    exit_code = 6
 
 
 class EmptyNegatives(DetectionError):
@@ -84,12 +86,15 @@ class EmptyNegatives(DetectionError):
 # --- dataset -------------------------------------------------------------
 
 class DatasetError(TajweedError):
-    pass
+    exit_code = 7
 
 
 class ParseError(DatasetError):
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
+    """Malformed input; with a line number the message begins `path:line: `."""
+
+    def __init__(self, message, line_number=None, path=None):
+        where = ":".join(str(part) for part in (path, line_number) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
         self.line_number = line_number
 
 
@@ -112,7 +117,7 @@ class InvalidTransition(DatasetError):
 # --- persistence / shared IO ----------------------------------------------
 
 class PersistenceError(TajweedError):
-    pass
+    exit_code = 8
 
 
 class VersionMismatch(PersistenceError):
@@ -130,3 +135,5 @@ class IoError(TajweedError):
     """Filesystem failure while reading or writing corpora, manifests,
     verdicts, review queues or model files. The CLI maps a bare OSError
     from opening an input file to this family's exit code."""
+
+    exit_code = 9

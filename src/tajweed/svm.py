@@ -296,7 +296,6 @@ def grid_search(
 
     folds = stratified_folds(y, k_folds, seed)
     cells = []
-    best = None
     for C in sorted(C_grid):
         for gamma in sorted(gamma_grid):
             accs = []
@@ -312,6 +311,5 @@ def grid_search(
                 accs.append(float(np.mean(pred == y[fold])))
             mean_acc = float(np.mean(accs))
             cells.append(GridCell(C=float(C), gamma=float(gamma), accuracy=mean_acc))
-            if best is None or mean_acc > best.accuracy:
-                best = cells[-1]
+    best = max(cells, key=lambda c: c.accuracy)  # max keeps the first of equal accuracies
     return GridSearchResult(best_C=best.C, best_gamma=best.gamma, table=tuple(cells))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tajweed import audio, cli, dataset, detection, features, persistence
+from tajweed import audio, cli, dataset, detection, errors, features, persistence
 
 
 def run(argv):
@@ -71,6 +71,38 @@ CRAFTED_VALUES = st.sampled_from([0, -1, 1, 10, 25, 70, 256, 8000, 2 ** 40, 0.0,
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (errors.TajweedError, 1), (errors.AudioError, 3), (errors.FeatureError, 4),
+        (errors.SvmError, 5), (errors.DetectionError, 6), (errors.DatasetError, 7),
+        (errors.PersistenceError, 8), (errors.IoError, 9), (OSError, 9),
+    ])
+    def test_each_error_family_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def fail(path):
+            raise error("refused")
+
+        monkeypatch.setattr(dataset, "load_manifest", fail)
+        assert run(["split", "--manifest", "m.csv", "--seed", "1"]) == code
+        assert capsys.readouterr().err == "error: refused\n"
+
+    def test_malformed_manifest_row_names_its_path_and_line(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,rule_id,polarity,onset_s,split\n"
+                            "a.wav,edgham_meem,Right,,test\n"
+                            "b.wav,edgham_meem,Sideways,,test\n")
+        assert run(["evaluate", "--manifest", str(manifest), "--model", "m.model"]) == 7
+        assert capsys.readouterr().err == f"error: {manifest}:3: bad polarity 'Sideways'\n"
+
+    def test_malformed_queue_line_names_its_path_and_line(self, tmp_path, capsys):
+        verdict = tmp_path / "verdict.json"
+        verdict.write_text(json.dumps({"audio_path": "v.wav", "rule_id": "edgham_meem"}))
+        queue = tmp_path / "q.jsonl"
+        assert run(["review", "append", "--queue", str(queue), "--verdict", str(verdict)]) == 0
+        with open(queue, "a") as fh:
+            fh.write('{"kind":"bogus","record_id":1}\n')
+        capsys.readouterr()
+        assert run(["review", "list", "--queue", str(queue)]) == 7
+        assert capsys.readouterr().err.startswith(f"error: {queue}:3: bad queue line: ")
+
     def test_missing_rule_stratum_is_dataset_error(self, manifest, tmp_path):
         code = run(["train", "--manifest", manifest, "--rule", "ekhfaa_meem",
                     "--seed", "1", "--model", str(tmp_path / "m.model")])
@@ -507,6 +539,27 @@ class TestDetect:
         assert payload["rule_id"] == "edgham_meem"
         assert payload["audio_path"] == wav
 
+    def test_flatten_model_names_each_verses_polarity(self, tmp_path, capsys):
+        # tools/same_behaviour.py's reduced recipe and seeds: at gamma 2e-5 the
+        # 27,860-wide flatten kernel does not underflow, so each verdict is a polarity
+        recipe = dataset.default_recipe()
+        recipe.update(clips_per_class=8, negatives_per_rule=3, verses_per_rule=1,
+                      event_free_verses_per_rule=1)
+        spec, corpus, model = tmp_path / "spec.json", tmp_path / "corpus", tmp_path / "f.model"
+        spec.write_text(json.dumps(recipe))
+        manifest = str(corpus / dataset.MANIFEST_NAME)
+        for argv in (["synth", "--spec", str(spec), "--seed", "1", "--out", str(corpus)],
+                     ["split", "--manifest", manifest, "--seed", "2"],
+                     ["train", "--manifest", manifest, "--rule", "edgham_meem", "--seed", "3",
+                      "--agg", "flatten", "--gamma", "0.00002", "--model", str(model)]):
+            assert run(argv) == 0
+        for polarity in dataset.POLARITIES:
+            capsys.readouterr()
+            wav = corpus / f"edgham_meem_{polarity.lower()}_verse_0000.wav"
+            assert run(["detect", "--audio", str(wav), "--rule", "edgham_meem",
+                        "--model", str(model)]) == 0
+            assert capsys.readouterr().out.startswith(f"{polarity} ")
+
     def test_rule_model_mismatch(self, trained_model_path, tmp_path):
         wav = str(tmp_path / "s.wav")
         audio.write_wav(wav, audio.AudioClip(np.zeros(32000), 8000))
@@ -534,6 +587,18 @@ class TestGridsearch:
         out = capsys.readouterr().out
         assert "C,gamma,cv_accuracy" in out
         assert "best: C=1.0 gamma=0.1" in out
+
+    def test_unsplit_manifest_is_dataset_error(self, small_corpus, tmp_path, capsys):
+        root, entries = small_corpus
+        manifest = str(tmp_path / dataset.MANIFEST_NAME)
+        dataset.save_manifest([replace(e, path=os.path.join(root, e.path), split="unassigned")
+                               for e in entries], manifest)
+        code = run(["gridsearch", "--manifest", manifest, "--rule", "edgham_meem",
+                    "--seed", "3", "--c-grid", "1", "--gamma-grid", "0.1"])
+        assert code == 7
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no train-split exemplars for edgham_meem" in err
 
 
 class TestEvaluate:

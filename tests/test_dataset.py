@@ -79,14 +79,19 @@ class TestManifest:
         dataset.save_manifest(loaded, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_parse_error_carries_line_number(self, tmp_path):
+    @pytest.mark.parametrize("row", [
+        b"b.wav,edgham_meem,Sideways,,train\n",
+        b"b\xff\xfe.wav,edgham_meem,Right,,train\n",
+        b'"' + b"b" * 200_000 + b'.wav",edgham_meem,Right,,train\n',
+    ], ids=["bad_polarity", "not_utf8", "field_past_the_csv_limit"])
+    def test_parse_error_carries_line_number(self, tmp_path, row):
         p = tmp_path / "m.csv"
-        p.write_text("path,rule_id,polarity,onset_s,split\n"
-                     "a.wav,edgham_meem,Right,,train\n"
-                     "b.wav,edgham_meem,Sideways,,train\n")
+        p.write_bytes(b"path,rule_id,polarity,onset_s,split\n"
+                      b"a.wav,edgham_meem,Right,,train\n" + row)
         with pytest.raises(ParseError) as exc:
             dataset.load_manifest(str(p))
         assert exc.value.line_number == 3
+        assert str(exc.value).startswith(f"{p}:3: ")
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"

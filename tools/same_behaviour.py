@@ -12,8 +12,11 @@ train of both rules x both aggregations at both rates, evaluate with one and
 with two models, a one-cell gridsearch, detect on every verse with each model
 of its rule and rate, a one-rule corpus at 11,025, 22,050 and 44,100 Hz
 (interpolating resample) and at 48,000 Hz (integer ratio 6) with one pooled
-train and a detect per verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and the
-failing cases of the CI pipeline step with their exit codes.
+train and a detect per verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and
+failing cases with their exit codes: a recipe that is not one, split past a 1 KiB file size
+limit, gridsearch and evaluate of an unsplit manifest, a garbage model, a model header with
+a key train never writes, a relabel without --force and a correction without a label. It is
+the project's only end-to-end gate; the tier-1 tests check each of these cases too.
 
 Each command's exit code, stdout and stderr and the SHA-256 of every file the
 session leaves are compared, after normalizing only the tree's own
