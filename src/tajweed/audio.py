@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CorruptHeader, InvalidRate, NotFound, UnsupportedFormat
+from .errors import AudioError
 
 MIN_SAMPLE_RATE_HZ = 1000
 WINDOW_S = 4.0
@@ -49,20 +49,20 @@ def load_wav(path) -> AudioClip:
     """Read a PCM WAV file as a mono clip scaled to [-1, 1].
 
     Stereo files are averaged per-sample. The file's sample rate is kept.
-    Raises NotFound, UnsupportedFormat, or CorruptHeader.
+    Raises AudioError for a missing, unsupported or corrupt file.
     """
     if not os.path.isfile(path):
-        raise NotFound(f"no such audio file: {path}")
+        raise AudioError(f"no such audio file: {path}")
     with open(path, "rb") as fh:
         data = fh.read()
 
     if len(data) < 12:
-        raise CorruptHeader(f"{path}: truncated RIFF header")
+        raise AudioError(f"{path}: truncated RIFF header")
     if data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise CorruptHeader(f"{path}: not a RIFF/WAVE file")
+        raise AudioError(f"{path}: not a RIFF/WAVE file")
     riff_size = struct.unpack_from("<I", data, 4)[0]
     if riff_size + 8 > len(data):
-        raise CorruptHeader(f"{path}: RIFF size exceeds file length")
+        raise AudioError(f"{path}: RIFF size exceeds file length")
 
     fmt = None
     payload = None
@@ -72,10 +72,10 @@ def load_wav(path) -> AudioClip:
         chunk_size = struct.unpack_from("<I", data, pos + 4)[0]
         body_start = pos + 8
         if body_start + chunk_size > len(data):
-            raise CorruptHeader(f"{path}: chunk {chunk_id!r} overruns file")
+            raise AudioError(f"{path}: chunk {chunk_id!r} overruns file")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
-                raise CorruptHeader(f"{path}: fmt chunk too small")
+                raise AudioError(f"{path}: fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
         elif chunk_id == b"data":
             payload = memoryview(data)[body_start:body_start + chunk_size]  # borrowed
@@ -83,23 +83,23 @@ def load_wav(path) -> AudioClip:
         pos = body_start + chunk_size + (chunk_size & 1)
 
     if fmt is None or payload is None:
-        raise CorruptHeader(f"{path}: missing fmt or data chunk")
+        raise AudioError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _byte_rate, block_align, bits = fmt
     if audio_format != 1:
-        raise UnsupportedFormat(f"{path}: only PCM is supported (format tag {audio_format})")
+        raise AudioError(f"{path}: only PCM is supported (format tag {audio_format})")
     if channels not in (1, 2):
-        raise UnsupportedFormat(f"{path}: {channels} channels (expected 1 or 2)")
+        raise AudioError(f"{path}: {channels} channels (expected 1 or 2)")
     if bits not in (8, 16):
-        raise UnsupportedFormat(f"{path}: {bits}-bit samples (expected 8 or 16)")
+        raise AudioError(f"{path}: {bits}-bit samples (expected 8 or 16)")
     if rate < MIN_SAMPLE_RATE_HZ:
-        raise UnsupportedFormat(f"{path}: sample rate {rate} Hz below {MIN_SAMPLE_RATE_HZ}")
+        raise AudioError(f"{path}: sample rate {rate} Hz below {MIN_SAMPLE_RATE_HZ}")
     frame_bytes = channels * bits // 8
     if block_align != frame_bytes:
-        raise CorruptHeader(f"{path}: block align {block_align} != {frame_bytes}")
+        raise AudioError(f"{path}: block align {block_align} != {frame_bytes}")
     if len(payload) % frame_bytes != 0:
-        raise CorruptHeader(f"{path}: data chunk not a whole number of frames")
+        raise AudioError(f"{path}: data chunk not a whole number of frames")
     if len(payload) == 0:
-        raise CorruptHeader(f"{path}: empty data chunk")
+        raise AudioError(f"{path}: empty data chunk")
 
     ints = np.frombuffer(payload, dtype="<i2" if bits == 16 else np.uint8)
     # each scale is a power of two, so multiplying by its exact reciprocal gives
@@ -190,7 +190,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     C-contiguous array, clipped to [-1, 1] in place; the same rate, the clip.
     """
     if target_hz < MIN_SAMPLE_RATE_HZ:
-        raise InvalidRate(f"target rate {target_hz} Hz below {MIN_SAMPLE_RATE_HZ}")
+        raise AudioError(f"target rate {target_hz} Hz below {MIN_SAMPLE_RATE_HZ}")
     rate = clip.sample_rate_hz
     if target_hz == rate:
         return clip

@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import audio, dataset, detection, features, persistence, svm
-from .errors import DetectionError, IoError, MissingStratum, ParseError, TajweedError
+from .errors import DatasetError, DetectionError, IoError, ParseError, TajweedError
 
 CAL_HOLDOUT_FRACTION = 0.2
 
@@ -41,7 +41,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     train_entries, X, y = detection.exemplars(entries, audio_root, rule_id, "train", config)
     for polarity in dataset.POLARITIES:
         if not any(e.polarity == polarity for e in train_entries):
-            raise MissingStratum(f"no train-split {polarity} exemplars for {rule_id}")
+            raise DatasetError(f"no train-split {polarity} exemplars for {rule_id}")
 
     # stratified calibration holdout, never used to fit the SVM
     rng = np.random.default_rng(seed)

@@ -36,13 +36,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import audio
-from .errors import (
-    InvalidTransition,
-    IoError,
-    ParseError,
-    StratumTooSmall,
-    UnknownRecord,
-)
+from .errors import DatasetError, IoError, ParseError
 
 POLARITIES = ("Right", "Wrong")
 # the corrected_label values each review status allows
@@ -164,7 +158,7 @@ def split(entries, train_fraction: float = TRAIN_FRACTION, seed: int = 0) -> lis
     for key in sorted(strata):
         idx = strata[key]
         if len(idx) < 2:
-            raise StratumTooSmall(f"stratum {key} has {len(idx)} entries (need >= 2)")
+            raise DatasetError(f"stratum {key} has {len(idx)} entries (need >= 2)")
         order = np.array(idx)
         rng.shuffle(order)
         splits[order[:round(train_fraction * len(idx))]] = "train"
@@ -486,8 +480,8 @@ def review_list(queue_path, status: str | None = None) -> list[ReviewRecord]:
 def review_label(queue_path, record_id: int, status: str,
                  label: str | None = None, force: bool = False) -> ReviewRecord:
     """Move a record pending -> approved | corrected. Relabeling an already
-    labeled record requires force=True. An id that is no int is an
-    UnknownRecord; a status and label that checked() refuses, a ValueError.
+    labeled record requires force=True. An unknown id, or one that is no int,
+    raises DatasetError; a status and label that checked() refuses, a ValueError.
     """
     if status == "pending":
         raise ValueError("a label moves a record to approved or corrected, not pending")
@@ -497,14 +491,14 @@ def review_label(queue_path, record_id: int, status: str,
         shown = (f"of {Decimal(record_id).adjusted() + 1} digits" if type(record_id) is int
                  else f"of type {type(record_id).__name__}")
     if not os.path.exists(queue_path):  # opening it to lock would create it
-        raise UnknownRecord(f"no review queue {queue_path}, so no record {shown}")
+        raise DatasetError(f"no review queue {queue_path}, so no record {shown}")
     with _locked_queue(queue_path) as (records, append):
         if type(record_id) is not int or record_id not in records:
-            raise UnknownRecord(f"no review record {shown}")
+            raise DatasetError(f"no review record {shown}")
         current = records[record_id]
         labeled = replace(current, status=status, corrected_label=label).checked()
         if current.status != "pending" and not force:
-            raise InvalidTransition(
+            raise DatasetError(
                 f"record {record_id} is already {current.status}; pass force to relabel"
             )
         append({"kind": "label", "record_id": record_id, "status": status, "label": label})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio, dataset, features, svm
-from .errors import EmptyNegatives, MissingStratum
+from .errors import DatasetError, DetectionError
 
 THRESHOLD_MARGIN = 0.01
 THRESHOLD_FLOOR = 0.5
@@ -72,13 +72,13 @@ def exemplar_features(paths, config: features.FeatureConfig) -> np.ndarray:
 
 def exemplars(entries, audio_root, rule_id, split, config: features.FeatureConfig):
     """A rule's labeled 4 s exemplars of one split: (entries, feature rows,
-    labels), label +1 for Right and -1 for Wrong. Raises MissingStratum when
+    labels), label +1 for Right and -1 for Wrong. Raises DatasetError when
     the manifest holds none."""
     chosen = [e for e in entries
               if e.rule_id == rule_id and e.split == split
               and e.polarity in dataset.POLARITIES and e.onset_s is None]
     if not chosen:
-        raise MissingStratum(f"manifest has no {split}-split exemplars for {rule_id}")
+        raise DatasetError(f"manifest has no {split}-split exemplars for {rule_id}")
     X = exemplar_features([dataset.resolve_path(audio_root, e.path) for e in chosen], config)
     y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
     return chosen, X, y
@@ -139,7 +139,7 @@ def calibrate_thresholds(rule: RuleModel, negatives) -> ThresholdCalibration:
     How many positives the taus let through is for the caller to measure.
     """
     if not negatives:
-        raise EmptyNegatives("threshold calibration requires rule-free clips")
+        raise DetectionError("threshold calibration requires rule-free clips")
     neg_p = np.array([p for clip in negatives for _, p in window_scores(rule, clip)])
 
     raw_right = max(THRESHOLD_FLOOR, float(neg_p.max()) + THRESHOLD_MARGIN)
@@ -175,7 +175,7 @@ def evaluate(rules, entries, audio_root) -> EvaluationResult:
     """Clip-level confusion per rule over its test-split exemplars.
 
     Each rule selects its own test-split exemplars from the manifest entries
-    through exemplars, which raises MissingStratum for a rule with none.
+    through exemplars, which raises DatasetError for a rule with none.
     Right-labeled clips are the positives; Wrong-labeled clips the
     negatives. Each rule's clips are scored in one call; a clip is
     classified Right when p_right >= 0.5 (the model's raw vote, ungated).

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import STRIDE_S, WINDOW_S, AudioClip, normalize_duration
-from .errors import DimensionMismatch, TooFewVectors, WrongRate
+from .errors import FeatureError, SvmError
 
 SAMPLE_RATE_HZ = 8000
 FRAME_MS = 25
@@ -99,10 +99,11 @@ class Scaler:
     STD_FLOOR = 1e-8
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Standardize rows; other widths are refused before broadcasting."""
+        """Standardize rows; other widths raise SvmError, as the SVM does, before
+        broadcasting."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape[-1] != len(self.mean):
-            raise DimensionMismatch(f"input dim {v.shape[-1]} != scaler dim {len(self.mean)}")
+            raise SvmError(f"input dim {v.shape[-1]} != scaler dim {len(self.mean)}")
         return (v - self.mean) / np.maximum(self.std, self.STD_FLOOR)
 
 
@@ -227,7 +228,7 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     starting at w * STRIDE_S. A stride is STRIDE_FRAMES whole hops, so all
     windows' frames are one strided slice of the clip, each transformed once."""
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
-        raise WrongRate(f"clip at {clip.sample_rate_hz} Hz, features need {SAMPLE_RATE_HZ} Hz")
+        raise FeatureError(f"clip at {clip.sample_rate_hz} Hz, features need {SAMPLE_RATE_HZ} Hz")
     if len(clip) < WINDOW_LEN:
         clip = normalize_duration(clip)
     n_frames = (len(clip) - WINDOW_LEN) // STRIDE_LEN * STRIDE_FRAMES + WINDOW_FRAMES
@@ -239,6 +240,6 @@ def fit_scaler(rows) -> Scaler:
     """Per-dimension mean/std over training feature rows."""
     matrix = np.vstack(rows).astype(np.float64)
     if matrix.shape[0] < 2:
-        raise TooFewVectors("need at least 2 vectors to fit a scaler")
+        raise FeatureError("need at least 2 vectors to fit a scaler")
     return Scaler(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
 

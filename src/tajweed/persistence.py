@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import write_file
 from .detection import RuleModel
-from .errors import IoError, SchemaError, VersionMismatch
+from .errors import IoError, PersistenceError
 from .features import AGGREGATIONS, LOG_FLOOR, FeatureConfig, Scaler
 from .svm import SvmModel
 
@@ -73,8 +73,8 @@ def save_model(rule_model: RuleModel, path) -> None:
 
 
 def load_model(path) -> RuleModel:
-    """Read a model file; raises VersionMismatch for unreadable versions and
-    SchemaError unless the header equals, as JSON, the one `save_model`
+    """Read a model file; raises PersistenceError unless the format version
+    is FORMAT_VERSION, the header equals, as JSON, the one `save_model`
     writes for the file's rule_id, dataset_hash, train_seed, n_support (>= 1)
     and aggregation (the first of AGGREGATIONS if missing or unknown; the error
     names the first key that differs from that header), and the body has the
@@ -87,26 +87,28 @@ def load_model(path) -> RuleModel:
         raise IoError(f"cannot read model file {path}: {exc}") from exc
 
     if len(data) < len(MAGIC) + 4 or data[: len(MAGIC)] != MAGIC:
-        raise SchemaError(f"{path}: not a rule-model file")
+        raise PersistenceError(f"{path}: not a rule-model file")
     header_len = struct.unpack_from("<I", data, len(MAGIC))[0]
     body_start = len(MAGIC) + 4 + header_len
     if body_start > len(data):
-        raise SchemaError(f"{path}: truncated header")
+        raise PersistenceError(f"{path}: truncated header")
     try:
         header = json.loads(data[len(MAGIC) + 4: body_start])
     except ValueError as exc:
-        raise SchemaError(f"{path}: unreadable header: {exc}") from exc
+        raise PersistenceError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
-        raise SchemaError(f"{path}: header is not a JSON object")
+        raise PersistenceError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionMismatch(version, FORMAT_VERSION)
+        raise PersistenceError(
+            f"model format version {version} not readable (expected {FORMAT_VERSION})")
     for key, kind in (("rule_id", str), ("dataset_hash", str), ("train_seed", int),
                       ("n_support", int)):
         if type(header.get(key)) is not kind:
-            raise SchemaError(f"{path}: header field {key} missing or not {kind.__name__}")
+            raise PersistenceError(f"{path}: header field {key} missing or not {kind.__name__}")
     if header["n_support"] < 1:
-        raise SchemaError(f"{path}: n_support {header['n_support']} < 1, which train never writes")
+        raise PersistenceError(
+            f"{path}: n_support {header['n_support']} < 1, which train never writes")
     stored = header.get("feature_config")
     aggregation = stored.get("aggregation") if isinstance(stored, dict) else None
     config = FeatureConfig(aggregation if aggregation in AGGREGATIONS else AGGREGATIONS[0])
@@ -114,24 +116,24 @@ def load_model(path) -> RuleModel:
     wrong = _differing(header, _header(header["rule_id"], config, header["dataset_hash"],
                                        header["train_seed"], header["n_support"]))
     if wrong:
-        raise SchemaError(f"{path}: header field {wrong[0]} differs from the one train writes")
+        raise PersistenceError(f"{path}: header field {wrong[0]} differs from the one train writes")
     sizes = [math.prod(spec["shape"]) for spec in header["arrays"]]
     if len(data) - body_start != 8 * sum(sizes):
-        raise SchemaError(f"{path}: body is not the {8 * sum(sizes)} bytes its arrays need")
+        raise PersistenceError(f"{path}: body is not the {8 * sum(sizes)} bytes its arrays need")
     body = np.frombuffer(data, "<f8", offset=body_start).astype(np.float64)
     if not np.isfinite(body).all():
-        raise SchemaError(f"{path}: arrays hold non-finite values")
+        raise PersistenceError(f"{path}: arrays hold non-finite values")
     scalars, log_floor, mean, std, sv, dc = (
         body[end - size:end].reshape(spec["shape"])
         for spec, size, end in zip(header["arrays"], sizes, itertools.accumulate(sizes)))
     if log_floor.tolist() != [LOG_FLOOR]:
-        raise SchemaError(f"{path}: log floor is not {LOG_FLOOR}")
+        raise PersistenceError(f"{path}: log floor is not {LOG_FLOOR}")
     if (std < 0).any():
-        raise SchemaError(f"{path}: negative scaler standard deviation")
+        raise PersistenceError(f"{path}: negative scaler standard deviation")
 
     scalars = dict(zip(_SCALARS, scalars))
     if scalars["C"] <= 0 or scalars["gamma"] <= 0:
-        raise SchemaError(f"{path}: C and gamma must be positive")
+        raise PersistenceError(f"{path}: C and gamma must be positive")
     try:
         model = SvmModel(
             support_vectors=sv,
@@ -152,4 +154,4 @@ def load_model(path) -> RuleModel:
             train_seed=header["train_seed"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise PersistenceError(f"{path}: {exc}") from exc

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    SingleClass,
-    TooFewSamples,
-)
+from .errors import NoConvergence, SvmError
 
 # grid_search's default (C, gamma) grid and fold count
 C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -73,7 +68,7 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(f"dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+        raise SvmError(f"dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
@@ -99,7 +94,7 @@ def train(
         raise ValueError("max_passes must be at least 0")
     y = problem.y
     if np.all(y == y[0]):
-        raise SingleClass("training labels contain a single class")
+        raise SvmError("training labels contain a single class")
 
     X = problem.X
     K = rbf_gram(X, X, gamma)
@@ -172,7 +167,7 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     sv = model.support_vectors
     if X.shape[1] != sv.shape[1]:
-        raise DimensionMismatch(f"input dim {X.shape[1]} != model dim {sv.shape[1]}")
+        raise SvmError(f"input dim {X.shape[1]} != model dim {sv.shape[1]}")
     cross = np.matmul(sv, X[:, :, None])[..., 0]  # (rows, support vectors)
     sq = (sv * sv).sum(axis=1) + (X * X).sum(axis=1)[:, None] - 2.0 * cross
     return np.vecdot(np.exp(-model.gamma * np.maximum(sq, 0.0)), model.dual_coefs) + model.bias
@@ -200,7 +195,7 @@ def platt_fit(scores, labels) -> tuple[float, float]:
     pos = y > 0
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("calibration labels contain a single class")
+        raise SvmError("calibration labels contain a single class")
 
     hi_t = (n_pos + 1.0) / (n_pos + 2.0)
     lo_t = 1.0 / (n_neg + 2.0)
@@ -292,7 +287,7 @@ def grid_search(
     y = problem.y
     for cls in (-1.0, 1.0):
         if int((y == cls).sum()) < k_folds:
-            raise TooFewSamples(f"class {cls:+.0f} has fewer samples than folds")
+            raise SvmError(f"class {cls:+.0f} has fewer samples than folds")
 
     folds = stratified_folds(y, k_folds, seed)
     cells = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tajweed import audio
-from tajweed.errors import AudioError, CorruptHeader, InvalidRate, NotFound, UnsupportedFormat
+from tajweed.errors import AudioError
 
 
 def wav_bytes(payload, channels=1, bits=16, rate=8000, fmt=1, riff_size=None, data_size=None):
@@ -78,34 +78,46 @@ class TestLoadWav:
 
     def test_truncated_header(self, tmp_path):
         path = write(tmp_path, b"RIFF\x00\x00")
-        with pytest.raises(CorruptHeader):
+        with pytest.raises(AudioError, match="truncated RIFF header"):
             audio.load_wav(path)
 
     def test_chunk_overrun(self, tmp_path):
         blob = wav_bytes(struct.pack("<h", 1), data_size=999)
-        with pytest.raises(CorruptHeader):
+        with pytest.raises(AudioError, match="chunk b'data' overruns file"):
             audio.load_wav(write(tmp_path, blob))
 
     def test_not_riff(self, tmp_path):
-        with pytest.raises(CorruptHeader):
+        with pytest.raises(AudioError, match="not a RIFF/WAVE file"):
             audio.load_wav(write(tmp_path, b"OGGS" + b"\x00" * 40))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(NotFound):
+        with pytest.raises(AudioError, match="no such audio file"):
             audio.load_wav(str(tmp_path / "nope.wav"))
 
     def test_non_pcm(self, tmp_path):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(AudioError, match=r"only PCM is supported \(format tag 3\)"):
             audio.load_wav(write(tmp_path, wav_bytes(struct.pack("<h", 1), fmt=3)))
 
     def test_too_many_channels(self, tmp_path):
         payload = struct.pack("<3h", 0, 0, 0)
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(AudioError, match=r"3 channels \(expected 1 or 2\)"):
             audio.load_wav(write(tmp_path, wav_bytes(payload, channels=3)))
 
     def test_bad_bit_depth(self, tmp_path):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(AudioError, match=r"24-bit samples \(expected 8 or 16\)"):
             audio.load_wav(write(tmp_path, wav_bytes(b"\x00" * 6, bits=24)))
+
+    def test_riff_size_past_the_file_end(self, tmp_path):
+        blob = VALID_WAV[:4] + struct.pack("<I", len(VALID_WAV) - 8 + 4) + VALID_WAV[8:]
+        with pytest.raises(AudioError, match="RIFF size exceeds file length"):
+            audio.load_wav(write(tmp_path, blob))
+
+    def test_odd_sized_chunk_before_fmt_is_skipped_with_its_pad_byte(self, tmp_path):
+        blob = VALID_WAV[:12] + b"LIST" + struct.pack("<I", 3) + b"abc\x00" + VALID_WAV[12:]
+        blob = blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:]
+        plain = audio.load_wav(write(tmp_path, VALID_WAV))
+        listed = audio.load_wav(write(tmp_path, blob, "listed.wav"))
+        assert listed.samples.tobytes() == plain.samples.tobytes()
 
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -167,7 +179,7 @@ class TestResample:
 
     def test_rejects_low_rate(self):
         clip = audio.AudioClip(np.zeros(10), 8000)
-        with pytest.raises(InvalidRate):
+        with pytest.raises(AudioError, match="target rate 999 Hz below 1000"):
             audio.resample(clip, 999)
 
     @pytest.mark.parametrize("n, n_out", [(1, 1), (2, 1), (10, 5), (62, 31)])

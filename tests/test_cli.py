@@ -515,6 +515,21 @@ class TestDetect:
         assert right_gap == round(rule.tau_right - scores[offset], 4) and right_gap > 0
         assert wrong_gap == round(rule.tau_wrong - (1 - scores[offset]), 4) and wrong_gap > 0
 
+    def test_none_names_the_window_nearest_either_gate(self, trained_model_path, tmp_path,
+                                                        monkeypatch, capsys):
+        # the highest p_right, 0.6 at 0.0s, is 0.3 below tau_right; 0.15 at 0.5s
+        # leaves 1-p_right only 0.05 below tau_wrong, so it is the nearer window
+        rule = replace(persistence.load_model(trained_model_path), tau_right=0.9, tau_wrong=0.9)
+        monkeypatch.setattr(persistence, "load_model", lambda path: rule)
+        monkeypatch.setattr(detection, "detect", lambda rule, clip: detection.DetectionReport(
+            None, ((0.0, 0.6), (0.5, 0.15), (1.0, 0.5))))
+        wav = str(tmp_path / "silence.wav")
+        audio.write_wav(wav, audio.AudioClip(np.zeros(48000), 8000))
+        assert run(["detect", "--audio", wav, "--rule", "edgham_meem", "--model", "m"]) == 0
+        assert capsys.readouterr() == ("none\n", (
+            "none: best p_right=0.1500 at 0.5s is 0.7500 below tau_right=0.9000; "
+            "1-p_right is 0.0500 below tau_wrong=0.9000\n"))
+
     def test_verse_verdict_and_timeline(self, small_corpus, trained_model_path,
                                         tmp_path, capsys):
         root, entries = small_corpus
@@ -721,7 +736,7 @@ class TestReview:
         assert run(["review", "label", "--queue", q, "--id", "1",
                     "--status", "corrected", "--label", "Wrong"]) == 0
         assert run(["review", "label", "--queue", q, "--id", "1",
-                    "--status", "approved"]) == 7  # InvalidTransition without force
+                    "--status", "approved"]) == 7  # a relabel without force
 
     def test_label_a_read_would_reject_exits_2_and_leaves_the_queue(self, tmp_path, capsys):
         verdict = tmp_path / "verdict.json"

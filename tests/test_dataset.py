@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tajweed import audio, dataset
-from tajweed.errors import InvalidTransition, IoError, ParseError, StratumTooSmall, UnknownRecord
+from tajweed.errors import DatasetError, IoError, ParseError
 
 
 JSON_VALUES = st.recursive(
@@ -90,7 +90,6 @@ class TestManifest:
                       b"a.wav,edgham_meem,Right,,train\n" + row)
         with pytest.raises(ParseError) as exc:
             dataset.load_manifest(str(p))
-        assert exc.value.line_number == 3
         assert str(exc.value).startswith(f"{p}:3: ")
 
     def test_bad_header_rejected(self, tmp_path):
@@ -106,7 +105,7 @@ class TestManifest:
                      f"a.wav,edgham_meem,Right,{onset},train\n")
         with pytest.raises(ParseError) as exc:
             dataset.load_manifest(str(p))
-        assert exc.value.line_number == 2
+        assert str(exc.value).startswith(f"{p}:2: ")
 
     def test_dangling_paths_warned_not_fatal(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -205,7 +204,7 @@ class TestSplit:
         assert abs(n_train - round(frac * n)) <= 1
 
     def test_stratum_too_small(self):
-        with pytest.raises(StratumTooSmall):
+        with pytest.raises(DatasetError, match=r"has 1 entries \(need >= 2\)"):
             dataset.split(self.make_entries(1), 0.7, seed=0)
 
     @settings(max_examples=60, deadline=None)
@@ -218,7 +217,8 @@ class TestSplit:
                    for i, (rule, polarity) in enumerate(strata)]
         try:
             out = dataset.split(entries, frac, seed=seed)
-        except StratumTooSmall:
+        except DatasetError as exc:
+            assert "entries (need >= 2)" in str(exc)
             assert min(strata.count(s) for s in strata) < 2
             return
         assert [e.split for e in out] == oracles.split_per_position(entries, frac, seed)
@@ -310,6 +310,13 @@ class TestReviewQueue:
         ids = [dataset.review_append(q, self.record()).record_id for _ in range(3)]
         assert ids == [1, 2, 3]
 
+    def test_automatic_id_follows_the_largest_explicit_one(self, tmp_path):
+        q = str(tmp_path / "q.jsonl")
+        for rid in (1, 3):
+            dataset.review_append(q, self.record(rid=rid))
+        assert dataset.review_append(q, self.record()).record_id == 4
+        assert [r.record_id for r in dataset.review_list(q)] == [1, 3, 4]
+
     def test_append_idempotent_on_existing_id(self, tmp_path):
         q = str(tmp_path / "q.jsonl")
         dataset.review_append(q, self.record())
@@ -332,12 +339,12 @@ class TestReviewQueue:
     def test_unknown_record(self, tmp_path):
         q = str(tmp_path / "q.jsonl")
         dataset.review_append(q, self.record())
-        with pytest.raises(UnknownRecord):
+        with pytest.raises(DatasetError, match="no review record 99"):
             dataset.review_label(q, 99, "approved")
 
     def test_label_on_a_missing_queue_creates_nothing(self, tmp_path):
         q = tmp_path / "missing.jsonl"
-        with pytest.raises(UnknownRecord):
+        with pytest.raises(DatasetError, match="no review queue .*, so no record 1"):
             dataset.review_label(str(q), 1, "approved")
         assert not q.exists()
 
@@ -347,7 +354,7 @@ class TestReviewQueue:
         if appended:
             dataset.review_append(str(q), self.record())
         before = q.read_bytes() if appended else None
-        with pytest.raises(UnknownRecord, match="of 5001 digits"):
+        with pytest.raises(DatasetError, match="of 5001 digits"):
             dataset.review_label(str(q), 10 ** 5000, "approved")
         if appended:
             assert q.read_bytes() == before
@@ -380,7 +387,7 @@ class TestReviewQueue:
         q = str(tmp_path / "q.jsonl")
         dataset.review_append(q, self.record())
         dataset.review_label(q, 1, "approved")
-        with pytest.raises(InvalidTransition):
+        with pytest.raises(DatasetError, match="record 1 is already approved; pass force"):
             dataset.review_label(q, 1, "corrected", label="Wrong")
         out = dataset.review_label(q, 1, "corrected", label="Wrong", force=True)
         assert out.status == "corrected"
@@ -455,7 +462,7 @@ class TestReviewQueue:
         q.write_text(q.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             dataset.review_list(str(q))
-        assert exc.value.line_number == 3
+        assert str(exc.value).startswith(f"{q}:3: ")
         with pytest.raises(ParseError):
             dataset.review_append(str(q), self.record())
 
@@ -493,7 +500,7 @@ class TestReviewQueue:
         q = tmp_path / "q.jsonl"
         dataset.review_append(str(q), self.record())
         before = q.read_bytes()
-        with pytest.raises(UnknownRecord):
+        with pytest.raises(DatasetError, match=f"no review record {record_id!r}$"):
             dataset.review_label(str(q), record_id, "approved")
         assert q.read_bytes() == before
         assert [r.status for r in dataset.review_list(str(q))] == ["pending"]
@@ -574,7 +581,8 @@ class TestReviewQueue:
         before = q.read_bytes()
         try:
             labeled = dataset.review_label(str(q), record_id, status, label, force)
-        except (ValueError, UnknownRecord, InvalidTransition):
+        except (ValueError, DatasetError) as exc:
+            assert not isinstance(exc, ParseError)
             assert q.read_bytes() == before
             assert [r.record_id for r in dataset.review_list(str(q))] == [1, 2]
         else:
@@ -625,7 +633,7 @@ class TestReviewQueue:
         q.write_bytes(q.read_bytes() + b'{not json\n{"kind":"rec')
         with pytest.raises(ParseError) as exc:
             dataset.review_list(str(q))
-        assert exc.value.line_number == 3
+        assert str(exc.value).startswith(f"{q}:3: ")
 
     def test_appender_killed_at_random_points_leaves_a_listable_queue(self, tmp_path):
         q = str(tmp_path / "q.jsonl")
@@ -649,7 +657,7 @@ class TestReviewQueue:
         q.write_text(header + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             dataset.review_list(str(q))
-        assert exc.value.line_number == 1
+        assert str(exc.value).startswith(f"{q}:1: ")
 
     @given(event=st.fixed_dictionaries({}, optional={
         "kind": st.sampled_from(["record", "label"]) | JSON_VALUES,
@@ -666,7 +674,7 @@ class TestReviewQueue:
         try:
             records = dataset.review_list(str(q))
         except ParseError as exc:
-            assert exc.line_number == 3
+            assert str(exc).startswith(f"{q}:3: ")
         else:
             for r in records:
                 assert type(r.record_id) is int and isinstance(r.verdict, (dict, type(None)))

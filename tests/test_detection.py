@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from tajweed import audio, dataset, detection, features, svm
-from tajweed.errors import DimensionMismatch, EmptyNegatives, MissingStratum
+from tajweed.errors import DatasetError, DetectionError, SvmError
 
 
 def toy_rule_model(tau_right=0.5, tau_wrong=0.5):
@@ -196,7 +196,7 @@ class TestWindowScores:
                        svm=replace(toy_rule_model().svm, support_vectors=np.eye(2, dim)))
         assert detection.p_right(rule, np.zeros((3, dim))).shape == (3,)
         for width in (1, dim - 1, dim + 1):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(SvmError, match=f"input dim {width} != scaler dim {dim}"):
                 detection.p_right(rule, np.zeros((3, width)))
 
 
@@ -307,7 +307,7 @@ class TestCalibrateThresholds:
         assert not cal.wrong_saturated
 
     def test_empty_negatives_rejected(self):
-        with pytest.raises(EmptyNegatives):
+        with pytest.raises(DetectionError, match="threshold calibration requires rule-free clips"):
             detection.calibrate_thresholds(toy_rule_model(), [])
 
     def test_zero_false_positives_on_calibration_set(self, small_corpus, small_model):
@@ -373,7 +373,7 @@ class TestEvaluate:
         # the model's rule has no test-split exemplar among these entries
         root, entries = small_corpus
         bad = [replace(entries[0], rule_id="tafkheem_lam", polarity="Right")]
-        with pytest.raises(MissingStratum):
+        with pytest.raises(DatasetError, match="no test-split exemplars for edgham_meem"):
             detection.evaluate([small_model], bad, root)
 
     def test_selects_each_rules_test_exemplars_itself(self, small_corpus, small_model):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tajweed import cli, features, persistence, svm
-from tajweed.errors import IoError, SchemaError, TajweedError, VersionMismatch
+from tajweed.errors import IoError, PersistenceError, TajweedError
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -77,10 +77,10 @@ def test_version_mismatch(small_model, tmp_path):
     blob = _patch_header(path, lambda h: h.update(format_version=999))
     bad = tmp_path / "bad.model"
     bad.write_bytes(blob)
-    with pytest.raises(VersionMismatch) as exc:
+    expected = persistence.FORMAT_VERSION
+    with pytest.raises(PersistenceError,
+                       match=rf"^model format version 999 not readable \(expected {expected}\)$"):
         persistence.load_model(str(bad))
-    assert exc.value.found == 999
-    assert exc.value.expected == persistence.FORMAT_VERSION
 
 
 def test_schema_error_on_shape_mismatch(small_model, tmp_path):
@@ -94,14 +94,14 @@ def test_schema_error_on_shape_mismatch(small_model, tmp_path):
 
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_header(path, shrink_dual))
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match="header field arrays differs from the one train"):
         persistence.load_model(str(bad))
 
 
 def test_schema_error_on_wrong_magic(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_bytes(b"NOTMODEL" + b"\x00" * 32)
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match="not a rule-model file"):
         persistence.load_model(str(bad))
 
 
@@ -111,7 +111,7 @@ def test_truncated_file(small_model, tmp_path):
     blob = open(path, "rb").read()
     bad = tmp_path / "bad.model"
     bad.write_bytes(blob[:-16])
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match=r"body is not the \d+ bytes its arrays need"):
         persistence.load_model(str(bad))
 
 
@@ -201,23 +201,24 @@ def model_blob(model_path):
 def test_missing_header_key_is_schema_error(model_path, tmp_path, key):
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_header(model_path, lambda h: h.pop(key)))
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match=f"header field {key} "):
         persistence.load_model(str(bad))
 
 
-@pytest.mark.parametrize("name, index, value", [
-    ("dual_coefs", 0, np.nan),
-    ("support_vectors", 3, np.inf),
-    ("scaler_std", 5, -1.0),
-    ("scalars", 5, 0.3),                # tau_right below the 0.5 floor
-    ("scalars", 2, 0.0),                # gamma must be positive
-    ("scalars", 1, 0.0),                # so must C
-    ("scalars", 1, -1.0),
-])
-def test_out_of_range_arrays_are_schema_errors(model_blob, tmp_path, name, index, value):
+@pytest.mark.parametrize("name, index, value, message", [
+    ("dual_coefs", 0, np.nan, "arrays hold non-finite values"),
+    ("support_vectors", 3, np.inf, "arrays hold non-finite values"),
+    ("scaler_std", 5, -1.0, "negative scaler standard deviation"),
+    ("scalars", 5, 0.3, r"tau_right must lie in \[0.5, 1\]"),
+    ("scalars", 2, 0.0, "C and gamma must be positive"),
+    ("scalars", 1, 0.0, "C and gamma must be positive"),
+    ("scalars", 1, -1.0, "C and gamma must be positive"),
+], ids=["dual_coefs-0-nan", "support_vectors-3-inf", "scaler_std-5--1.0", "scalars-5-0.3",
+        "scalars-2-0.0", "scalars-1-0.0", "scalars-1--1.0"])
+def test_out_of_range_arrays_are_schema_errors(model_blob, tmp_path, name, index, value, message):
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_array(model_blob, name, lambda v: v.__setitem__(index, value)))
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match=message):
         persistence.load_model(str(bad))
 
 
@@ -236,7 +237,7 @@ def test_unusable_feature_config_is_schema_error(small_model, model_path, tmp_pa
                         lambda v: v.__setitem__(0, log_floor))
     bad = tmp_path / "bad.model"
     bad.write_bytes(blob)
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match="header field config_fingerprint differs"):
         persistence.load_model(str(bad))
 
 
@@ -245,22 +246,24 @@ def _reshaped(name, shape):
                           for spec, data in parts]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda parts: parts[::-1],
-    lambda parts: parts + [({"name": "junk", "shape": [1]}, struct.pack("<d", 1.0))],
-    _reshaped("scalars", [7.0]),
-    _reshaped("log_floor", [True]),
-    lambda parts: parts[:-1] + [(parts[-1][0], parts[-1][1][:-8])],
-    lambda parts: parts[:4] + [({**spec, "shape": [0, *spec["shape"][1:]]}, b"")
-                               for spec, _ in parts[4:]],
+@pytest.mark.parametrize("edit, message", [
+    (lambda parts: parts[::-1], "header field arrays differs"),
+    (lambda parts: parts + [({"name": "junk", "shape": [1]}, struct.pack("<d", 1.0))],
+     "header field arrays differs"),
+    (_reshaped("scalars", [7.0]), "header field arrays differs"),
+    (_reshaped("log_floor", [True]), "header field arrays differs"),
+    (lambda parts: parts[:-1] + [(parts[-1][0], parts[-1][1][:-8])],
+     r"body is not the \d+ bytes its arrays need"),
+    (lambda parts: parts[:4] + [({**spec, "shape": [0, *spec["shape"][1:]]}, b"")
+                                for spec, _ in parts[4:]], "n_support 0 < 1"),
 ], ids=["reversed", "extra_array", "float_shape", "bool_shape", "double_short",
         "no_support_vectors"])
-def test_layout_other_than_train_writes_is_schema_error(model_blob, tmp_path, edit):
+def test_layout_other_than_train_writes_is_schema_error(model_blob, tmp_path, edit, message):
     """Only the six arrays train writes, in its order, with its int shapes,
     over exactly their bytes and with at least one support vector, load."""
     bad = tmp_path / "bad.model"
     bad.write_bytes(_relaid(model_blob, edit))
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match=message):
         persistence.load_model(str(bad))
 
 
@@ -274,7 +277,7 @@ def test_relaid_identity_loads(model_blob, tmp_path):
 def test_stale_fingerprint_is_schema_error(model_path, tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_header(model_path, lambda h: h.update(config_fingerprint="0" * 64)))
-    with pytest.raises(SchemaError):
+    with pytest.raises(PersistenceError, match="header field config_fingerprint differs"):
         persistence.load_model(str(bad))
 
 
@@ -329,7 +332,7 @@ def test_header_loads_only_as_train_writes_it(model_path, tmp_path_factory, data
 
     path = tmp_path_factory.getbasetemp() / "fuzz.model"
     path.write_bytes(_patch_header(model_path, mutate))
-    with pytest.raises((SchemaError, VersionMismatch)):
+    with pytest.raises(PersistenceError):
         persistence.load_model(str(path))
 
 
@@ -341,7 +344,7 @@ def test_header_train_never_writes_names_its_key(any_model, tmp_path, change):
     persistence.save_model(any_model, path)
     bad = tmp_path / "bad.model"
     bad.write_bytes(_patch_header(path, lambda h: h.update(change)))
-    with pytest.raises(SchemaError, match=f"header field {next(iter(change))} "):
+    with pytest.raises(PersistenceError, match=f"header field {next(iter(change))} "):
         persistence.load_model(str(bad))
 
 
@@ -368,7 +371,7 @@ def test_flatten_header_with_pooled_fields_names_a_key_of_the_flatten_header(any
                          else ["arrays", "config_fingerprint", "dim"])
     bad = tmp_path / "bad.model"
     bad.write_bytes(blob)
-    with pytest.raises(SchemaError, match=f"header field {differing[0]} "):
+    with pytest.raises(PersistenceError, match=f"header field {differing[0]} "):
         persistence.load_model(str(bad))
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tajweed import svm
-from tajweed.errors import (
-    DimensionMismatch,
-    NoConvergence,
-    SingleClass,
-    TooFewSamples,
-)
+from tajweed.errors import NoConvergence, SvmError
 
 
 def tiny_problem():
@@ -39,8 +38,26 @@ class TestRbfKernel:
         assert np.abs(K - oracles.rbf_matrix(A, B, 0.5)).max() < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(SvmError, match="dimensions differ: 3 vs 4"):
             svm.rbf_gram(np.zeros(3), np.zeros(4), 0.5)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS picks its summation order from its thread count; the
+        # 100-row Gram is a shape whose bytes differed between 1 and 2 threads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(svm.__file__)))
+        script = ("import hashlib; from tajweed import svm; import numpy as np; "
+                  "X = np.random.default_rng(0).standard_normal((100, 140)); "
+                  "print(hashlib.sha256(svm.rbf_gram(X, X, 0.01).tobytes()).hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                   text=True, timeout=120, check=True)
+            digests.append(child.stdout)
+        assert digests[0] == digests[1]
 
     def test_gram_matrix_positive_semidefinite(self):
         rng = np.random.default_rng(8)
@@ -82,7 +99,7 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         prob = svm.TrainingProblem(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-        with pytest.raises(SingleClass):
+        with pytest.raises(SvmError, match="training labels contain a single class"):
             svm.train(prob, 1.0, 0.1)
 
     @pytest.mark.parametrize("C", [0.0, np.nan, np.inf, -np.inf])
@@ -147,7 +164,7 @@ class TestTrain:
 
     def test_dimension_mismatch_at_inference(self):
         model = svm.train(tiny_problem(), 10.0, 0.2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(SvmError, match="input dim 2 != model dim 1"):
             svm.decision_values(model, [1.0, 2.0])
 
 
@@ -218,7 +235,7 @@ class TestCalibration:
         assert A < 0 < A_flip
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(SvmError, match="calibration labels contain a single class"):
             svm.platt_fit(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
 
     def test_monotone_when_slope_negative(self):
@@ -302,7 +319,7 @@ class TestGridSearch:
     def test_too_few_samples(self):
         problem = svm.TrainingProblem(np.arange(6.0).reshape(6, 1),
                                       np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(SvmError, match="class -1 has fewer samples than folds"):
             svm.grid_search(problem, k_folds=5, seed=0)
 
     def test_stratified_folds_cover_both_classes(self, rng):

@@ -14,9 +14,11 @@ of its rule and rate, a one-rule corpus at 11,025, 22,050 and 44,100 Hz
 (interpolating resample) and at 48,000 Hz (integer ratio 6) with one pooled
 train and a detect per verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and
 failing cases with their exit codes: a recipe that is not one, split past a 1 KiB file size
-limit, gridsearch and evaluate of an unsplit manifest, a garbage model, a model header with
-a key train never writes, a relabel without --force and a correction without a label. It is
-the project's only end-to-end gate; the tier-1 tests check each of these cases too.
+limit, gridsearch and evaluate of an unsplit manifest, gridsearch with more folds than
+exemplars, a garbage model, a model header with a key train never writes, detect of audio
+that is not a WAV and of a model for another rule, a relabel without --force, a correction
+without a label and a label of an unknown id. It is the project's only end-to-end gate; the
+tier-1 tests check each of these cases too.
 
 Each command's exit code, stdout and stderr and the SHA-256 of every file the
 session leaves are compared, after normalizing only the tree's own
@@ -148,6 +150,9 @@ def session(run: Path):
     yield "gridsearch-unsplit", tajweed("gridsearch", "--manifest", "c8000/unsplit.csv",
                                         "--rule", RULES[0], "--seed", "3",
                                         "--c-grid", "1", "--gamma-grid", "0.1")
+    yield "gridsearch-99-folds", tajweed("gridsearch", "--manifest", manifests[8000],
+                                         "--rule", RULES[0], "--seed", "3", "--folds", "99",
+                                         "--c-grid", "1", "--gamma-grid", "0.1")
 
     for rate in RATES:
         for row, agg in ((row, agg) for row in verses(run / manifests[rate])
@@ -181,6 +186,10 @@ def session(run: Path):
     add_header_key(run / pool[0], run / "extra_key.model")
     yield "detect-extra-key", tajweed("detect", "--audio", verse, "--rule", RULES[0],
                                       "--model", "extra_key.model")
+    yield "detect-audio-not-a-wav", tajweed("detect", "--audio", "not_a_model",
+                                            "--rule", RULES[0], "--model", pool[0])
+    yield "detect-other-rule", tajweed("detect", "--audio", verse, "--rule", RULES[1],
+                                       "--model", pool[0])
 
     verdict = f"verdict_8000_{RULES[0]}_right_verse_0000_mean_std_pool.json"
     queue = ["--queue", "queue.jsonl"]
@@ -193,6 +202,8 @@ def session(run: Path):
                                              "--status", "approved")
     yield "review-corrected-no-label", tajweed("review", "label", *queue, "--id", "1",
                                                "--status", "corrected", "--force")
+    yield "review-label-unknown-id", tajweed("review", "label", *queue, "--id", "99",
+                                             "--status", "approved")
     yield "review-list", tajweed("review", "list", *queue)
 
 
