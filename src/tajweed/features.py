@@ -14,12 +14,12 @@ extract_features is the one front end: one feature row per audio.WINDOW_S
 window every audio.STRIDE_S, all pooled from one clip's log energies. Its unit
 is the stride: frame_log_energies gives them as strides of STRIDE_FRAMES
 frames, each one filter-bank product of one shape whatever the clip's length;
-a pass covers PASS_STRIDES strides, windowed into one buffer of rows
-pre-padded to FFT_SIZE, and pool reads a window's strides as views. The mean/std pool
-reduces each stride once and merges a window's strides with the update
-formula of Chan, Golub & LeVeque (1979, "Updating formulae and a pairwise
-algorithm for computing sample variances"). Identical input and config give
-byte-identical features.
+a pass copies PASS_STRIDES strides into one buffer of rows pre-padded to
+FFT_SIZE and windows it in one contiguous product with the PASS_WINDOW tile;
+pool reads a window's strides as views. The mean/std pool reduces each stride
+once and merges a window's strides with the update formula of Chan, Golub &
+LeVeque (1979, "Updating formulae and a pairwise algorithm for computing
+sample variances"). Identical input and config give byte-identical features.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ WINDOW_FRAMES = (WINDOW_LEN - FRAME_LEN) // HOP_LEN + 1     # 398 frames a windo
 HAMMING = 0.54 - 0.46 * np.cos(
     2.0 * np.pi * np.minimum(np.arange(FRAME_LEN), np.arange(FRAME_LEN)[::-1]) / (FRAME_LEN - 1))
 HAMMING.setflags(write=False)
+# a pass's rows of HAMMING then exact 0.0, so one product windows a zeroed pass buffer
+PASS_WINDOW = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
+PASS_WINDOW[:, :FRAME_LEN] = HAMMING
+PASS_WINDOW.setflags(write=False)
 
 AGGREGATIONS = ("mean_std_pool", "flatten")
 
@@ -157,22 +161,24 @@ def frame_log_energies(frames: np.ndarray) -> np.ndarray:
     product written into the result, then one floor and log over all of it:
     stride s of the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames
     from STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows
-    past the frames). A pass windows its frames into one zeroed (PASS_STRIDES *
-    STRIDE_FRAMES, FFT_SIZE) buffer whose columns past FRAME_LEN are never
-    written, so the FFT gets rows already FFT_SIZE wide. Every filter-bank
-    product is a stack of (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS) items, one
-    a stride, so a frame's log energies depend on the frame and its offset in a
-    stride, never on the clip's length. A 4 s clip peaks at about 740 KB (result,
-    pass buffer, complex spectrum, power); the 205 KB pass buffer is past glibc's
-    128 KB mmap threshold, so a process that has freed no larger block gets it
-    as fresh pages on every call."""
+    past the frames). A pass is one strided copy of its frames into a zeroed
+    (PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE) buffer and one contiguous product
+    by PASS_WINDOW, whose 0.0 columns keep the pad +0.0 (np.empty garbage times
+    0.0 could be NaN), so the FFT gets rows already FFT_SIZE wide. Every
+    filter-bank product is a stack of (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS)
+    items, one a stride, so a frame's log energies depend on the frame and its
+    offset in a stride, never on the clip's length. A 4 s clip peaks at
+    about 740 KB a call (result, pass buffer, spectrum, power; the PASS_WINDOW
+    tile is a 205 KB module constant); the 205 KB pass buffer is past glibc's 128
+    KB mmap threshold, so a process that has freed no larger block gets fresh pages."""
     weights = build_filterbank().T
     log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
     windowed = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
     for s in range(0, len(log_energies), PASS_STRIDES):
         chunk = frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + PASS_STRIDES)]
         rows, k = len(chunk), min(PASS_STRIDES, len(log_energies) - s)
-        np.multiply(chunk, HAMMING, out=windowed[:rows, :FRAME_LEN])
+        windowed[:rows, :FRAME_LEN] = chunk
+        windowed[:rows] *= PASS_WINDOW[:rows]
         power = power_spectrum(windowed[:rows])
         if rows < k * STRIDE_FRAMES:  # the last pass: no power past the clip's frames
             power = np.vstack([power, np.zeros((k * STRIDE_FRAMES - rows, FFT_SIZE // 2 + 1))])

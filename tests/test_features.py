@@ -56,6 +56,27 @@ class TestHamming:
         assert not features.HAMMING.flags.writeable
 
 
+class TestPassWindow:
+    TILE = features.PASS_WINDOW
+
+    def test_read_only(self):
+        assert not self.TILE.flags.writeable
+
+    def test_one_row_a_pass_frame_fft_size_wide(self):
+        assert self.TILE.shape == (features.PASS_STRIDES * features.STRIDE_FRAMES,
+                                   features.FFT_SIZE)
+
+    def test_every_row_starts_with_hamming_bit_for_bit(self):
+        head = np.ascontiguousarray(self.TILE[:, :features.FRAME_LEN])
+        assert head.tobytes() == np.tile(features.HAMMING, (len(self.TILE), 1)).tobytes()
+
+    def test_exact_positive_zero_past_the_frame(self):
+        # every byte 0, so -0.0 fails too: a tile built on np.ones or np.empty
+        # leaves other bytes here
+        pad = np.ascontiguousarray(self.TILE[:, features.FRAME_LEN:])
+        assert pad.tobytes() == bytes(pad.nbytes)
+
+
 class TestPowerSpectrum:
     def test_zero_frame(self):
         assert (features.power_spectrum(np.zeros(200)) == 0.0).all()

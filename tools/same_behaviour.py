@@ -6,19 +6,28 @@ revision and on the working tree, and name every difference.
 
 The base is the `src` of REF (default HEAD), exported with `git archive`. Each
 command is a fresh `python -m tajweed` process with that tree's `src` on
-PYTHONPATH, run in a scratch directory of the tree's own. The list covers
-synth of the default recipe with reduced counts at 8,000 and 16,000 Hz, split,
-train of both rules x both aggregations at both rates, evaluate with one and
-with two models, a one-cell gridsearch, detect on every verse with each model
-of its rule and rate, a one-rule corpus at 11,025, 22,050 and 44,100 Hz
-(interpolating resample) and at 48,000 Hz (integer ratio 6) with one pooled
-train and a detect per verse, detect on 8- and 16-bit stereo WAVs, a review queue session, and
-failing cases with their exit codes: a recipe that is not one, split past a 1 KiB file size
-limit, gridsearch and evaluate of an unsplit manifest, gridsearch with more folds than
-exemplars, a garbage model, a model header with a key train never writes, detect of audio
-that is not a WAV and of a model for another rule, a relabel without --force, a correction
-without a label and a label of an unknown id. It is the project's only end-to-end gate; the
-tier-1 tests check each of these cases too.
+PYTHONPATH, run in a scratch directory of the tree's own. The base runs with
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS at 1 and the working tree at 2, so
+the comparison also shows that tajweed's one-thread BLAS pin holds: without
+it, the 24-clip corpus's flatten model and timelines differ.
+
+The list covers synth of the default recipe with reduced counts at 8,000 and
+16,000 Hz, split, train of both rules x both aggregations at both rates,
+evaluate with one and with two models, a one-cell gridsearch, and detect on
+every verse with each model of its rule and rate. Seven one-rule corpora each
+get synth, split, a train of each aggregation, evaluate of the pooled model and
+a detect of each verse with each model: at 11,025, 22,050 and 44,100 Hz
+(interpolating resample), at 48,000 Hz (integer ratio 6), and at 8,000 Hz with
+3 s exemplars whose events may run past the clip edge (zero-padded to one
+window), with 5 s exemplars (cropped to one at a seeded offset) and with 24
+exemplars a class. Then detect on 8- and 16-bit stereo WAVs, a review queue
+session, and failing cases with their exit codes: a recipe that is not one,
+split past a 1 KiB file size limit, gridsearch and evaluate of an unsplit
+manifest, gridsearch with more folds than exemplars, a garbage model, a model
+header with a key train never writes, detect of audio that is not a WAV and of
+a model for another rule, a relabel without --force, a correction without a
+label and a label of an unknown id. It is the project's only end-to-end gate;
+the tier-1 tests check each of these cases too.
 
 Each command's exit code, stdout and stderr and the SHA-256 of every file the
 session leaves are compared, after normalizing only the tree's own
@@ -49,10 +58,17 @@ REPO = Path(__file__).resolve().parent.parent
 RULES = ("edgham_meem", "tarqeeq_lam")
 AGGREGATIONS = ("mean_std_pool", "flatten")
 RATES = (8000, 16000)
-# the resample paths 16,000 Hz does not take: interpolation from 11,025, 22,050 and 44,100
-# Hz and integer ratio 6, each on a one-rule corpus with RESAMPLED_CLIPS clips a class,
-# which synth writes in a few seconds
-RESAMPLED, RESAMPLED_CLIPS = (11025, 22050, 44100, 48000), 6
+# one-rule corpora of ONE_RULE_CLIPS clips a class, which synth writes in a few seconds,
+# named by their recipe changes: the resample paths 16,000 Hz does not take (interpolation
+# from 11,025, 22,050 and 44,100 Hz and integer ratio 6); exemplars cut at the clip edge
+# at 8,000 Hz, 3 s clips with events up to 1.5 s late, zero-padded to one window, and 5 s
+# clips, cropped to one at normalize_duration's seeded offset; and 24 clips a class, whose
+# flatten model a 2-thread OpenBLAS writes in other bytes than one thread does
+ONE_RULE_CLIPS = 6
+ONE_RULE = {**{str(rate): {"sample_rate_hz": rate} for rate in (11025, 22050, 44100, 48000)},
+            "8000_3s": {"sample_rate_hz": 8000, "clip_seconds": 3.0, "event_lead_max_s": 1.5},
+            "8000_5s": {"sample_rate_hz": 8000, "clip_seconds": 5.0},
+            "8000_24clips": {"sample_rate_hz": 8000, "clips_per_class": 24}}
 REDUCED = {"clips_per_class": 8, "negatives_per_rule": 3, "verses_per_rule": 1,
            "event_free_verses_per_rule": 1}
 CREATED_AT = re.compile(rb"""(created_at["']?(?:: ?|=)["'])[^"']*""")  # JSON or repr
@@ -62,8 +78,16 @@ def tajweed(*args: str) -> list[str]:
     return [sys.executable, "-m", "tajweed", *args]
 
 
-def model(rate: int, rule: str, agg: str) -> str:
-    return f"m{rate}_{rule}_{agg}.model"
+def model(corpus: int | str, rule: str, agg: str) -> str:
+    return f"m{corpus}_{rule}_{agg}.model"
+
+
+def train(corpus: int | str, manifest: str, rule: str, agg: str) -> tuple[str, list[str]]:
+    """A train at seed 3; flatten at a gamma whose kernel does not underflow."""
+    gamma = ["--gamma", "0.00002"] if agg == "flatten" else []
+    return f"train-{corpus}-{rule}-{agg}", tajweed(
+        "train", "--manifest", manifest, "--rule", rule, "--seed", "3", "--agg", agg, *gamma,
+        "--model", model(corpus, rule, agg))
 
 
 def add_header_key(src: Path, dst: Path) -> None:
@@ -81,14 +105,14 @@ def verses(manifest: Path, rule: str | None = None) -> list[dict]:
                 if "_verse_" in row["path"] and rule in (None, row["rule_id"])]
 
 
-def detect(rate: int, row: dict, agg: str) -> tuple[str, list[str]]:
-    """A detect of one corpus verse with --out, --verdict-out and, where the
-    onset is known, --truth."""
-    stem = f"{rate}_{Path(row['path']).stem}_{agg}"
+def detect(corpus: int | str, row: dict, agg: str) -> tuple[str, list[str]]:
+    """A detect of one verse of corpus c<corpus> with --out, --verdict-out
+    and, where the onset is known, --truth."""
+    stem = f"{corpus}_{Path(row['path']).stem}_{agg}"
     truth = ["--truth", row["onset_s"]] if row["onset_s"] else []
     return f"detect-{stem}", tajweed(
-        "detect", "--audio", f"c{rate}/{row['path']}", "--rule", row["rule_id"],
-        "--model", model(rate, row["rule_id"], agg), *truth,
+        "detect", "--audio", f"c{corpus}/{row['path']}", "--rule", row["rule_id"],
+        "--model", model(corpus, row["rule_id"], agg), *truth,
         "--out", f"timeline_{stem}.csv", "--verdict-out", f"verdict_{stem}.json")
 
 
@@ -132,10 +156,7 @@ def session(run: Path):
     manifests = {8000: "c8000/manifest.csv", 16000: "c16000/split.csv"}
 
     for rate, rule, agg in ((r, u, a) for r in RATES for u in RULES for a in AGGREGATIONS):
-        gamma = ["--gamma", "0.00002"] if agg == "flatten" else []
-        yield f"train-{rate}-{rule}-{agg}", tajweed(
-            "train", "--manifest", manifests[rate], "--rule", rule, "--seed", "3", "--agg", agg,
-            *gamma, "--model", model(rate, rule, agg))
+        yield train(rate, manifests[rate], rule, agg)
 
     pool = [model(8000, rule, "mean_std_pool") for rule in RULES]
     yield "evaluate-one-model", tajweed("evaluate", "--manifest", manifests[8000],
@@ -159,19 +180,22 @@ def session(run: Path):
                          for agg in AGGREGATIONS):
             yield detect(rate, row, agg)
 
-    for rate in RESAMPLED:
-        (run / f"spec{rate}.json").write_text(json.dumps(
-            {**recipe, **REDUCED, "clips_per_class": RESAMPLED_CLIPS, "sample_rate_hz": rate,
+    for corpus, changes in ONE_RULE.items():
+        (run / f"spec{corpus}.json").write_text(json.dumps(
+            {**recipe, **REDUCED, "clips_per_class": ONE_RULE_CLIPS, **changes,
              "classes": {RULES[0]: recipe["classes"][RULES[0]]}}))
-        yield f"synth-{rate}", tajweed("synth", "--spec", f"spec{rate}.json", "--seed", "1",
-                                       "--out", f"c{rate}")
-        yield f"split-{rate}", tajweed("split", "--manifest", f"c{rate}/manifest.csv",
-                                       "--seed", "2")
-        yield f"train-{rate}-{RULES[0]}-mean_std_pool", tajweed(
-            "train", "--manifest", f"c{rate}/manifest.csv", "--rule", RULES[0], "--seed", "3",
-            "--model", model(rate, RULES[0], "mean_std_pool"))
-        for row in verses(run / f"c{rate}/manifest.csv", RULES[0]):
-            yield detect(rate, row, "mean_std_pool")
+        manifest = f"c{corpus}/manifest.csv"
+        yield f"synth-{corpus}", tajweed("synth", "--spec", f"spec{corpus}.json", "--seed", "1",
+                                         "--out", f"c{corpus}")
+        yield f"split-{corpus}", tajweed("split", "--manifest", manifest, "--seed", "2")
+        for agg in AGGREGATIONS:
+            yield train(corpus, manifest, RULES[0], agg)
+        yield f"evaluate-{corpus}", tajweed(
+            "evaluate", "--manifest", manifest, "--model", model(corpus, RULES[0], "mean_std_pool"),
+            "--out", f"evaluate{corpus}.csv")
+        for row, agg in ((row, agg) for row in verses(run / manifest, RULES[0])
+                         for agg in AGGREGATIONS):
+            yield detect(corpus, row, agg)
 
     verse = f"c8000/{RULES[0]}_right_verse_0000.wav"
     for bits in (8, 16):
@@ -207,12 +231,13 @@ def session(run: Path):
     yield "review-list", tajweed("review", "list", *queue)
 
 
-def run_tree(src: Path, work: Path) -> tuple[dict, dict]:
-    """Run the session on one tree: {command: (exit, stdout, stderr)} and
-    {file: sha256}, both normalized."""
+def run_tree(src: Path, work: Path, threads: int) -> tuple[dict, dict]:
+    """Run the session on one tree, with BLAS asked for `threads` threads:
+    {command: (exit, stdout, stderr)} and {file: sha256}, both normalized."""
     run = work / "run"
     run.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": str(work / "pycache")}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": str(work / "pycache"),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     found = subprocess.run([sys.executable, "-c", "import tajweed; print(tajweed.__file__)"],
                            env=env, capture_output=True, text=True).stdout.strip()
     if not found.startswith(str(src) + os.sep):
@@ -275,9 +300,9 @@ def main(argv=None) -> int:
             parser.error(f"cannot export src at {args.base}")
         (tmp / "base").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "base")], input=archive.stdout, check=True)
-        with ThreadPoolExecutor(2) as pool:
-            base = pool.submit(run_tree, tmp / "base" / "src", tmp / "base")
-            change = pool.submit(run_tree, REPO / "src", tmp / "change")
+        with ThreadPoolExecutor(2) as pool:  # the change at 2 BLAS threads tests tajweed's pin
+            base = pool.submit(run_tree, tmp / "base" / "src", tmp / "base", 1)
+            change = pool.submit(run_tree, REPO / "src", tmp / "change", 2)
             base, change = base.result(), change.result()
     found = differences(base, change)
     for line in found:
