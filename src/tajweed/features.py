@@ -11,15 +11,15 @@ picks how a window's log energies pool into one vector: per-filter mean and
 standard deviation (default), or the frame-by-filter matrix flattened row-major.
 
 extract_features is the one front end: one feature row per audio.WINDOW_S
-window every audio.STRIDE_S, all pooled from one clip's log energies. Its unit
-is the stride: frame_log_energies gives them as strides of STRIDE_FRAMES
-frames, each one filter-bank product of one shape whatever the clip's length;
-a pass copies PASS_STRIDES strides into one buffer of rows pre-padded to
-FFT_SIZE and windows it in one contiguous product with the PASS_WINDOW tile;
-pool reads a window's strides as views. The mean/std pool reduces each stride
-once and merges a window's strides with the update formula of Chan, Golub &
-LeVeque (1979, "Updating formulae and a pairwise algorithm for computing
-sample variances"). Identical input and config give byte-identical features.
+window every audio.STRIDE_S, pooled from the log energies of one read-only
+strided view of the clip's frames. Its unit is the stride: frame_log_energies
+gives strides of STRIDE_FRAMES frames, each one filter-bank product of one
+shape whatever the clip's length; a pass windows PASS_STRIDES strides in one
+buffer of rows pre-padded to FFT_SIZE with the PASS_WINDOW tile and writes their
+power into one buffer of the call; pool reads a window's strides as views. The
+mean/std pool reduces each stride once and merges a window's strides with the
+update formula of Chan, Golub & LeVeque (1979, "Updating formulae and a pairwise
+algorithm for computing sample variances"). Same input, same feature bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio import STRIDE_S, WINDOW_S, AudioClip, normalize_duration
 from .errors import FeatureError, SvmError
@@ -119,18 +119,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def power_spectrum(frames) -> np.ndarray:
-    """One-sided power spectrum P[k] = |X[k]|^2 / FFT_SIZE, k = 0..FFT_SIZE/2,
-    of each row of frames (a 1-D frame gives one), zero-padded to FFT_SIZE."""
+def power_spectrum(frames, out=None) -> np.ndarray:
+    """One-sided power spectrum P[k] = |X[k]|^2 / FFT_SIZE, k = 0..FFT_SIZE/2, of
+    each row of frames (1-D: one), zero-padded to FFT_SIZE, into out if given."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[-1] > FFT_SIZE:
         raise ValueError("frame longer than FFT_SIZE")
     spectrum = np.fft.rfft(frames, FFT_SIZE)
     # squares re and im in place through a float view: the roundings of
-    # (re**2 + im**2) / FFT_SIZE with one new array instead of three
+    # (re**2 + im**2) / FFT_SIZE with no new array but the sum
     parts = spectrum.view(np.float64)
     np.square(parts, out=parts)
-    power = parts[..., 0::2] + parts[..., 1::2]
+    power = np.add(parts[..., 0::2], parts[..., 1::2], out=out)
     power *= 1.0 / FFT_SIZE  # exact: FFT_SIZE is a power of two
     return power
 
@@ -162,27 +162,28 @@ def frame_log_energies(frames: np.ndarray) -> np.ndarray:
     stride s of the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames
     from STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows
     past the frames). A pass is one strided copy of its frames into a zeroed
-    (PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE) buffer and one contiguous product
-    by PASS_WINDOW, whose 0.0 columns keep the pad +0.0 (np.empty garbage times
-    0.0 could be NaN), so the FFT gets rows already FFT_SIZE wide. Every
-    filter-bank product is a stack of (STRIDE_FRAMES, bins) @ (bins, NUM_FILTERS)
-    items, one a stride, so a frame's log energies depend on the frame and its
-    offset in a stride, never on the clip's length. A 4 s clip peaks at
-    about 740 KB a call (result, pass buffer, spectrum, power; the PASS_WINDOW
-    tile is a 205 KB module constant); the 205 KB pass buffer is past glibc's 128
-    KB mmap threshold, so a process that has freed no larger block gets fresh pages."""
+    (PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE) buffer and one contiguous product by
+    PASS_WINDOW, whose 0.0 columns keep the pad +0.0 (np.empty garbage times 0.0
+    could be NaN), so the FFT gets rows already FFT_SIZE wide; every pass writes
+    its power into one buffer of the call; the last zeroes its pad, no vstack.
+    Every filter-bank product is a stack of (STRIDE_FRAMES, bins) @ (bins,
+    NUM_FILTERS) items, one a stride, so a frame's log energies depend on the
+    frame and its offset in a stride, never on the clip's length. A 4 s clip peaks
+    at about 740 KB a call (result, spectrum, 103 KB power buffer, 205 KB pass
+    buffer, past glibc's 128 KB mmap threshold: fresh pages if none larger was freed)."""
     weights = build_filterbank().T
     log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
     windowed = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
+    power = np.empty((PASS_STRIDES, STRIDE_FRAMES, FFT_SIZE // 2 + 1))
+    power_rows = power.reshape(len(windowed), -1)
     for s in range(0, len(log_energies), PASS_STRIDES):
         chunk = frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + PASS_STRIDES)]
         rows, k = len(chunk), min(PASS_STRIDES, len(log_energies) - s)
         windowed[:rows, :FRAME_LEN] = chunk
         windowed[:rows] *= PASS_WINDOW[:rows]
-        power = power_spectrum(windowed[:rows])
-        if rows < k * STRIDE_FRAMES:  # the last pass: no power past the clip's frames
-            power = np.vstack([power, np.zeros((k * STRIDE_FRAMES - rows, FFT_SIZE // 2 + 1))])
-        np.matmul(power.reshape(k, STRIDE_FRAMES, -1), weights, out=log_energies[s:s + k])
+        power_spectrum(windowed[:rows], out=power_rows[:rows])
+        power_rows[rows:k * STRIDE_FRAMES] = 0.0  # the last pass: no power past the clip's frames
+        np.matmul(power[:k], weights, out=log_energies[s:s + k])
     return np.log(np.maximum(log_energies, LOG_FLOOR, out=log_energies), out=log_energies)
 
 
@@ -229,16 +230,20 @@ def pool(log_energies: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """The feature vectors of the clip's analysis windows, one row per window:
-    a clip shorter than WINDOW_S is zero-padded to one window, a longer one
-    has a window every STRIDE_S that fits (a 4 s clip gives 1 row), row w
-    starting at w * STRIDE_S. A stride is STRIDE_FRAMES whole hops, so all
-    windows' frames are one strided slice of the clip, each transformed once."""
+    a clip shorter than WINDOW_S is zero-padded to one window, a longer one has
+    a window every STRIDE_S that fits (a 4 s clip gives 1 row), row w starting at
+    w * STRIDE_S. A stride is STRIDE_FRAMES whole hops, so all windows' frames
+    are one read-only strided view of the clip, each transformed once."""
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
         raise FeatureError(f"clip at {clip.sample_rate_hz} Hz, features need {SAMPLE_RATE_HZ} Hz")
     if len(clip) < WINDOW_LEN:
         clip = normalize_duration(clip)
     n_frames = (len(clip) - WINDOW_LEN) // STRIDE_LEN * STRIDE_FRAMES + WINDOW_FRAMES
-    frames = sliding_window_view(clip.samples, FRAME_LEN)[:n_frames * HOP_LEN:HOP_LEN]
+    step = clip.samples.strides[0]
+    if (n_frames - 1) * HOP_LEN + FRAME_LEN > len(clip):  # as_strided checks no bounds
+        raise FeatureError(f"{n_frames} frames overrun a clip of {len(clip)} samples")
+    frames = as_strided(clip.samples, (n_frames, FRAME_LEN), (HOP_LEN * step, step),
+                        writeable=False)
     return pool(frame_log_energies(frames), config)
 
 

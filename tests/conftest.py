@@ -51,5 +51,5 @@ def spectrum_inputs(monkeypatch):
     zero-padded to FFT_SIZE first)."""
     calls, inner = [], features.power_spectrum
     monkeypatch.setattr(features, "power_spectrum",
-                        lambda frames: calls.append(frames.copy()) or inner(frames))
+                        lambda frames, **kw: calls.append(frames.copy()) or inner(frames, **kw))
     return calls

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +96,26 @@ class TestLoadWav:
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioError, match="no such audio file"):
             audio.load_wav(str(tmp_path / "nope.wav"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_only_regular_files_are_opened(self, tmp_path):
+        # opening a FIFO blocks and /dev/zero reads without end, so each must be
+        # refused before it is opened; a child process with a timeout and a 1 GiB
+        # address space bounds the wait and the read if one is not
+        fifo = tmp_path / "fifo.wav"
+        os.mkfifo(fifo)
+        paths = [str(fifo), str(tmp_path), "/dev/zero"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(audio.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                  "from tajweed import audio, errors\nfor path in sys.argv[1:]:\n"
+                  "    try:\n        audio.load_wav(path)\n"
+                  "    except errors.AudioError as exc:\n        print(exc)\n")
+        child = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.stdout.splitlines() == [f"no such audio file: {p}" for p in paths], child.stderr
 
     def test_non_pcm(self, tmp_path):
         with pytest.raises(AudioError, match=r"only PCM is supported \(format tag 3\)"):

@@ -419,6 +419,33 @@ class TestTrain:
                     "--seed", "3", "--model", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_flatten_model_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # tools/same_behaviour.py's 24-clip one-rule corpus: without tajweed's
+        # one-thread pin, a 2-thread OpenBLAS writes this flatten model in other bytes
+        recipe = dataset.default_recipe()
+        recipe.update(clips_per_class=24, negatives_per_rule=3, verses_per_rule=1,
+                      event_free_verses_per_rule=1,
+                      classes={"edgham_meem": recipe["classes"]["edgham_meem"]})
+        spec, corpus = tmp_path / "spec.json", tmp_path / "corpus"
+        spec.write_text(json.dumps(recipe))
+        manifest = str(corpus / dataset.MANIFEST_NAME)
+        assert run(["synth", "--spec", str(spec), "--seed", "1", "--out", str(corpus)]) == 0
+        assert run(["split", "--manifest", manifest, "--seed", "2"]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        models = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            model = tmp_path / f"flatten{threads}.model"
+            subprocess.run([sys.executable, "-m", "tajweed", "train", "--manifest", manifest,
+                            "--rule", "edgham_meem", "--seed", "3", "--agg", "flatten",
+                            "--gamma", "0.00002", "--model", str(model)],
+                           env=env, capture_output=True, timeout=300, check=True)
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
     def test_models_match_interp_resampling(self, tmp_path, monkeypatch):
         # every clip of a 16 kHz corpus is resampled before its features
         recipe = dataset.default_recipe()

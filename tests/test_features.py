@@ -199,6 +199,14 @@ class TestExtractFeatures:
         with pytest.raises(FeatureError, match="clip at 16000 Hz, features need 8000 Hz"):
             features.extract_features(clip, CFG)
 
+    def test_frames_that_would_overrun_the_clip_are_refused(self, monkeypatch):
+        # the frames are an as_strided view, which reads past the clip unchecked:
+        # a window one frame longer than its samples must raise, not read
+        monkeypatch.setattr(features, "WINDOW_FRAMES", features.WINDOW_FRAMES + 1)
+        clip = audio.AudioClip(np.zeros(32000), 8000)
+        with pytest.raises(FeatureError, match="399 frames overrun a clip of 32000 samples"):
+            features.extract_features(clip, CFG)
+
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(9)
         clip = audio.AudioClip(rng.uniform(-1, 1, 32000), 8000)

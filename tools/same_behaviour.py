@@ -2,7 +2,7 @@
 """Same-behaviour gate: run one fixed list of tajweed commands on a base
 revision and on the working tree, and name every difference.
 
-    python tools/same_behaviour.py [--base REF]
+    python tools/same_behaviour.py [--base REF] [--expect-diff GLOB ...]
 
 The base is the `src` of REF (default HEAD), exported with `git archive`. Each
 command is a fresh `python -m tajweed` process with that tree's `src` on
@@ -33,6 +33,12 @@ Each command's exit code, stdout and stderr and the SHA-256 of every file the
 session leaves are compared, after normalizing only the tree's own
 directories and the review queue's created_at times. Prints each difference
 and exits 1 if there is one, 0 if there is none.
+
+A change that alters outputs on purpose names them with --expect-diff GLOB,
+once per glob, matched (fnmatch, case-sensitive) against command names and
+file paths in the run directory. A difference whose command or file matches a
+glob is printed as expected and does not fail the run; a glob that matches no
+difference is printed too, and fails it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import argparse
 import array
 import csv
+import fnmatch
 import hashlib
 import json
 import os
@@ -267,29 +274,51 @@ def first_difference(base: bytes, change: bytes) -> str:
     return f"line {line}: {b.decode(errors='replace')!r} != {c.decode(errors='replace')!r}"
 
 
-def differences(base: tuple[dict, dict], change: tuple[dict, dict]) -> list[str]:
+def differences(base: tuple[dict, dict], change: tuple[dict, dict]) -> list[tuple[str, str]]:
+    """(command name or file path, line describing the difference), in report order."""
     (base_runs, base_files), (change_runs, change_files) = base, change
     found = []
     for name in dict.fromkeys([*base_runs, *change_runs]):
         if name not in base_runs or name not in change_runs:
-            found.append(f"{name}: run only in {'base' if name in base_runs else 'change'}")
+            found.append((name, f"{name}: run only in {'base' if name in base_runs else 'change'}"))
             continue
         (b_exit, *b_out), (c_exit, *c_out) = base_runs[name], change_runs[name]
         if b_exit != c_exit:
-            found.append(f"{name}: exit {b_exit} != {c_exit}")
+            found.append((name, f"{name}: exit {b_exit} != {c_exit}"))
         for stream, b, c in zip(("stdout", "stderr"), b_out, c_out):
             if b != c:
-                found.append(f"{name}: {stream} {first_difference(b, c)}")
+                found.append((name, f"{name}: {stream} {first_difference(b, c)}"))
     for path in sorted(set(base_files) | set(change_files)):
         b, c = base_files.get(path, "absent"), change_files.get(path, "absent")
         if b != c:
-            found.append(f"file {path}: sha256 {b[:16]} != {c[:16]}")
+            found.append((path, f"file {path}: sha256 {b[:16]} != {c[:16]}"))
     return found
+
+
+def sort_out(found: list[tuple[str, str]], globs: list[str]) -> tuple[list[str], int, int]:
+    """The report of the differences found: each line, prefixed "expected: " if its
+    command or file matches one of the --expect-diff globs, then a line for each glob
+    that matches no difference; the count of expected differences; the exit code, 1
+    if a difference matches no glob or a glob matches no difference, else 0."""
+    hits = dict.fromkeys(globs, 0)
+    lines, expected = [], 0
+    for subject, line in found:
+        matched = [glob for glob in hits if fnmatch.fnmatchcase(subject, glob)]
+        for glob in matched:
+            hits[glob] += 1
+        expected += bool(matched)
+        lines.append(f"expected: {line}" if matched else line)
+    unmatched = [glob for glob, n in hits.items() if not n]
+    lines += [f"--expect-diff {glob}: matches no difference" for glob in unmatched]
+    return lines, expected, int(expected < len(found) or bool(unmatched))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--expect-diff", action="append", default=[], metavar="GLOB",
+                        help="a command name or file path whose difference is intended; "
+                             "repeatable, and a glob that matches no difference fails the run")
     args = parser.parse_args(argv)
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="same_behaviour_") as tmp:
@@ -305,12 +334,14 @@ def main(argv=None) -> int:
             change = pool.submit(run_tree, REPO / "src", tmp / "change", 2)
             base, change = base.result(), change.result()
     found = differences(base, change)
-    for line in found:
+    lines, expected, code = sort_out(found, args.expect_diff)
+    for line in lines:
         print(line)
     print(f"{args.base} against the working tree: {len(base[0])} commands, {len(base[1])} "
-          f"files, {len(found) or 'no'} difference{'' if len(found) == 1 else 's'} "
+          f"files, {len(found) or 'no'} difference{'' if len(found) == 1 else 's'}"
+          f"{f' ({expected} expected)' if args.expect_diff else ''} "
           f"in {time.monotonic() - start:.0f} s")
-    return 1 if found else 0
+    return code
 
 
 if __name__ == "__main__":
