@@ -54,7 +54,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
 
     scaler = features.fit_scaler(X[~hold])
     Xs = scaler.apply(X)
-    model = svm.train(svm.TrainingProblem(Xs[~hold], y[~hold]), C, gamma)
+    model = svm.train(Xs[~hold], y[~hold], C, gamma)
     holdout_f = svm.decision_values(model, Xs[hold])
     holdout_acc = float(np.mean(np.sign(holdout_f) == y[hold]))
     calibration = svm.platt_fit(holdout_f, y[hold])
@@ -153,18 +153,12 @@ def _cmd_gridsearch(args) -> int:
     _, X, y = detection.exemplars(entries, _manifest_root(args.manifest), args.rule, "train",
                                   features.FeatureConfig(aggregation=args.agg))
     scaler = features.fit_scaler(X)
-    problem = svm.TrainingProblem(scaler.apply(X), y)
-    result = svm.grid_search(
-        problem,
-        C_grid=args.c_grid,
-        gamma_grid=args.gamma_grid,
-        k_folds=args.folds,
-        seed=args.seed,
-    )
+    best, table = svm.grid_search(scaler.apply(X), y, C_grid=args.c_grid,
+                                  gamma_grid=args.gamma_grid, k_folds=args.folds, seed=args.seed)
     print("C,gamma,cv_accuracy")
-    for cell in result.table:
+    for cell in table:
         print(f"{cell.C},{cell.gamma},{cell.accuracy:.4f}")
-    print(f"best: C={result.best_C} gamma={result.best_gamma}")
+    print(f"best: C={best.C} gamma={best.gamma}")
     return 0
 
 
@@ -243,6 +237,16 @@ def _time_s(text):
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite time >= 0")
 
 
+def _seed(text):
+    """An integer >= 0, as numpy's seeding requires."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every `main`
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", help="recipe JSON (defaults to the built-in recipe)")
-    p.add_argument("--seed", type=int, help="generation seed")
+    p.add_argument("--seed", type=_seed, help="generation seed")
     p.add_argument("--out", help="output corpus directory")
     p.add_argument("--write-spec", help="dump the built-in recipe to a file and exit")
     p.set_defaults(func=_cmd_synth)
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="assign stratified train/test splits")
     p.add_argument("--manifest", required=True)
     p.add_argument("--fraction", type=float, default=dataset.TRAIN_FRACTION)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", help="output manifest (default: in place)")
     p.set_defaults(func=_cmd_split)
 
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--agg", choices=features.AGGREGATIONS,
                    default=features.FeatureConfig.aggregation)
     p.add_argument("--model", required=True, help="output model path")
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--folds", type=int, default=svm.K_FOLDS)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--c-grid", type=_float_list, default=svm.C_GRID)
     p.add_argument("--gamma-grid", type=_float_list, default=svm.GAMMA_GRID)
     p.add_argument("--agg", choices=features.AGGREGATIONS,

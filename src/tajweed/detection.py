@@ -174,18 +174,24 @@ class EvaluationResult:
 def evaluate(rules, entries, audio_root) -> EvaluationResult:
     """Clip-level confusion per rule over its test-split exemplars.
 
-    Each rule selects its own test-split exemplars from the manifest entries
-    through exemplars, which raises DatasetError for a rule with none.
-    Right-labeled clips are the positives; Wrong-labeled clips the
-    negatives. Each rule's clips are scored in one call; a clip is
-    classified Right when p_right >= 0.5 (the model's raw vote, ungated).
+    A rule may have only one model: two models of one rule_id raise
+    DetectionError before any clip is read. Each rule selects its own
+    test-split exemplars from the manifest entries through exemplars, which
+    raises DatasetError for a rule with none. Right-labeled clips are the
+    positives; Wrong-labeled clips the negatives. Each rule's clips are
+    scored in one call; a clip is classified Right when p_right >= 0.5 (the
+    model's raw vote, ungated).
     """
+    rules = sorted(rules, key=lambda r: r.rule_id)
+    for a, b in zip(rules, rules[1:]):
+        if a.rule_id == b.rule_id:
+            raise DetectionError(f"two models for {a.rule_id}; evaluate takes one per rule")
     tables = []
-    for rid, rule in sorted({r.rule_id: r for r in rules}.items()):
-        _, X, y = exemplars(entries, audio_root, rid, "test", rule.feature_config)
+    for rule in rules:
+        _, X, y = exemplars(entries, audio_root, rule.rule_id, "test", rule.feature_config)
         voted = p_right(rule, X) >= 0.5
         right = y > 0
-        tables.append(ConfusionTable(rid, tp=int(np.sum(voted & right)),
+        tables.append(ConfusionTable(rule.rule_id, tp=int(np.sum(voted & right)),
                                      fp=int(np.sum(voted & ~right)),
                                      tn=int(np.sum(~voted & ~right)),
                                      fn=int(np.sum(~voted & right))))

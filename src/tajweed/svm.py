@@ -10,13 +10,15 @@ violating pair) working-set selection. Ties in the selection are broken
 by lowest index, which makes training fully deterministic.
 
 Also provides Platt-style sigmoid calibration of decision values and a
-stratified-CV grid search over (C, gamma). `train` and `decision_values`
-both take standardized rows; standardizing is the caller's job.
+stratified-CV grid search over (C, gamma). `train(X, y, C, gamma)` and
+`grid_search(X, y)` take standardized rows X (l x d) with labels y in
+{-1, +1}, and `decision_values(model, X)` standardized rows; standardizing
+is the caller's job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +28,6 @@ from .errors import NoConvergence, SvmError
 C_GRID = (0.1, 1.0, 10.0, 100.0)
 GAMMA_GRID = (0.001, 0.01, 0.1, 1.0)
 K_FOLDS = 5
-
-
-@dataclass(frozen=True)
-class TrainingProblem:
-    """Standardized sample matrix X (l x d) with labels y in {-1, +1}."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be (l, d) with one label per row")
-        if X.shape[0] < 2:
-            raise ValueError("need at least two samples")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-
-    @property
-    def l(self) -> int:
-        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -73,33 +51,41 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def train(
-    problem: TrainingProblem,
-    C: float,
-    gamma: float,
-    tol: float = 1e-3,
-    max_passes: int = 10_000,
-) -> SvmModel:
-    """Solve the dual to KKT tolerance `tol`.
+def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, once X is (l, d) with l >= 2 and y one label
+    in {-1, +1} per row; ValueError otherwise."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (l, d) with one label per row")
+    if X.shape[0] < 2:
+        raise ValueError("need at least two samples")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    return X, y
+
+
+def train(X, y, C: float, gamma: float, tol: float = 1e-3,
+          max_passes: int = 10_000) -> SvmModel:
+    """Solve the dual over rows X and labels y to KKT tolerance `tol`.
 
     max_passes bounds the number of working-pair updates; exhausting it
     raises NoConvergence carrying the best iterate as .model. Samples with
     a_i > 0 become the support vectors.
     """
+    X, y = _samples(X, y)
     if not 0.0 < C < np.inf:
         raise ValueError("C must be positive and finite")
     if not 0.0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
     if max_passes < 0:
         raise ValueError("max_passes must be at least 0")
-    y = problem.y
     if np.all(y == y[0]):
         raise SvmError("training labels contain a single class")
 
-    X = problem.X
     K = rbf_gram(X, X, gamma)
-    alpha = np.zeros(problem.l)
-    grad = -np.ones(problem.l)      # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))         # gradient of 1/2 a'Qa - sum(a), Q = yy' * K
 
     for passes in range(max_passes + 1):
         vals, up, low = _violators(alpha, grad, y, C)
@@ -265,26 +251,16 @@ class GridCell:
     accuracy: float
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
-    best_C: float
-    best_gamma: float
-    table: tuple[GridCell, ...] = field(default_factory=tuple)
-
-
-def grid_search(
-    problem: TrainingProblem,
-    C_grid=C_GRID,
-    gamma_grid=GAMMA_GRID,
-    k_folds: int = K_FOLDS,
-    seed: int = 0,
-) -> GridSearchResult:
-    """Mean stratified-CV accuracy for every (C, gamma); the winner is the
-    best pair, ties resolved toward smaller C then smaller gamma.
+def grid_search(X, y, C_grid=C_GRID, gamma_grid=GAMMA_GRID, k_folds: int = K_FOLDS,
+                seed: int = 0) -> tuple[GridCell, tuple[GridCell, ...]]:
+    """Mean stratified-CV accuracy over rows X and labels y for every
+    (C, gamma): returns (best, table), the table in ascending C then gamma
+    and best its first cell of highest accuracy, so ties go to the smaller
+    C, then the smaller gamma.
     """
+    X, y = _samples(X, y)
     if k_folds < 2:
         raise ValueError("k_folds must be at least 2")
-    y = problem.y
     for cls in (-1.0, 1.0):
         if int((y == cls).sum()) < k_folds:
             raise SvmError(f"class {cls:+.0f} has fewer samples than folds")
@@ -295,16 +271,14 @@ def grid_search(
         for gamma in sorted(gamma_grid):
             accs = []
             for fold in folds:
-                mask = np.ones(problem.l, dtype=bool)
+                mask = np.ones(len(y), dtype=bool)
                 mask[fold] = False
-                sub = TrainingProblem(problem.X[mask], y[mask])
                 try:
-                    model = train(sub, C, gamma)
+                    model = train(X[mask], y[mask], C, gamma)
                 except NoConvergence as err:
                     model = err.model
-                pred = np.sign(decision_values(model, problem.X[fold]))
+                pred = np.sign(decision_values(model, X[fold]))
                 accs.append(float(np.mean(pred == y[fold])))
             mean_acc = float(np.mean(accs))
             cells.append(GridCell(C=float(C), gamma=float(gamma), accuracy=mean_acc))
-    best = max(cells, key=lambda c: c.accuracy)  # max keeps the first of equal accuracies
-    return GridSearchResult(best_C=best.C, best_gamma=best.gamma, table=tuple(cells))
+    return max(cells, key=lambda c: c.accuracy), tuple(cells)  # max keeps the first of ties

@@ -95,7 +95,7 @@ def test_criterion_2_solver_optimality_vs_qp_oracle():
     worst_obj_gap = 0.0
     worst_alpha_gap = 0.0
     for (X, y, gamma, C), K, ref in zip(problems, Ks, refs):
-        model = svm.train(svm.TrainingProblem(X, y), C, gamma,
+        model = svm.train(X, y, C, gamma,
                           tol=1e-10, max_passes=200_000)
         alpha = np.zeros(len(y))
         for sv, coef in zip(model.support_vectors, model.dual_coefs):
@@ -274,9 +274,8 @@ def test_criterion_7_cross_process_determinism(tmp_path):
 def test_criterion_8_grid_search_reproduces_its_table(rng):
     X = np.vstack([rng.normal(-5, 0.5, (20, 2)), rng.normal(5, 0.5, (20, 2))])
     y = np.array([-1.0] * 20 + [1.0] * 20)
-    problem = svm.TrainingProblem(X, y)
     seed = 13
-    result = svm.grid_search(problem, seed=seed)
+    best, table = svm.grid_search(X, y, seed=seed)
 
     # independent recomputation of every cell
     folds = svm.stratified_folds(y, 5, seed)
@@ -285,22 +284,22 @@ def test_criterion_8_grid_search_reproduces_its_table(rng):
         for gamma in (0.001, 0.01, 0.1, 1.0):
             accs = []
             for fold in folds:
-                mask = np.ones(problem.l, dtype=bool)
+                mask = np.ones(len(y), dtype=bool)
                 mask[fold] = False
-                model = svm.train(svm.TrainingProblem(X[mask], y[mask]), C, gamma)
+                model = svm.train(X[mask], y[mask], C, gamma)
                 pred = np.sign(svm.decision_values(model, X[fold]))
                 accs.append(float(np.mean(pred == y[fold])))
             recomputed[(C, gamma)] = float(np.mean(accs))
 
-    for cell in result.table:
+    for cell in table:
         assert recomputed[(cell.C, cell.gamma)] == pytest.approx(cell.accuracy, abs=1e-12)
     best_acc = max(recomputed.values())
     winners = sorted(k for k, v in recomputed.items() if v == best_acc)
-    assert (result.best_C, result.best_gamma) == winners[0]
+    assert (best.C, best.gamma) == winners[0]
 
     # constructed tie: clusters 10 sigma apart make every cell perfect, so
     # the smaller-C-then-smaller-gamma rule must pick (0.1, 0.001)
     assert best_acc == 1.0
-    assert (result.best_C, result.best_gamma) == (0.1, 0.001)
+    assert (best.C, best.gamma) == (0.1, 0.001)
     report(8, "winner matches independent per-cell recomputation; "
               "tie resolved to smallest C then gamma")

@@ -50,6 +50,14 @@ def flatten_model_path(manifest, tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def tarqeeq_model_path(manifest, tmp_path_factory):
+    out = tmp_path_factory.mktemp("models") / "tarqeeq.model"
+    assert run(["train", "--manifest", manifest, "--rule", "tarqeeq_lam",
+                "--seed", "5", "--model", str(out)]) == 0
+    return str(out)
+
+
 def patched_header(model_path, tmp_path, mutate):
     """Path of a copy of the model file whose JSON header went through mutate."""
     blob = open(model_path, "rb").read()
@@ -355,13 +363,30 @@ class TestExitCodes:
             run(["synth", "--out", str(tmp_path / "c")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cmd", ["synth", "split", "train", "gridsearch"])
+    def test_negative_seed_is_a_usage_error_before_any_work(self, cmd, manifest, tmp_path,
+                                                            capsys, monkeypatch):
+        # numpy rejects a negative seed only once it seeds: synth had made
+        # <out>/templates by then, train and gridsearch read every exemplar
+        monkeypatch.setattr(detection, "exemplars", refuse)
+        argv = {"synth": ["--out", str(tmp_path / "corpus")],
+                "split": ["--manifest", manifest, "--out", str(tmp_path / "split.csv")],
+                "train": ["--manifest", manifest, "--rule", "edgham_meem",
+                          "--model", str(tmp_path / "m.model")],
+                "gridsearch": ["--manifest", manifest, "--rule", "edgham_meem"]}[cmd]
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, "--seed", "-1", *argv])
+        assert exc.value.code == 2
+        assert "argument --seed: '-1' is not an integer >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOneParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
     def test_commands_share_nothing_through_the_parser(self, small_corpus, manifest,
-                                                      trained_model_path, flatten_model_path,
+                                                      trained_model_path, tarqeeq_model_path,
                                                       tmp_path, capsys, monkeypatch):
         root, entries = small_corpus
         verse = next(e for e in entries if e.rule_id == "edgham_meem" and e.onset_s is not None)
@@ -372,7 +397,7 @@ class TestOneParser:
         commands = [
             detect + ["--out", str(out / "timeline.csv"), "--verdict-out", str(out / "v.json")],
             detect,
-            evaluate + ["--model", flatten_model_path, "--out", str(out / "conf.csv")],
+            evaluate + ["--model", tarqeeq_model_path, "--out", str(out / "conf.csv")],
             evaluate,
             ["synth", "--out", str(out / "corpus")],
             ["synth", "--out", str(out / "corpus")],
@@ -401,7 +426,7 @@ class TestOneParser:
         assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 2]
         assert sorted(shared[0][4]) == ["timeline.csv", "v.json"]
         assert shared[1][4] == {}  # the first detect's --out and --verdict-out are gone
-        assert shared[2][3] == [trained_model_path, flatten_model_path]
+        assert shared[2][3] == [trained_model_path, tarqeeq_model_path]
         assert shared[3][3] == [trained_model_path]  # --model does not accumulate
         assert list(shared[2][4]) == ["conf.csv"] and shared[3][4] == {}
         assert shared[4] == shared[5]
@@ -674,6 +699,21 @@ class TestEvaluate:
         out, err = capsys.readouterr()
         assert out == ""
         assert "no test-split exemplars for edgham_meem" in err
+        assert not out_csv.exists()
+
+
+    def test_two_models_of_one_rule_are_refused_before_any_clip(self, manifest,
+                                                                trained_model_path,
+                                                                flatten_model_path,
+                                                                tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(detection, "exemplars", refuse)
+        out_csv = tmp_path / "conf.csv"
+        code = run(["evaluate", "--manifest", manifest, "--model", trained_model_path,
+                    "--model", flatten_model_path, "--out", str(out_csv)])
+        assert code == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "two models for edgham_meem" in err
         assert not out_csv.exists()
 
 

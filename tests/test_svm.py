@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from tajweed.errors import NoConvergence, SvmError
 
 def tiny_problem():
     """x1=0 labeled -1, x2=2 labeled +1; near-linear regime, wide box."""
-    return svm.TrainingProblem(np.array([[0.0], [2.0]]), np.array([-1.0, 1.0]))
+    return np.array([[0.0], [2.0]]), np.array([-1.0, 1.0])
 
 
 class TestRbfKernel:
@@ -69,12 +70,12 @@ class TestRbfKernel:
     @pytest.mark.parametrize("gamma", [0.0, np.nan, np.inf, -np.inf])
     def test_rejects_nonpositive_or_nonfinite_gamma(self, gamma):
         with pytest.raises(ValueError):
-            svm.train(tiny_problem(), 1.0, gamma)
+            svm.train(*tiny_problem(), 1.0, gamma)
 
 
 class TestTrain:
     def test_two_point_boundary_at_midpoint(self):
-        model = svm.train(tiny_problem(), C=100.0, gamma=0.01, tol=1e-6)
+        model = svm.train(*tiny_problem(), C=100.0, gamma=0.01, tol=1e-6)
         f_mid, f_neg, f_pos = svm.decision_values(model, [[1.0], [0.0], [2.0]])
         assert abs(f_mid) < 1e-3
         assert f_neg <= -1 + 1e-3
@@ -84,7 +85,7 @@ class TestTrain:
         rng = np.random.default_rng(77)
         X, y = oracles.random_separated_problem(rng, l=6)
         gamma, C = 0.5, 2.0
-        model = svm.train(svm.TrainingProblem(X, y), C, gamma,
+        model = svm.train(X, y, C, gamma,
                           tol=1e-10, max_passes=100_000)
         K = oracles.rbf_matrix(X, X, gamma)
         ref = oracles.projected_gradient_qp(K, y, C)
@@ -98,22 +99,21 @@ class TestTrain:
         assert np.abs(f_model - f_ref).max() < 1e-3
 
     def test_single_class_rejected(self):
-        prob = svm.TrainingProblem(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SvmError, match="training labels contain a single class"):
-            svm.train(prob, 1.0, 0.1)
+            svm.train(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]), 1.0, 0.1)
 
     @pytest.mark.parametrize("C", [0.0, np.nan, np.inf, -np.inf])
     def test_nonpositive_or_nonfinite_c_rejected(self, C):
         with pytest.raises(ValueError):
-            svm.train(tiny_problem(), C, 0.1)
+            svm.train(*tiny_problem(), C, 0.1)
 
     def test_negative_max_passes_rejected(self):
         with pytest.raises(ValueError):
-            svm.train(tiny_problem(), 1.0, 0.1, max_passes=-1)
+            svm.train(*tiny_problem(), 1.0, 0.1, max_passes=-1)
 
     def test_no_convergence_carries_best_iterate(self):
         with pytest.raises(NoConvergence) as exc:
-            svm.train(tiny_problem(), 100.0, 0.01, max_passes=0)
+            svm.train(*tiny_problem(), 100.0, 0.01, max_passes=0)
         assert exc.value.model is not None
         assert exc.value.model.support_vectors.shape[1] == 1
 
@@ -121,7 +121,7 @@ class TestTrain:
         for _ in range(10):
             X, y = oracles.random_separated_problem(rng)
             C = float(rng.uniform(0.5, 3.0))
-            model = svm.train(svm.TrainingProblem(X, y), C, 0.6, tol=1e-8, max_passes=50_000)
+            model = svm.train(X, y, C, 0.6, tol=1e-8, max_passes=50_000)
             alphas = np.abs(model.dual_coefs)
             assert (alphas > 0).all()
             assert (alphas <= C).all()
@@ -132,7 +132,7 @@ class TestTrain:
         X, y = oracles.random_separated_problem(rng, l=8)
         C = 1.0
         tol = 1e-3
-        model = svm.train(svm.TrainingProblem(X, y), C, 0.5, tol=tol)
+        model = svm.train(X, y, C, 0.5, tol=tol)
         f = svm.decision_values(model, X)
         alpha = np.zeros(len(y))
         for sv, coef in zip(model.support_vectors, model.dual_coefs):
@@ -149,21 +149,21 @@ class TestTrain:
 
     def test_prediction_invariant_under_sample_permutation(self, rng):
         X, y = oracles.random_separated_problem(rng, l=8)
-        model_a = svm.train(svm.TrainingProblem(X, y), 1.0, 0.5, tol=1e-8)
+        model_a = svm.train(X, y, 1.0, 0.5, tol=1e-8)
         perm = rng.permutation(len(y))
-        model_b = svm.train(svm.TrainingProblem(X[perm], y[perm]), 1.0, 0.5, tol=1e-8)
+        model_b = svm.train(X[perm], y[perm], 1.0, 0.5, tol=1e-8)
         probes = rng.uniform(-2, 2, (50, X.shape[1]))
         pred_a = np.sign(svm.decision_values(model_a, probes))
         pred_b = np.sign(svm.decision_values(model_b, probes))
         assert (pred_a == pred_b).all()
 
     def test_decision_value_is_pure(self):
-        model = svm.train(tiny_problem(), 10.0, 0.2)
+        model = svm.train(*tiny_problem(), 10.0, 0.2)
         x = [0.7]
         assert svm.decision_values(model, x) == svm.decision_values(model, x)
 
     def test_dimension_mismatch_at_inference(self):
-        model = svm.train(tiny_problem(), 10.0, 0.2)
+        model = svm.train(*tiny_problem(), 10.0, 0.2)
         with pytest.raises(SvmError, match="input dim 2 != model dim 1"):
             svm.decision_values(model, [1.0, 2.0])
 
@@ -248,7 +248,7 @@ class TestCalibration:
         rng = np.random.default_rng(3)
         X = np.vstack([rng.normal(-2, 0.3, (20, 2)), rng.normal(2, 0.3, (20, 2))])
         y = np.array([-1.0] * 20 + [1.0] * 20)
-        model = svm.train(svm.TrainingProblem(X, y), 1.0, 0.5)
+        model = svm.train(X, y, 1.0, 0.5)
         hold_X = np.vstack([rng.normal(-2, 0.3, (10, 2)), rng.normal(2, 0.3, (10, 2))])
         hold_y = np.array([-1.0] * 10 + [1.0] * 10)
         A, B = svm.platt_fit(svm.decision_values(model, hold_X), hold_y)
@@ -264,63 +264,75 @@ def clustered_problem(rng, n_per=20, spread=0.5, separation=10.0):
         rng.normal(separation / 2, spread, (n_per, 2)),
     ])
     y = np.array([-1.0] * n_per + [1.0] * n_per)
-    return svm.TrainingProblem(X, y)
+    return X, y
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: svm.train(X, y, 1.0, 0.1),
+    lambda X, y: svm.grid_search(X, y, C_grid=(1.0,), gamma_grid=(0.1,), k_folds=2),
+], ids=["train", "grid_search"])
+@pytest.mark.parametrize("X, y, message", [
+    ([0.0, 1.0, 2.0, 3.0], [-1.0, -1.0, 1.0, 1.0], "X must be (l, d) with one label per row"),
+    ([[0.0], [1.0], [2.0], [3.0]], [-1.0, 1.0, 1.0],
+     "X must be (l, d) with one label per row"),
+    ([[0.0]], [1.0], "need at least two samples"),
+    ([[0.0], [1.0], [2.0], [3.0]], [-1.0, 0.0, 1.0, 1.0], "labels must be -1 or +1"),
+], ids=["1-D X", "label count differs from row count", "single sample", "label 0"])
+def test_train_and_grid_search_reject_rows_and_labels_they_cannot_fit(fit, X, y, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(np.array(X), np.array(y))
 
 
 class TestGridSearch:
     def test_singleton_grid_echoes_itself(self, rng):
-        problem = clustered_problem(rng)
-        result = svm.grid_search(problem, C_grid=(1.0,), gamma_grid=(0.1,), seed=0)
-        assert (result.best_C, result.best_gamma) == (1.0, 0.1)
-        assert len(result.table) == 1
-        assert 0.0 <= result.table[0].accuracy <= 1.0
+        best, table = svm.grid_search(*clustered_problem(rng), C_grid=(1.0,), gamma_grid=(0.1,),
+                                      seed=0)
+        assert (best.C, best.gamma) == (1.0, 0.1)
+        assert len(table) == 1
+        assert 0.0 <= table[0].accuracy <= 1.0
 
     def test_separable_clusters_reach_perfect_accuracy(self, rng):
-        problem = clustered_problem(rng)
-        result = svm.grid_search(problem, seed=3)
-        assert max(c.accuracy for c in result.table) == 1.0
+        _, table = svm.grid_search(*clustered_problem(rng), seed=3)
+        assert max(c.accuracy for c in table) == 1.0
 
     def test_matches_exhaustive_recomputation(self, rng):
-        problem = clustered_problem(rng, n_per=15)
+        X, y = clustered_problem(rng, n_per=15)
         seed = 11
-        result = svm.grid_search(problem, C_grid=(0.1, 1.0), gamma_grid=(0.01, 0.1),
-                                 k_folds=4, seed=seed)
-        folds = svm.stratified_folds(problem.y, 4, seed)
-        table = {(c.C, c.gamma): c.accuracy for c in result.table}
+        winner, cells = svm.grid_search(X, y, C_grid=(0.1, 1.0), gamma_grid=(0.01, 0.1),
+                                        k_folds=4, seed=seed)
+        folds = svm.stratified_folds(y, 4, seed)
+        table = {(c.C, c.gamma): c.accuracy for c in cells}
         best = None
         for C in (0.1, 1.0):
             for gamma in (0.01, 0.1):
                 accs = []
                 for fold in folds:
-                    mask = np.ones(problem.l, dtype=bool)
+                    mask = np.ones(len(y), dtype=bool)
                     mask[fold] = False
-                    model = svm.train(svm.TrainingProblem(problem.X[mask], problem.y[mask]),
-                                      C, gamma)
-                    pred = np.sign(svm.decision_values(model, problem.X[fold]))
-                    accs.append(float(np.mean(pred == problem.y[fold])))
+                    model = svm.train(X[mask], y[mask], C, gamma)
+                    pred = np.sign(svm.decision_values(model, X[fold]))
+                    accs.append(float(np.mean(pred == y[fold])))
                 mean_acc = float(np.mean(accs))
                 assert table[C, gamma] == pytest.approx(mean_acc, abs=1e-12)
                 if best is None or mean_acc > best[0]:
                     best = (mean_acc, C, gamma)
-        assert (result.best_C, result.best_gamma) == (best[1], best[2])
+        assert (winner.C, winner.gamma) == (best[1], best[2])
 
     @pytest.mark.parametrize("k_folds", [1, 0, -2])
     def test_fewer_than_two_folds_rejected(self, rng, k_folds):
         with pytest.raises(ValueError):
-            svm.grid_search(clustered_problem(rng), k_folds=k_folds)
+            svm.grid_search(*clustered_problem(rng), k_folds=k_folds)
 
     def test_tie_breaks_toward_smaller_c_then_gamma(self, rng):
         # clusters 10 sigma apart: every cell hits accuracy 1.0
-        problem = clustered_problem(rng)
-        result = svm.grid_search(problem, seed=5)
-        assert all(c.accuracy == 1.0 for c in result.table)
-        assert (result.best_C, result.best_gamma) == (0.1, 0.001)
+        best, table = svm.grid_search(*clustered_problem(rng), seed=5)
+        assert all(c.accuracy == 1.0 for c in table)
+        assert (best.C, best.gamma) == (0.1, 0.001)
 
     def test_too_few_samples(self):
-        problem = svm.TrainingProblem(np.arange(6.0).reshape(6, 1),
-                                      np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
         with pytest.raises(SvmError, match="class -1 has fewer samples than folds"):
-            svm.grid_search(problem, k_folds=5, seed=0)
+            svm.grid_search(np.arange(6.0).reshape(6, 1),
+                            np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), k_folds=5, seed=0)
 
     def test_stratified_folds_cover_both_classes(self, rng):
         y = np.array([1.0] * 12 + [-1.0] * 8)

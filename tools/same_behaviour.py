@@ -13,8 +13,9 @@ it, the 24-clip corpus's flatten model and timelines differ.
 
 The list covers synth of the default recipe with reduced counts at 8,000 and
 16,000 Hz, split, train of both rules x both aggregations at both rates,
-evaluate with one and with two models, a one-cell gridsearch, and detect on
-every verse with each model of its rule and rate. Seven one-rule corpora each
+evaluate with one and with two models, a one-cell gridsearch, a gridsearch of
+each rule over the default 16-cell grid (its table order and tie rule), and
+detect on every verse with each model of its rule and rate. Seven one-rule corpora each
 get synth, split, a train of each aggregation, evaluate of the pooled model and
 a detect of each verse with each model: at 11,025, 22,050 and 44,100 Hz
 (interpolating resample), at 48,000 Hz (integer ratio 6), and at 8,000 Hz with
@@ -175,6 +176,9 @@ def session(run: Path):
                                       "--model", pool[0])
     yield "gridsearch", tajweed("gridsearch", "--manifest", manifests[8000], "--rule", RULES[0],
                                 "--seed", "3", "--c-grid", "1", "--gamma-grid", "0.1")
+    for rule in RULES:
+        yield f"gridsearch-default-{rule}", tajweed("gridsearch", "--manifest", manifests[8000],
+                                                    "--rule", rule, "--seed", "3")
     yield "gridsearch-unsplit", tajweed("gridsearch", "--manifest", "c8000/unsplit.csv",
                                         "--rule", RULES[0], "--seed", "3",
                                         "--c-grid", "1", "--gamma-grid", "0.1")
