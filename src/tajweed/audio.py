@@ -7,7 +7,8 @@ All operations are pure functions of their inputs (normalize_duration crops
 at an offset drawn with the fixed seed 0); clips are immutable and safe to share.
 
 WAV support is deliberately narrow: RIFF/WAVE, PCM, 8-bit unsigned or
-16-bit signed, 1-2 channels, sample rate >= 1000 Hz.
+16-bit signed, 1-2 channels, sample rate >= 1000 Hz; load_wav returns the
+integers it decodes, not floats, with their power-of-two unit as the clip's scale.
 """
 
 from __future__ import annotations
@@ -29,27 +30,35 @@ STRIDE_S = 0.5
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono PCM samples in [-1, 1] at a known sample rate."""
+    """Mono PCM at a known sample rate, valued samples * scale in [-1, 1]. load_wav
+    gives integers at their unit (2^-7, 2^-8, 2^-15 or 2^-16); other input becomes
+    float64, as synth and resample give it, at scale 1. The scale must be a power of
+    two: multiplying by it is exact, so (samples * scale) * w rounds as samples * (scale * w)."""
 
     samples: np.ndarray
     sample_rate_hz: int
+    scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        samples = np.asarray(self.samples)
+        object.__setattr__(self, "samples", samples if samples.dtype.kind in "iu"
+                           else samples.astype(np.float64, copy=False))
         if self.samples.ndim != 1:
             raise ValueError("AudioClip samples must be one-dimensional")
         if self.sample_rate_hz < 1:
             raise ValueError("sample_rate_hz must be positive")
+        if np.frexp(self.scale)[0] != 0.5:  # 0, negatives, inf and nan fail too
+            raise ValueError(f"scale {self.scale!r} is not a positive power of two")
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
 def load_wav(path) -> AudioClip:
-    """Read a PCM WAV file as a mono clip scaled to [-1, 1].
-
-    Stereo files are averaged per-sample. The file's sample rate is kept.
-    Raises AudioError for a missing, unsupported or corrupt file.
+    """Read a PCM WAV file as a mono clip of its integers, not floats, and their unit:
+    16-bit mono views the file's bytes at 2^-15, 8-bit is u - 128 at 2^-7, and stereo
+    averages each frame as its int32 sum at half the unit. The file's sample rate is
+    kept. Raises AudioError for a missing, unsupported or corrupt file.
     """
     if not os.path.isfile(path):
         raise AudioError(f"no such audio file: {path}")
@@ -102,20 +111,17 @@ def load_wav(path) -> AudioClip:
         raise AudioError(f"{path}: empty data chunk")
 
     ints = np.frombuffer(payload, dtype="<i2" if bits == 16 else np.uint8)
-    # each scale is a power of two, so multiplying by its exact reciprocal gives
-    # the quotient's bytes; each stereo pair is summed exactly in int32 first
+    # every value, samples * scale, lands in [-1, 1): nothing to clip
     if channels == 2:
         pairs = np.add(ints[0::2], ints[1::2], dtype=np.int32)
-        raw = pairs * (1 / 65536.0) if bits == 16 else (pairs - 256) * (1 / 256.0)
-    else:
-        raw = ints * (1 / 32768.0) if bits == 16 else (ints - 128.0) * (1 / 128.0)
-    # every scaling lands in [-1, 1) already
-    return AudioClip(raw, int(rate))
+        return AudioClip(pairs if bits == 16 else pairs - 256, int(rate), 2.0 ** -bits)
+    return AudioClip(ints if bits == 16 else np.subtract(ints, 128, dtype=np.int16),
+                     int(rate), 2.0 ** (1 - bits))
 
 
 def write_wav(path, clip: AudioClip) -> None:
-    """Write a clip as 16-bit PCM mono WAV (scale matches load_wav)."""
-    pcm = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype(np.int16)
+    """Write a clip's value as 16-bit PCM mono WAV (scale matches load_wav)."""
+    pcm = np.clip(np.round(clip.samples * clip.scale * 32768.0), -32768, 32767).astype(np.int16)
     with open(path, "wb") as fh, wave.open(fh, "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
@@ -195,7 +201,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     if target_hz == rate:
         return clip
 
-    samples = clip.samples
+    samples = clip.samples * clip.scale
     n_out = max(int(round(len(samples) * target_hz / rate)), 1)
     if rate % target_hz == 0:
         # [::m] keeps ceil(n / m) outputs, one more than n_out when round() goes down
@@ -218,9 +224,9 @@ def normalize_duration(clip: AudioClip) -> AudioClip:
     if n == n_target:
         return clip
     if n < n_target:
-        return AudioClip(np.pad(clip.samples, (0, n_target - n)), clip.sample_rate_hz)
+        return AudioClip(np.pad(clip.samples, (0, n_target - n)), clip.sample_rate_hz, clip.scale)
     start = int(np.random.default_rng(0).integers(0, n - n_target + 1))
-    return AudioClip(clip.samples[start:start + n_target].copy(), clip.sample_rate_hz)
+    return AudioClip(clip.samples[start:start + n_target].copy(), clip.sample_rate_hz, clip.scale)
 
 
 def slide_windows(clip: AudioClip):
@@ -231,5 +237,5 @@ def slide_windows(clip: AudioClip):
     window_n, stride_n = int(round(WINDOW_S * rate)), int(round(STRIDE_S * rate))
     if len(clip) < window_n:
         clip = normalize_duration(clip)
-    return [(start / rate, AudioClip(clip.samples[start:start + window_n].copy(), rate))
+    return [(start / rate, AudioClip(clip.samples[start:start + window_n].copy(), rate, clip.scale))
             for start in range(0, len(clip) - window_n + 1, stride_n)]

@@ -223,28 +223,27 @@ def _cmd_review(args) -> int:
     return 0
 
 
+def _checked(convert, ok, what):
+    """An argparse type: convert(text) if ok accepts it, else a usage error (exit 2)
+    naming the option, raised at parse time, before any clip is read."""
+    def parse(text):
+        try:
+            if ok(convert(text)):
+                return convert(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_time_s = _checked(float, lambda t: 0.0 <= t < float("inf"), "a finite time >= 0")  # onset_s
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")  # numpy's seeding
+_folds = _checked(int, lambda n: n >= 2, "an integer >= 2")  # svm.grid_search's k_folds
+_positive = _checked(float, lambda v: 0.0 < v < float("inf"), "a finite number > 0")  # C, gamma
+
+
 def _float_list(text):
-    return tuple(float(x) for x in text.split(","))
-
-
-def _time_s(text):
-    """A finite time >= 0, as load_manifest requires of onset_s."""
-    try:
-        if 0.0 <= float(text) < float("inf"):
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a finite time >= 0")
-
-
-def _seed(text):
-    """An integer >= 0, as numpy's seeding requires."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return tuple(_positive(x) for x in text.split(","))
 
 
 @functools.cache
@@ -274,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one rule model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--rule", required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--c", type=_positive, default=1.0)
+    p.add_argument("--gamma", type=_positive, default=0.1)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--agg", choices=features.AGGREGATIONS,
                    default=features.FeatureConfig.aggregation)
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="cross-validated (C, gamma) search")
     p.add_argument("--manifest", required=True)
     p.add_argument("--rule", required=True)
-    p.add_argument("--folds", type=int, default=svm.K_FOLDS)
+    p.add_argument("--folds", type=_folds, default=svm.K_FOLDS)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--c-grid", type=_float_list, default=svm.C_GRID)
     p.add_argument("--gamma-grid", type=_float_list, default=svm.GAMMA_GRID)

@@ -12,14 +12,15 @@ standard deviation (default), or the frame-by-filter matrix flattened row-major.
 
 extract_features is the one front end: one feature row per audio.WINDOW_S
 window every audio.STRIDE_S, pooled from the log energies of one read-only
-strided view of the clip's frames. Its unit is the stride: frame_log_energies
-gives strides of STRIDE_FRAMES frames, each one filter-bank product of one
-shape whatever the clip's length; a pass windows PASS_STRIDES strides in one
-buffer of rows pre-padded to FFT_SIZE with the PASS_WINDOW tile and writes their
-power into one buffer of the call; pool reads a window's strides as views. The
-mean/std pool reduces each stride once and merges a window's strides with the
-update formula of Chan, Golub & LeVeque (1979, "Updating formulae and a pairwise
-algorithm for computing sample variances"). Same input, same feature bytes.
+strided view of the clip's samples, integers as load_wav gives them. Its unit is
+the stride: frame_log_energies gives strides of STRIDE_FRAMES frames, each one
+filter-bank product of one shape whatever the clip's length; a pass copies
+PASS_STRIDES strides to float64 in one buffer of rows pre-padded to FFT_SIZE,
+windows them with the pass_window tile, the clip's unit folded in exactly, and
+writes their power into one buffer of the call; pool reads a window's strides as
+views. The mean/std pool reduces each stride once and merges a window's strides
+with the update formula of Chan, Golub & LeVeque (1979, "Updating formulae and a
+pairwise algorithm for computing sample variances"). Same input, same feature bytes.
 """
 
 from __future__ import annotations
@@ -58,11 +59,19 @@ WINDOW_FRAMES = (WINDOW_LEN - FRAME_LEN) // HOP_LEN + 1     # 398 frames a windo
 HAMMING = 0.54 - 0.46 * np.cos(
     2.0 * np.pi * np.minimum(np.arange(FRAME_LEN), np.arange(FRAME_LEN)[::-1]) / (FRAME_LEN - 1))
 HAMMING.setflags(write=False)
-# a pass's rows of HAMMING then exact 0.0, so one product windows a zeroed pass buffer
-PASS_WINDOW = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
-PASS_WINDOW[:, :FRAME_LEN] = HAMMING
-PASS_WINDOW.setflags(write=False)
 
+
+@lru_cache(maxsize=8)
+def pass_window(scale: float) -> np.ndarray:
+    """A pass's rows of HAMMING * scale then exact 0.0, so one product windows a zeroed
+    pass buffer; read-only, cached per clip unit. Exact: RN(i * (h * 2^k)) = RN(i * 2^k * h)."""
+    tile = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
+    tile[:, :FRAME_LEN] = HAMMING * scale
+    tile.setflags(write=False)
+    return tile
+
+
+PASS_WINDOW = pass_window(1.0)
 AGGREGATIONS = ("mean_std_pool", "flatten")
 
 
@@ -156,22 +165,23 @@ def build_filterbank() -> np.ndarray:
     return weights
 
 
-def frame_log_energies(frames: np.ndarray) -> np.ndarray:
+def frame_log_energies(frames: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Hamming, power spectrum and filter bank PASS_STRIDES strides a pass, each
     product written into the result, then one floor and log over all of it:
     stride s of the (strides, STRIDE_FRAMES, NUM_FILTERS) result holds frames
     from STRIDE_FRAMES * s, the last stride's power zero-padded (LOG_FLOOR rows
-    past the frames). A pass is one strided copy of its frames into a zeroed
-    (PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE) buffer and one contiguous product by
-    PASS_WINDOW, whose 0.0 columns keep the pad +0.0 (np.empty garbage times 0.0
-    could be NaN), so the FFT gets rows already FFT_SIZE wide; every pass writes
+    past the frames). A pass is one strided copy of its frames, integers cast to
+    float64, into a zeroed (PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE) buffer and one
+    contiguous product by pass_window(scale), the frames' unit folded in exactly,
+    whose 0.0 columns keep the pad +0.0 (np.empty garbage times 0.0 could be
+    NaN), so the FFT gets rows already FFT_SIZE wide; every pass writes
     its power into one buffer of the call; the last zeroes its pad, no vstack.
     Every filter-bank product is a stack of (STRIDE_FRAMES, bins) @ (bins,
     NUM_FILTERS) items, one a stride, so a frame's log energies depend on the
     frame and its offset in a stride, never on the clip's length. A 4 s clip peaks
     at about 740 KB a call (result, spectrum, 103 KB power buffer, 205 KB pass
     buffer, past glibc's 128 KB mmap threshold: fresh pages if none larger was freed)."""
-    weights = build_filterbank().T
+    weights, tile = build_filterbank().T, pass_window(scale)
     log_energies = np.empty((-(-len(frames) // STRIDE_FRAMES), STRIDE_FRAMES, NUM_FILTERS))
     windowed = np.zeros((PASS_STRIDES * STRIDE_FRAMES, FFT_SIZE))
     power = np.empty((PASS_STRIDES, STRIDE_FRAMES, FFT_SIZE // 2 + 1))
@@ -180,7 +190,7 @@ def frame_log_energies(frames: np.ndarray) -> np.ndarray:
         chunk = frames[STRIDE_FRAMES * s:STRIDE_FRAMES * (s + PASS_STRIDES)]
         rows, k = len(chunk), min(PASS_STRIDES, len(log_energies) - s)
         windowed[:rows, :FRAME_LEN] = chunk
-        windowed[:rows] *= PASS_WINDOW[:rows]
+        windowed[:rows] *= tile[:rows]
         power_spectrum(windowed[:rows], out=power_rows[:rows])
         power_rows[rows:k * STRIDE_FRAMES] = 0.0  # the last pass: no power past the clip's frames
         np.matmul(power[:k], weights, out=log_energies[s:s + k])
@@ -244,7 +254,7 @@ def extract_features(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
         raise FeatureError(f"{n_frames} frames overrun a clip of {len(clip)} samples")
     frames = as_strided(clip.samples, (n_frames, FRAME_LEN), (HOP_LEN * step, step),
                         writeable=False)
-    return pool(frame_log_energies(frames), config)
+    return pool(frame_log_energies(frames, clip.scale), config)
 
 
 def fit_scaler(rows) -> Scaler:

@@ -61,7 +61,7 @@ def reference_window_scores(rule, clip):
     frame_len = int(round(FRAME_MS * rate / 1000))
     hop = int(round(HOP_MS * rate / 1000))
     n_frames = (window_n - frame_len) // hop + 1
-    x = np.concatenate([clip.samples, np.zeros(max(window_n - len(clip.samples), 0))])
+    x = np.concatenate([clip.samples * clip.scale, np.zeros(max(window_n - len(clip), 0))])
     offsets = range(0, len(x) - window_n + 1, stride_n)
     frames = []
     for start in offsets:

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tajweed import audio
+from tajweed import audio, features
 from tajweed.errors import AudioError
 
 
@@ -32,11 +33,29 @@ def write(tmp_path, blob, name="a.wav"):
     return str(p)
 
 
+# (channels, bits) of the four PCM layouts load_wav reads
+LAYOUTS = [(1, 16), (2, 16), (1, 8), (2, 8)]
+
+
+def layout_ints(kind, n_frames, channels, bits):
+    """n_frames of full-scale extremes, uniform random integers or silence,
+    interleaved, in the layout's sample type."""
+    lo, hi, zero = (-32768, 32767, 0) if bits == 16 else (0, 255, 128)
+    size = n_frames * channels
+    if kind == "extremes":
+        ints = np.resize([lo, hi, hi, lo, lo, lo, hi, hi], size)
+    elif kind == "random":
+        ints = np.random.default_rng(size + bits).integers(lo, hi + 1, size)
+    else:
+        ints = np.full(size, zero)
+    return ints.astype("<i2" if bits == 16 else np.uint8)
+
+
 class TestLoadWav:
     def test_16bit_scaling(self, tmp_path):
         path = write(tmp_path, wav_bytes(struct.pack("<h", 16384)))
         clip = audio.load_wav(path)
-        assert clip.samples.tolist() == [0.5]
+        assert (clip.samples * clip.scale).tolist() == [0.5]
         assert clip.sample_rate_hz == 8000
 
     def test_stereo_average(self, tmp_path):
@@ -48,7 +67,8 @@ class TestLoadWav:
     def test_16bit_extremes_need_no_clipping(self, tmp_path):
         path = write(tmp_path, wav_bytes(struct.pack("<4h", -32768, 32767, -32768, -32768),
                                          channels=2))
-        assert audio.load_wav(path).samples.tolist() == [-1.0 / 65536, -1.0]
+        clip = audio.load_wav(path)
+        assert (clip.samples * clip.scale).tolist() == [-1.0 / 65536, -1.0]
 
     @pytest.mark.parametrize("bits", [8, 16])
     def test_stereo_fold_bytes_match_the_float_mean(self, tmp_path, bits):
@@ -62,7 +82,8 @@ class TestLoadWav:
         path = write(tmp_path, wav_bytes(ints.tobytes(), channels=2, bits=bits))
         scaled = ints / 32768.0 if bits == 16 else (ints - 128.0) / 128.0
         expected = scaled.reshape(-1, 2).mean(axis=1)
-        assert audio.load_wav(path).samples.tobytes() == expected.tobytes()
+        clip = audio.load_wav(path)
+        assert (clip.samples * clip.scale).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bits", [8, 16])
     def test_every_mono_sample_has_the_quotients_bytes(self, tmp_path, bits):
@@ -70,14 +91,31 @@ class TestLoadWav:
         ints = ints.astype("<i2" if bits == 16 else np.uint8)
         path = write(tmp_path, wav_bytes(ints.tobytes(), bits=bits))
         expected = ints / 32768.0 if bits == 16 else (ints - 128.0) / 128.0
-        assert audio.load_wav(path).samples.tobytes() == expected.tobytes()
+        clip = audio.load_wav(path)
+        assert (clip.samples * clip.scale).tobytes() == expected.tobytes()
 
     def test_8bit_unsigned(self, tmp_path):
         path = write(tmp_path, wav_bytes(bytes([128, 255, 0]), bits=8))
         clip = audio.load_wav(path)
-        assert clip.samples[0] == 0.0
-        assert clip.samples[1] == pytest.approx(127 / 128)
-        assert clip.samples[2] == -1.0
+        value = clip.samples * clip.scale
+        assert value[0] == 0.0
+        assert value[1] == pytest.approx(127 / 128)
+        assert value[2] == -1.0
+
+    def test_peak_memory_is_about_the_files_bytes(self, tmp_path):
+        # 60 s of 8 kHz 16-bit mono is a 960,044-byte file. load_wav holds the
+        # file's bytes and views its samples in place; a float64 copy of them
+        # alone is 4 times the file (8 bytes a 2-byte sample). 1.5 times the file
+        # leaves room for the read and small objects, none for a per-sample copy.
+        path = write(tmp_path, wav_bytes(layout_ints("random", 60 * 8000, 1, 16).tobytes()))
+        tracemalloc.start()
+        try:
+            clip = audio.load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clip) == 60 * 8000
+        assert peak <= 1.5 * os.path.getsize(path)
 
     def test_truncated_header(self, tmp_path):
         path = write(tmp_path, b"RIFF\x00\x00")
@@ -149,7 +187,7 @@ class TestLoadWav:
         audio.write_wav(path, clip)
         back = audio.load_wav(path)
         assert back.sample_rate_hz == 8000
-        assert np.abs(back.samples - clip.samples).max() <= 0.5 / 32768
+        assert np.abs(back.samples * back.scale - clip.samples).max() <= 0.5 / 32768
 
     @pytest.mark.parametrize("n, rate", [(1, 8000), (333, 11025), (16001, 16000)])
     def test_write_matches_hand_packed_layout(self, tmp_path, n, rate):
@@ -174,6 +212,40 @@ class TestLoadWav:
         except AudioError:
             return
         assert np.isfinite(clip.samples).all() and clip.sample_rate_hz >= 1000
+
+
+class TestIntegerUnit:
+    """load_wav's integers and power-of-two unit against their float twin,
+    AudioClip(samples * scale): the same bytes through the front end, whose
+    tile carries the unit, and through resample."""
+
+    @pytest.mark.parametrize("channels, bits", LAYOUTS)
+    @pytest.mark.parametrize("kind", ["extremes", "random", "silence"])
+    def test_features_equal_the_float_twins(self, tmp_path, kind, channels, bits):
+        for seconds in (3.0, 4.0, 12.5):
+            ints = layout_ints(kind, int(seconds * 8000), channels, bits)
+            clip = audio.load_wav(write(tmp_path, wav_bytes(ints.tobytes(), channels, bits)))
+            twin = audio.AudioClip(clip.samples * clip.scale, 8000)
+            assert clip.samples.dtype.kind == "i" and twin.samples.dtype == np.float64
+            for agg in features.AGGREGATIONS:
+                config = features.FeatureConfig(agg)
+                assert (features.extract_features(clip, config).tobytes()
+                        == features.extract_features(twin, config).tobytes()), (seconds, agg)
+
+    @pytest.mark.parametrize("channels, bits", LAYOUTS)
+    @pytest.mark.parametrize("rate", [16000, 22050])
+    def test_resample_equals_the_float_twins(self, tmp_path, rate, channels, bits):
+        ints = layout_ints("random", 3 * rate, channels, bits)
+        clip = audio.load_wav(write(tmp_path, wav_bytes(ints.tobytes(), channels, bits, rate)))
+        out = audio.resample(clip, 8000)
+        expected = audio.resample(audio.AudioClip(clip.samples * clip.scale, rate), 8000)
+        assert out.scale == 1.0 and out.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("scale", [3e-5, 1 / 32767, 0.0, -2.0 ** -15, float("inf"),
+                                       float("nan")])
+    def test_scale_must_be_a_power_of_two(self, scale):
+        with pytest.raises(ValueError, match="is not a positive power of two"):
+            audio.AudioClip(np.arange(4, dtype=np.int16), 8000, scale)
 
 
 class TestResample:

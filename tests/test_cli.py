@@ -263,21 +263,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--c", "--gamma"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_train_params_are_value_errors(self, manifest, tmp_path, capsys,
-                                                    flag, value):
+                                                    monkeypatch, flag, value):
+        monkeypatch.setattr(detection, "exemplars", refuse)
         model = tmp_path / "m.model"
-        code = run(["train", "--manifest", manifest, "--rule", "edgham_meem",
-                    "--seed", "1", f"{flag}={value}", "--model", str(model)])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--manifest", manifest, "--rule", "edgham_meem",
+                 "--seed", "1", f"{flag}={value}", "--model", str(model)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: '{value}' is not a finite number > 0" in capsys.readouterr().err
         assert not model.exists()
 
     @pytest.mark.parametrize("option", ["--c-grid=nan", "--gamma-grid=inf",
                                         "--folds=1", "--folds=0", "--folds=-2"])
-    def test_bad_gridsearch_params_are_value_errors(self, manifest, capsys, option):
-        code = run(["gridsearch", "--manifest", manifest, "--rule", "edgham_meem",
-                    "--seed", "1", "--c-grid", "1.0", "--gamma-grid", "0.1", option])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_bad_gridsearch_params_are_value_errors(self, manifest, capsys, monkeypatch,
+                                                    option):
+        monkeypatch.setattr(detection, "exemplars", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(["gridsearch", "--manifest", manifest, "--rule", "edgham_meem",
+                 "--seed", "1", "--c-grid", "1.0", "--gamma-grid", "0.1", option])
+        assert exc.value.code == 2
+        flag, value = option.split("=")
+        assert f"argument {flag}: '{value}' is not " in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda recipe: list(recipe),
@@ -378,6 +384,26 @@ class TestExitCodes:
             run([cmd, "--seed", "-1", *argv])
         assert exc.value.code == 2
         assert "argument --seed: '-1' is not an integer >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd, option, value, message", [
+        ("train", "--c", "0", "a finite number > 0"),
+        ("train", "--gamma", "nan", "a finite number > 0"),
+        ("gridsearch", "--folds", "1", "an integer >= 2"),
+        ("gridsearch", "--c-grid", "1,-1", "a finite number > 0"),
+        ("gridsearch", "--gamma-grid", "0.1,0", "a finite number > 0"),
+    ])
+    def test_bad_numeric_option_is_a_usage_error_before_any_work(
+            self, cmd, option, value, message, manifest, tmp_path, capsys, monkeypatch):
+        # svm.train and svm.grid_search refused these only after every train
+        # exemplar of the rule had been loaded and featurized
+        monkeypatch.setattr(detection, "exemplars", refuse)
+        argv = ["--manifest", manifest, "--rule", "edgham_meem", "--seed", "1", option, value]
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, *argv, *(["--model", str(tmp_path / "m.model")] if cmd == "train" else [])])
+        assert exc.value.code == 2
+        bad = value.split(",")[-1]
+        assert f"argument {option}: '{bad}' is not {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -490,7 +516,7 @@ class TestTrain:
 
         def interp_resample(clip, target_hz):
             calls.append(clip.sample_rate_hz)
-            out = oracles.interp_resample(clip.samples, clip.sample_rate_hz, target_hz)
+            out = oracles.interp_resample(clip.samples * clip.scale, clip.sample_rate_hz, target_hz)
             return audio.AudioClip(out, target_hz)
 
         monkeypatch.setattr(audio, "resample", interp_resample)

@@ -140,7 +140,7 @@ class TestDetect:
         clip = audio.load_wav(os.path.join(root, e.path))
         base = detection.detect(small_model, clip)
         assert base.verdict is not None
-        longer = audio.AudioClip(np.concatenate([clip.samples, np.zeros(36000)]), 8000)
+        longer = audio.AudioClip(np.concatenate([clip.samples, np.zeros(36000)]), 8000, clip.scale)
         extended = detection.detect(small_model, longer)
         new_scores = dict(extended.window_scores)
         base_gated = base.verdict.score
@@ -272,7 +272,7 @@ class TestReferenceDetector:
         e = next(e for e in entries if e.rule_id == "edgham_meem" and e.onset_s is not None)
         verse = audio.load_wav(os.path.join(root, e.path))
         start = int(e.onset_s * verse.sample_rate_hz)
-        clip = audio.AudioClip(verse.samples[start:start + int(seconds * 8000)], 8000)
+        clip = audio.AudioClip(verse.samples[start:start + int(seconds * 8000)], 8000, verse.scale)
         self.verdict_matching_reference(small_model, clip)
         self.verdict_matching_reference(rule_at_22050(), tone_and_noise(seconds, 4))
 

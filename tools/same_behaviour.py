@@ -21,7 +21,8 @@ a detect of each verse with each model: at 11,025, 22,050 and 44,100 Hz
 (interpolating resample), at 48,000 Hz (integer ratio 6), and at 8,000 Hz with
 3 s exemplars whose events may run past the clip edge (zero-padded to one
 window), with 5 s exemplars (cropped to one at a seeded offset) and with 24
-exemplars a class. Then detect on 8- and 16-bit stereo WAVs, a review queue
+exemplars a class. Then detect on 8- and 16-bit stereo WAVs and an 8-bit mono
+WAV, so every PCM layout load_wav decodes reaches the front end, a review queue
 session, and failing cases with their exit codes: a recipe that is not one,
 split past a 1 KiB file size limit, gridsearch and evaluate of an unsplit
 manifest, gridsearch with more folds than exemplars, a garbage model, a model
@@ -124,21 +125,21 @@ def detect(corpus: int | str, row: dict, agg: str) -> tuple[str, list[str]]:
         "--out", f"timeline_{stem}.csv", "--verdict-out", f"verdict_{stem}.json")
 
 
-def write_stereo(left: Path, right: Path, dst: Path, bits: int) -> None:
-    """A stereo WAV of two 16-bit mono WAVs' samples as its channels, cut to
-    the shorter, at 16 bits or at 8 (the high byte, offset to unsigned)."""
+def write_pcm(sources: list[Path], dst: Path, bits: int) -> None:
+    """A WAV with one channel of each 16-bit mono WAV's samples in sources, cut
+    to the shortest, at 16 bits or at 8 (the high byte, offset to unsigned)."""
     channels = []
-    for src in (left, right):
+    for src in sources:
         with wave.open(str(src)) as w:
             channels.append(array.array("h", w.readframes(w.getnframes())))
             rate = w.getframerate()
-    pairs = [v for pair in zip(*channels) for v in pair]
+    frames = [v for frame in zip(*channels) for v in frame]
     with wave.open(str(dst), "wb") as w:
-        w.setnchannels(2)
+        w.setnchannels(len(sources))
         w.setsampwidth(bits // 8)
         w.setframerate(rate)
-        w.writeframes(array.array("h", pairs).tobytes() if bits == 16
-                      else bytes((v >> 8) + 128 for v in pairs))
+        w.writeframes(array.array("h", frames).tobytes() if bits == 16
+                      else bytes((v >> 8) + 128 for v in frames))
 
 
 def session(run: Path):
@@ -208,13 +209,13 @@ def session(run: Path):
                          for agg in AGGREGATIONS):
             yield detect(corpus, row, agg)
 
-    verse = f"c8000/{RULES[0]}_right_verse_0000.wav"
-    for bits in (8, 16):
-        write_stereo(run / verse, run / f"c8000/{RULES[0]}_wrong_verse_0000.wav",
-                     run / f"stereo{bits}.wav", bits)
-        yield f"detect-stereo{bits}", tajweed(
-            "detect", "--audio", f"stereo{bits}.wav", "--rule", RULES[0], "--model", pool[0],
-            "--out", f"timeline_stereo{bits}.csv", "--verdict-out", f"verdict_stereo{bits}.json")
+    verse, wrong = (f"c8000/{RULES[0]}_{p}_verse_0000.wav" for p in ("right", "wrong"))
+    for layout, sources, bits in (("stereo8", [verse, wrong], 8), ("stereo16", [verse, wrong], 16),
+                                  ("mono8", [wrong], 8)):
+        write_pcm([run / src for src in sources], run / f"{layout}.wav", bits)
+        yield f"detect-{layout}", tajweed(
+            "detect", "--audio", f"{layout}.wav", "--rule", RULES[0], "--model", pool[0],
+            "--out", f"timeline_{layout}.csv", "--verdict-out", f"verdict_{layout}.json")
     (run / "not_a_model").write_text("not a model\n")
     yield "detect-not-a-model", tajweed("detect", "--audio", verse, "--rule", RULES[0],
                                         "--model", "not_a_model")
