@@ -1,7 +1,8 @@
 """Audio loading and shaping: WAV input, resampling, and cutting or padding a
-clip to one WINDOW_S analysis window. WINDOW_S and STRIDE_S are the paper's
-4 s windows every 0.5 s; features turns them into frame counts, and
-slide_windows cuts them in samples as a reference for tests.
+clip to one WINDOW_S analysis window. The module owns the paper's time base:
+SAMPLE_RATE_HZ (8 kHz), the one rate load_clip and resample produce, and 4 s
+WINDOW_S windows every STRIDE_S (0.5 s); features turns them into sample and
+frame counts, and slide_windows cuts them in samples as a reference for tests.
 
 All operations are pure functions of their inputs (normalize_duration crops
 at an offset drawn with the fixed seed 0); clips are immutable and safe to share.
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import AudioError
 
 MIN_SAMPLE_RATE_HZ = 1000
+SAMPLE_RATE_HZ = 8000
 WINDOW_S = 4.0
 STRIDE_S = 0.5
 
@@ -129,20 +131,20 @@ def write_wav(path, clip: AudioClip) -> None:
         out.writeframes(pcm.tobytes())
 
 
-def load_clip(path, rate_hz: int) -> AudioClip:
-    """load_wav, resampled to rate_hz when the file's rate differs."""
+def load_clip(path) -> AudioClip:
+    """load_wav, resampled to SAMPLE_RATE_HZ when the file's rate differs."""
     clip = load_wav(path)
-    if clip.sample_rate_hz != rate_hz:
-        clip = resample(clip, rate_hz)
+    if clip.sample_rate_hz != SAMPLE_RATE_HZ:
+        clip = resample(clip)
     return clip
 
 
 @lru_cache(maxsize=8)
-def _lowpass_taps(target_hz: int, rate_hz: int) -> np.ndarray:
+def _lowpass_taps(rate_hz: int) -> np.ndarray:
     """63-tap Hamming-windowed-sinc FIR low-pass at rate_hz, cutoff 0.45 x
-    target_hz, DC gain normalized to 1. Cached and read-only: every resample
-    between one pair of rates shares one filter."""
-    cutoff_hz, n_taps = 0.45 * target_hz, 63
+    SAMPLE_RATE_HZ, DC gain normalized to 1. Cached and read-only: every
+    resample from one source rate shares one filter."""
+    cutoff_hz, n_taps = 0.45 * SAMPLE_RATE_HZ, 63
     t = np.arange(n_taps) - (n_taps - 1) / 2
     taps = 2.0 * cutoff_hz / rate_hz * np.sinc(2.0 * cutoff_hz / rate_hz * t)
     taps *= 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n_taps) / (n_taps - 1))
@@ -183,34 +185,32 @@ def _centred_every(x: np.ndarray, taps: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def resample(clip: AudioClip, target_hz: int) -> AudioClip:
-    """Resample by linear interpolation; decimation applies a 63-tap
-    anti-alias low-pass (cutoff 0.45 x target rate) first, keeping the
-    len(samples) centred outputs of np.convolve.
+def resample(clip: AudioClip) -> AudioClip:
+    """Resample to SAMPLE_RATE_HZ by linear interpolation, upsampling files at
+    1000-7999 Hz; decimation applies a 63-tap anti-alias low-pass (cutoff 0.45 x
+    SAMPLE_RATE_HZ) first, keeping the len(samples) centred outputs of np.convolve.
 
-    An integer downsampling ratio m (rate = m x target) takes every m-th
-    filtered sample, which is that interpolation on an exact grid: k / target
+    An integer downsampling ratio m (rate = m x SAMPLE_RATE_HZ) takes every m-th
+    filtered sample, which is that interpolation on an exact grid: k / SAMPLE_RATE_HZ
     and m*k / rate are one double. Only those kept outputs are computed, one
     BLAS ddot each as np.convolve computes them (see _centred_every), so the
     bytes equal filtering every sample and slicing. Other rates give a fresh
-    C-contiguous array, clipped to [-1, 1] in place; the same rate, the clip.
+    C-contiguous array, clipped to [-1, 1] in place; SAMPLE_RATE_HZ, the clip.
     """
-    if target_hz < MIN_SAMPLE_RATE_HZ:
-        raise AudioError(f"target rate {target_hz} Hz below {MIN_SAMPLE_RATE_HZ}")
     rate = clip.sample_rate_hz
-    if target_hz == rate:
+    if rate == SAMPLE_RATE_HZ:
         return clip
 
     samples = clip.samples * clip.scale
-    n_out = max(int(round(len(samples) * target_hz / rate)), 1)
-    if rate % target_hz == 0:
+    n_out = max(int(round(len(samples) * SAMPLE_RATE_HZ / rate)), 1)
+    if rate % SAMPLE_RATE_HZ == 0:
         # [::m] keeps ceil(n / m) outputs, one more than n_out when round() goes down
-        out = _centred_every(samples, _lowpass_taps(target_hz, rate), rate // target_hz)[:n_out]
+        out = _centred_every(samples, _lowpass_taps(rate), rate // SAMPLE_RATE_HZ)[:n_out]
     else:
-        if target_hz < rate:
-            samples = _centred(samples, _lowpass_taps(target_hz, rate))
-        out = np.interp(np.arange(n_out) / target_hz, np.arange(len(samples)) / rate, samples)
-    return AudioClip(np.clip(out, -1.0, 1.0, out=out), int(target_hz))
+        if rate > SAMPLE_RATE_HZ:
+            samples = _centred(samples, _lowpass_taps(rate))
+        out = np.interp(np.arange(n_out) / SAMPLE_RATE_HZ, np.arange(len(samples)) / rate, samples)
+    return AudioClip(np.clip(out, -1.0, 1.0, out=out), SAMPLE_RATE_HZ)
 
 
 def normalize_duration(clip: AudioClip) -> AudioClip:

@@ -61,8 +61,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
 
     neg_entries = [e for e in entries
                    if e.rule_id == rule_id and e.split == "train" and e.polarity is None]
-    negatives = [audio.load_clip(dataset.resolve_path(audio_root, e.path), features.SAMPLE_RATE_HZ)
-                 for e in neg_entries]
+    negatives = [audio.load_clip(dataset.resolve_path(audio_root, e.path)) for e in neg_entries]
 
     dataset_hash = hashlib.sha256(
         (_entry_rows(train_entries + neg_entries) + config.fingerprint()).encode()
@@ -177,7 +176,7 @@ def _cmd_detect(args) -> int:
     rule = persistence.load_model(args.model)
     if args.rule != rule.rule_id:
         raise DetectionError(f"model is for {rule.rule_id}, not {args.rule}")
-    clip = audio.load_clip(args.audio, features.SAMPLE_RATE_HZ)
+    clip = audio.load_clip(args.audio)
     report = detection.detect(rule, clip)
 
     if report.verdict is None:

@@ -64,9 +64,8 @@ class DetectionReport:
 
 def exemplar_features(paths, config: features.FeatureConfig) -> np.ndarray:
     """One feature row per WAV file, each read as one analysis window: at the
-    rate features.SAMPLE_RATE_HZ, cut or zero-padded to audio.WINDOW_S (seed 0)."""
-    clips = (audio.normalize_duration(audio.load_clip(path, features.SAMPLE_RATE_HZ))
-             for path in paths)
+    rate audio.SAMPLE_RATE_HZ, cut or zero-padded to audio.WINDOW_S (seed 0)."""
+    clips = (audio.normalize_duration(audio.load_clip(path)) for path in paths)
     return np.vstack([features.extract_features(clip, config) for clip in clips])
 
 

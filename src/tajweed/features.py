@@ -1,9 +1,9 @@
 """Filter-bank feature extraction.
 
-The paper fixes one analysis, so it is module constants: SAMPLE_RATE_HZ (8 kHz)
-audio, FRAME_MS (25 ms) frames every HOP_MS (10 ms), each Hamming windowed,
-zero-padded to FFT_SIZE points and transformed with numpy's real FFT, then
-NUM_FILTERS (70) triangular mel-spaced filters between F_MIN_HZ and F_MAX_HZ
+The paper fixes one analysis, so it is module constants at the rate audio owns,
+SAMPLE_RATE_HZ (8 kHz): FRAME_MS (25 ms) frames every HOP_MS (10 ms), each Hamming
+windowed, zero-padded to FFT_SIZE points and transformed with numpy's real FFT,
+then NUM_FILTERS (70) triangular mel-spaced filters between F_MIN_HZ and F_MAX_HZ
 and a log with energies floored at LOG_FLOOR. In samples and frames that is
 FRAME_LEN, HOP_LEN, WINDOW_LEN samples or WINDOW_FRAMES frames a 4 s window and
 STRIDE_LEN samples or STRIDE_FRAMES hops a 0.5 s stride. FeatureConfig only
@@ -33,10 +33,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .audio import STRIDE_S, WINDOW_S, AudioClip, normalize_duration
+from .audio import SAMPLE_RATE_HZ, STRIDE_S, WINDOW_S, AudioClip, normalize_duration
 from .errors import FeatureError, SvmError
 
-SAMPLE_RATE_HZ = 8000
 FRAME_MS = 25
 HOP_MS = 10
 FFT_SIZE = 256
@@ -71,7 +70,6 @@ def pass_window(scale: float) -> np.ndarray:
     return tile
 
 
-PASS_WINDOW = pass_window(1.0)
 AGGREGATIONS = ("mean_std_pool", "flatten")
 
 

@@ -514,10 +514,11 @@ class TestTrain:
         shipped = {rule: model_bytes(rule, f"{rule}.model") for rule in recipe["classes"]}
         calls = []
 
-        def interp_resample(clip, target_hz):
+        def interp_resample(clip):
             calls.append(clip.sample_rate_hz)
-            out = oracles.interp_resample(clip.samples * clip.scale, clip.sample_rate_hz, target_hz)
-            return audio.AudioClip(out, target_hz)
+            out = oracles.interp_resample(clip.samples * clip.scale, clip.sample_rate_hz,
+                                          audio.SAMPLE_RATE_HZ)
+            return audio.AudioClip(out, audio.SAMPLE_RATE_HZ)
 
         monkeypatch.setattr(audio, "resample", interp_resample)
         for rule in recipe["classes"]:

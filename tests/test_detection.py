@@ -209,8 +209,7 @@ def tone_and_noise(seconds, seed):
     t = np.arange(int(seconds * RATE_22K)) / RATE_22K
     x = 0.05 * np.random.default_rng(seed).standard_normal(len(t))
     x[t > seconds / 2] += 0.4 * np.sin(2 * np.pi * 900 * t[t > seconds / 2])
-    return audio.resample(audio.AudioClip(np.clip(x, -1.0, 1.0), RATE_22K),
-                          features.SAMPLE_RATE_HZ)
+    return audio.resample(audio.AudioClip(np.clip(x, -1.0, 1.0), RATE_22K))
 
 
 def rule_at_22050():
