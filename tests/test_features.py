@@ -267,6 +267,26 @@ class RecordingBank:
 
 
 class TestFrameLogEnergies:
+    @pytest.mark.parametrize("n_frames", [1, 49, 50, 51, 99, 100, 101, 398, 1498])
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_stride_blocks_match_one_shot_bytes(self, n_frames, silent):
+        # the byte reference runs the code's shape, one (STRIDE_FRAMES, bins) @
+        # (bins, NUM_FILTERS) gemm a stride, the last zero-padded, so it holds on
+        # every BLAS kernel; one gemm over all the frames rounds a row otherwise
+        # on some kernels (Haswell, Prescott), so it is held to aim 2's 1e-12
+        frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
+        if silent:
+            frames[:] = 0.0
+        strides = features.frame_log_energies(frames)
+        assert strides.shape == (-(-n_frames // features.STRIDE_FRAMES), features.STRIDE_FRAMES,
+                                 features.NUM_FILTERS)
+        assert strides.tobytes() == log_energies_per_stride(frames).tobytes()
+        rows = frame_rows(strides)
+        np.testing.assert_allclose(rows[:n_frames], one_shot_log_energies(frames),
+                                   rtol=0, atol=1e-12)
+        assert (rows[n_frames:] == np.log(features.LOG_FLOOR)).all()
+        assert silent == (rows[:n_frames] == np.log(features.LOG_FLOOR)).all()
+
     @pytest.mark.parametrize("n_frames", [1, 2, 17, 18, 49, 50, 51, 398, 1498])
     @pytest.mark.parametrize("start", [0, 50, 350])
     def test_a_frame_does_not_depend_on_the_clip_around_it(self, n_frames, start):
@@ -304,22 +324,11 @@ class TestFrameLogEnergies:
                                           201, 398, 1248, 1498])
     @pytest.mark.parametrize("silent", [False, True])
     def test_bytes_match_the_per_stride_loop(self, n_frames, silent):
-        # the byte reference runs the code's shape, one (STRIDE_FRAMES, bins) @
-        # (bins, NUM_FILTERS) gemm a stride, the last zero-padded, so it holds on
-        # every BLAS kernel; one gemm over all the frames rounds a row otherwise
-        # on some kernels (Haswell, Prescott), so it is held to aim 2's 1e-12
         frames = np.random.default_rng(n_frames).uniform(-1, 1, (n_frames, features.FRAME_LEN))
         if silent:
             frames[:] = 0.0
-        strides = features.frame_log_energies(frames)
-        assert strides.shape == (-(-n_frames // features.STRIDE_FRAMES), features.STRIDE_FRAMES,
-                                 features.NUM_FILTERS)
-        assert strides.tobytes() == log_energies_per_stride(frames).tobytes()
-        rows = frame_rows(strides)
-        np.testing.assert_allclose(rows[:n_frames], one_shot_log_energies(frames),
-                                   rtol=0, atol=1e-12)
-        assert (rows[n_frames:] == np.log(features.LOG_FLOOR)).all()
-        assert silent == (rows[:n_frames] == np.log(features.LOG_FLOOR)).all()
+        assert (features.frame_log_energies(frames).tobytes()
+                == log_energies_per_stride(frames).tobytes())
 
     @pytest.mark.parametrize("n_frames", [18, 49, 50, 398, 1498])
     def test_bytes_match_a_row_major_bank(self, n_frames, monkeypatch):
