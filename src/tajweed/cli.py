@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,7 +35,8 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
                      config: features.FeatureConfig | None = None):
     """Full training pipeline for one rule: features -> scaler -> SMO ->
     Platt calibration on a stratified 20% holdout -> thresholds from the
-    train-split rule-free windows. Returns (RuleModel, summary dict).
+    train-split rule-free windows. Returns (RuleModel, summary dict of what
+    the model does not hold: holdout_accuracy, positive_coverage, saturated).
     """
     config = config or features.FeatureConfig()
     train_entries, X, y = detection.exemplars(entries, audio_root, rule_id, "train", config)
@@ -66,33 +67,16 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
     dataset_hash = hashlib.sha256(
         (_entry_rows(train_entries + neg_entries) + config.fingerprint()).encode()
     ).hexdigest()
-    rule_model = detection.RuleModel(
-        rule_id=rule_id,
-        svm=model,
-        calibration=calibration,
-        tau_right=0.5,
-        tau_wrong=0.5,
-        feature_config=config,
-        scaler=scaler,
-        dataset_hash=dataset_hash,
-        train_seed=seed,
-    )
-    thresholds = detection.calibrate_thresholds(rule_model, negatives)
-    rule_model = replace(rule_model, tau_right=thresholds.tau_right,
-                         tau_wrong=thresholds.tau_wrong)
+    rule_model, saturated = detection.calibrate_thresholds(detection.RuleModel(
+        rule_id=rule_id, svm=model, calibration=calibration, tau_right=0.5, tau_wrong=0.5,
+        feature_config=config, scaler=scaler, dataset_hash=dataset_hash, train_seed=seed,
+    ), negatives)
     # share of holdout Right clips that a detect with these taus would gate in;
     # each clip is one window, so its holdout score is its window's score
     coverage = float(np.mean([bool(detection.gated(rule_model, p)) for p in
                               svm.calibrated_probability(holdout_f[y[hold] > 0], calibration)]))
-    summary = {
-        "rule_id": rule_id,
-        "n_support": int(model.support_vectors.shape[0]),
-        "holdout_accuracy": holdout_acc,
-        "tau_right": thresholds.tau_right,
-        "tau_wrong": thresholds.tau_wrong,
-        "saturated": thresholds.right_saturated or thresholds.wrong_saturated,
-        "positive_coverage": coverage,
-    }
+    summary = {"holdout_accuracy": holdout_acc, "positive_coverage": coverage,
+               "saturated": saturated}
     return rule_model, summary
 
 
@@ -110,7 +94,7 @@ def _cmd_synth(args) -> int:
         with open(args.spec, encoding="utf-8") as fh:
             try:
                 entries = dataset.synth_generate(json.load(fh), args.seed, args.out)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ParseError(f"{args.spec}: malformed recipe: {exc!r}") from exc
     else:
         entries = dataset.synth_generate(dataset.default_recipe(), args.seed, args.out)
@@ -135,9 +119,9 @@ def _cmd_train(args) -> int:
         args.c, args.gamma, args.seed, features.FeatureConfig(aggregation=args.agg),
     )
     persistence.save_model(rule_model, args.model)
-    print(f"rule={summary['rule_id']} support_vectors={summary['n_support']} "
+    print(f"rule={rule_model.rule_id} support_vectors={len(rule_model.svm.support_vectors)} "
           f"holdout_accuracy={summary['holdout_accuracy']:.4f} "
-          f"tau_right={summary['tau_right']:.4f} tau_wrong={summary['tau_wrong']:.4f} "
+          f"tau_right={rule_model.tau_right:.4f} tau_wrong={rule_model.tau_wrong:.4f} "
           f"positive_coverage={summary['positive_coverage']:.4f}")
     if summary["saturated"]:
         print("warning: a threshold clamped at 0.99; negatives score close to certain",
@@ -164,11 +148,11 @@ def _cmd_gridsearch(args) -> int:
 def _cmd_evaluate(args) -> int:
     entries = dataset.load_manifest(args.manifest)
     rules = [persistence.load_model(p) for p in args.model]
-    result = detection.evaluate(rules, entries, _manifest_root(args.manifest))
-    print(detection.format_confusion_tables(result))
+    tables = detection.evaluate(rules, entries, _manifest_root(args.manifest))
+    print(detection.format_confusion_tables(tables))
     if args.out:
         dataset.write_csv(args.out, [["rule_id", "tp", "fp", "tn", "fn", "accuracy"], *(
-            [t.rule_id, t.tp, t.fp, t.tn, t.fn, f"{t.accuracy:.6f}"] for t in result.tables)])
+            [t.rule_id, t.tp, t.fp, t.tn, t.fn, f"{t.accuracy:.6f}"] for t in tables)])
     return 0
 
 
@@ -205,7 +189,7 @@ def _cmd_review(args) -> int:
         with open(args.verdict, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"{args.verdict}: unreadable verdict JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ParseError(f"{args.verdict}: verdict JSON must be an object")

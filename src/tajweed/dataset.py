@@ -413,7 +413,7 @@ def _parse_queue(data: bytes, path) -> dict[int, ReviewRecord]:
                                        corrected_label=event.get("label")).checked()
             else:
                 raise ValueError(f"unexpected {kind!r} event for record {rid}")
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad queue line: {exc!r}", line_no, path) from exc
     return records
 

@@ -12,7 +12,7 @@ that rule-free material produces zero verdicts by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,18 +121,11 @@ def detect(rule: RuleModel, recording: audio.AudioClip) -> DetectionReport:
     return DetectionReport(verdict=verdict, window_scores=scores)
 
 
-@dataclass(frozen=True)
-class ThresholdCalibration:
-    tau_right: float
-    tau_wrong: float
-    right_saturated: bool
-    wrong_saturated: bool
-
-
-def calibrate_thresholds(rule: RuleModel, negatives) -> ThresholdCalibration:
-    """Choose (tau_right, tau_wrong) giving zero false positives on the
-    calibration negatives: each tau sits one margin above the worst negative
-    window score, floored at 0.5 and clamped at 0.99 (saturation is flagged).
+def calibrate_thresholds(rule: RuleModel, negatives) -> tuple[RuleModel, bool]:
+    """(rule with the taus that give zero false positives on the calibration
+    negatives, saturated): each tau sits one margin above the worst negative
+    window score, floored at 0.5 and clamped at 0.99; saturated is True when
+    either tau clamps.
 
     `negatives` are rule-free clips, each scored by window_scores as by detect.
     How many positives the taus let through is for the caller to measure.
@@ -143,12 +136,9 @@ def calibrate_thresholds(rule: RuleModel, negatives) -> ThresholdCalibration:
 
     raw_right = max(THRESHOLD_FLOOR, float(neg_p.max()) + THRESHOLD_MARGIN)
     raw_wrong = max(THRESHOLD_FLOOR, float((1.0 - neg_p).max()) + THRESHOLD_MARGIN)
-    return ThresholdCalibration(
-        tau_right=min(raw_right, THRESHOLD_CEIL),
-        tau_wrong=min(raw_wrong, THRESHOLD_CEIL),
-        right_saturated=raw_right > THRESHOLD_CEIL,
-        wrong_saturated=raw_wrong > THRESHOLD_CEIL,
-    )
+    gated_rule = replace(rule, tau_right=min(raw_right, THRESHOLD_CEIL),
+                         tau_wrong=min(raw_wrong, THRESHOLD_CEIL))
+    return gated_rule, max(raw_right, raw_wrong) > THRESHOLD_CEIL
 
 
 @dataclass(frozen=True)
@@ -164,14 +154,9 @@ class ConfusionTable:
         return (self.tp + self.tn) / (self.tp + self.fp + self.tn + self.fn)
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
-    tables: tuple[ConfusionTable, ...]
-    accuracy: float
-
-
-def evaluate(rules, entries, audio_root) -> EvaluationResult:
-    """Clip-level confusion per rule over its test-split exemplars.
+def evaluate(rules, entries, audio_root) -> tuple[ConfusionTable, ...]:
+    """Clip-level confusion per rule over its test-split exemplars, one
+    table per rule in rule_id order.
 
     A rule may have only one model: two models of one rule_id raise
     DetectionError before any clip is read. Each rule selects its own
@@ -194,21 +179,21 @@ def evaluate(rules, entries, audio_root) -> EvaluationResult:
                                      fp=int(np.sum(voted & ~right)),
                                      tn=int(np.sum(~voted & ~right)),
                                      fn=int(np.sum(~voted & right))))
-    total = sum(t.tp + t.fp + t.tn + t.fn for t in tables)
-    correct = sum(t.tp + t.tn for t in tables)
-    return EvaluationResult(tables=tuple(tables), accuracy=correct / total)
+    return tuple(tables)
 
 
-def format_confusion_tables(result: EvaluationResult) -> str:
-    """Render per-rule rows in the confusion-table layout."""
+def format_confusion_tables(tables) -> str:
+    """Render per-rule rows in the confusion-table layout, then the accuracy
+    over the clips of all tables pooled."""
     header = ("Rule Name", "True Positive", "False Positive", "True Negative", "False Negative")
     rows = [header]
-    for t in result.tables:
+    for t in tables:
         name = " ".join(part.capitalize() for part in t.rule_id.split("_"))
         rows.append((name, str(t.tp), str(t.fp), str(t.tn), str(t.fn)))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    lines.append(f"Overall accuracy: {result.accuracy:.4f}")
+    total = sum(t.tp + t.fp + t.tn + t.fn for t in tables)
+    lines.append(f"Overall accuracy: {sum(t.tp + t.tn for t in tables) / total:.4f}")
     return "\n".join(lines)
 
 

@@ -2,10 +2,9 @@
 
 One class per CLI exit code: each family carries the exit code of every
 error in its tree as exit_code, so errors must stay within their family tree.
-A leaf exists only where code in this package reads its data (NoConvergence)
-or shares its message format (ParseError); otherwise a raise site raises its
-family, and tests tell its cases apart by message, which is what an operator
-sees.
+A leaf exists only where its raise sites share a message format
+(ParseError); otherwise a raise site raises its family, and tests tell its
+cases apart by message, which is what an operator sees.
 """
 
 
@@ -25,14 +24,6 @@ class FeatureError(TajweedError):
 
 class SvmError(TajweedError):
     exit_code = 5
-
-
-class NoConvergence(SvmError):
-    """Solver ran out of iterations. Carries the best iterate as .model."""
-
-    def __init__(self, message, model=None):
-        super().__init__(message)
-        self.model = model
 
 
 class DetectionError(TajweedError):

@@ -94,7 +94,7 @@ def load_model(path) -> RuleModel:
         raise PersistenceError(f"{path}: truncated header")
     try:
         header = json.loads(data[len(MAGIC) + 4: body_start])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PersistenceError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise PersistenceError(f"{path}: header is not a JSON object")

@@ -22,12 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SvmError
+from .errors import SvmError
 
 # grid_search's default (C, gamma) grid and fold count
 C_GRID = (0.1, 1.0, 10.0, 100.0)
 GAMMA_GRID = (0.001, 0.01, 0.1, 1.0)
 K_FOLDS = 5
+# train's KKT tolerance and bound on working-pair updates, also grid_search's per fold
+TOL = 1e-3
+MAX_PASSES = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,22 @@ def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def train(X, y, C: float, gamma: float, tol: float = 1e-3,
-          max_passes: int = 10_000) -> SvmModel:
+def train(X, y, C: float, gamma: float, tol: float = TOL,
+          max_passes: int = MAX_PASSES) -> SvmModel:
     """Solve the dual over rows X and labels y to KKT tolerance `tol`.
 
     max_passes bounds the number of working-pair updates; exhausting it
-    raises NoConvergence carrying the best iterate as .model. Samples with
-    a_i > 0 become the support vectors.
+    raises SvmError. Samples with a_i > 0 become the support vectors.
     """
+    model, gap = _smo(X, y, C, gamma, tol, max_passes)
+    if gap > tol:
+        raise SvmError(f"KKT gap {gap:.3g} still above tol={tol} after {max_passes} pair updates")
+    return model
+
+
+def _smo(X, y, C, gamma, tol, max_passes) -> tuple[SvmModel, float]:
+    """(model, KKT gap) of the iterate where SMO stops: at a gap <= tol or
+    after max_passes working-pair updates, whichever comes first."""
     X, y = _samples(X, y)
     if not 0.0 < C < np.inf:
         raise ValueError("C must be positive and finite")
@@ -111,18 +122,13 @@ def train(X, y, C: float, gamma: float, tol: float = 1e-3,
         grad += t * y * (K[:, i] - K[:, j])
 
     sv = alpha > 0
-    model = SvmModel(
+    return SvmModel(
         support_vectors=X[sv].copy(),
         dual_coefs=(alpha[sv] * y[sv]).copy(),
         bias=_solve_bias(alpha, grad, y, C),
         C=float(C),
         gamma=float(gamma),
-    )
-    if gap > tol:
-        raise NoConvergence(
-            f"KKT gap still above tol={tol} after {max_passes} pair updates", model=model
-        )
-    return model
+    ), float(gap)
 
 
 def _violators(alpha, grad, y, C):
@@ -273,10 +279,8 @@ def grid_search(X, y, C_grid=C_GRID, gamma_grid=GAMMA_GRID, k_folds: int = K_FOL
             for fold in folds:
                 mask = np.ones(len(y), dtype=bool)
                 mask[fold] = False
-                try:
-                    model = train(X[mask], y[mask], C, gamma)
-                except NoConvergence as err:
-                    model = err.model
+                # a fold stopped at the pass bound scores with the iterate it reached
+                model, _ = _smo(X[mask], y[mask], C, gamma, TOL, MAX_PASSES)
                 pred = np.sign(decision_values(model, X[fold]))
                 accs.append(float(np.mean(pred == y[fold])))
             mean_acc = float(np.mean(accs))

@@ -111,6 +111,30 @@ class TestExitCodes:
         assert run(["review", "list", "--queue", str(queue)]) == 7
         assert capsys.readouterr().err.startswith(f"error: {queue}:3: bad queue line: ")
 
+    @pytest.mark.parametrize("site, code", [("spec", 7), ("verdict", 7), ("model", 8),
+                                            ("queue", 7)])
+    def test_deeply_nested_json_exits_by_family_without_a_traceback(self, tmp_path, capsys,
+                                                                     site, code):
+        # deeper than the recursion limit: json raises RecursionError, not ValueError
+        deep = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / site
+        if site == "model":
+            path.write_bytes(persistence.MAGIC + struct.pack("<I", len(deep)) + deep)
+        elif site == "queue":
+            path.write_bytes(json.dumps({"schema_version": dataset.QUEUE_SCHEMA_VERSION}).encode()
+                             + b"\n" + deep + b"\n")
+        else:
+            path.write_bytes(deep)
+        argv = {"spec": ["synth", "--spec", str(path), "--seed", "1",
+                         "--out", str(tmp_path / "corpus")],
+                "verdict": ["review", "append", "--queue", str(tmp_path / "q.jsonl"),
+                            "--verdict", str(path)],
+                "model": ["detect", "--audio", "x.wav", "--rule", "edgham_meem",
+                          "--model", str(path)],
+                "queue": ["review", "list", "--queue", str(path)]}[site]
+        assert run(argv) == code
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
     def test_missing_rule_stratum_is_dataset_error(self, manifest, tmp_path):
         code = run(["train", "--manifest", manifest, "--rule", "ekhfaa_meem",
                     "--seed", "1", "--model", str(tmp_path / "m.model")])
@@ -559,16 +583,16 @@ class TestTrain:
     @pytest.mark.parametrize("coverage", [0.0, 0.5])
     def test_zero_coverage_warns(self, manifest, trained_model_path, tmp_path,
                                  monkeypatch, capsys, coverage):
-        summary = {"rule_id": "edgham_meem", "n_support": 7, "holdout_accuracy": 1.0,
-                   "tau_right": 0.75, "tau_wrong": 0.6, "saturated": False,
-                   "positive_coverage": coverage}
+        summary = {"holdout_accuracy": 1.0, "saturated": False, "positive_coverage": coverage}
         rule = persistence.load_model(trained_model_path)
         monkeypatch.setattr(cli, "train_rule_model", lambda *a, **k: (rule, summary))
         assert run(["train", "--manifest", manifest, "--rule", "edgham_meem",
                     "--seed", "5", "--model", str(tmp_path / "m.model")]) == 0
         out, err = capsys.readouterr()
-        assert out == ("rule=edgham_meem support_vectors=7 holdout_accuracy=1.0000 "
-                       f"tau_right=0.7500 tau_wrong=0.6000 positive_coverage={coverage:.4f}\n")
+        # the rule, support-vector count and taus are the model's own
+        assert out == (f"rule=edgham_meem support_vectors={len(rule.svm.support_vectors)} "
+                       f"holdout_accuracy=1.0000 tau_right={rule.tau_right:.4f} "
+                       f"tau_wrong={rule.tau_wrong:.4f} positive_coverage={coverage:.4f}\n")
         assert ("gates out every holdout Right clip" in err) == (coverage == 0.0)
 
 

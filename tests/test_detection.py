@@ -283,27 +283,32 @@ class TestCalibrateThresholds:
     def test_floor_when_negatives_score_low(self, monkeypatch):
         rule = toy_rule_model()
         monkeypatch.setattr(detection, "window_scores", lambda r, clip: ((0.0, 0.3),))
-        cal = detection.calibrate_thresholds(rule, self.fake_negatives(3))
-        assert cal.tau_right == 0.5
-        assert cal.tau_wrong == pytest.approx(0.71)
+        gated, saturated = detection.calibrate_thresholds(rule, self.fake_negatives(3))
+        assert gated.tau_right == 0.5
+        assert gated.tau_wrong == pytest.approx(0.71)
+        assert not saturated
+        # only the taus change: the rest of the rule is the one calibrated
+        assert gated.svm is rule.svm and gated.scaler is rule.scaler
+        assert (gated.rule_id, gated.calibration, gated.feature_config) == \
+            (rule.rule_id, rule.calibration, rule.feature_config)
 
     def test_margin_above_worst_negative(self, monkeypatch):
         rule = toy_rule_model()
         scores = iter([0.8, 0.2, 0.5])
         monkeypatch.setattr(detection, "window_scores",
                             lambda r, clip: ((0.0, next(scores)),))
-        cal = detection.calibrate_thresholds(rule, self.fake_negatives(3))
-        assert cal.tau_right == pytest.approx(0.81)
-        assert cal.tau_wrong == pytest.approx(0.81)
-        assert not cal.right_saturated
+        gated, saturated = detection.calibrate_thresholds(rule, self.fake_negatives(3))
+        assert gated.tau_right == pytest.approx(0.81)
+        assert gated.tau_wrong == pytest.approx(0.81)
+        assert not saturated
 
-    def test_clamped_and_flagged_saturated(self, monkeypatch):
+    @pytest.mark.parametrize("p, clamped", [(0.995, "tau_right"), (0.005, "tau_wrong")])
+    def test_clamped_and_flagged_saturated(self, monkeypatch, p, clamped):
         rule = toy_rule_model()
-        monkeypatch.setattr(detection, "window_scores", lambda r, clip: ((0.0, 0.995),))
-        cal = detection.calibrate_thresholds(rule, self.fake_negatives(2))
-        assert cal.tau_right == 0.99
-        assert cal.right_saturated
-        assert not cal.wrong_saturated
+        monkeypatch.setattr(detection, "window_scores", lambda r, clip: ((0.0, p),))
+        gated, saturated = detection.calibrate_thresholds(rule, self.fake_negatives(2))
+        assert getattr(gated, clamped) == 0.99
+        assert saturated
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(DetectionError, match="threshold calibration requires rule-free clips"):
@@ -317,8 +322,7 @@ class TestCalibrateThresholds:
         for e in free:
             clip = audio.load_wav(os.path.join(root, e.path))
             windows.extend(w for _, w in audio.slide_windows(clip))
-        cal = detection.calibrate_thresholds(small_model, windows)
-        gated = replace(small_model, tau_right=cal.tau_right, tau_wrong=cal.tau_wrong)
+        gated, _ = detection.calibrate_thresholds(small_model, windows)
         for e in free:
             report = detection.detect(gated, audio.load_wav(os.path.join(root, e.path)))
             assert report.verdict is None
@@ -329,8 +333,10 @@ class TestCalibrateThresholds:
                 if e.rule_id == "edgham_meem" and e.polarity is None]
         windows = [w for clip in free for _, w in audio.slide_windows(clip)]
         assert len(windows) > len(free)
-        assert detection.calibrate_thresholds(small_model, free) == \
-            detection.calibrate_thresholds(small_model, windows)
+        (by_clip, clip_flag), (by_window, window_flag) = (
+            detection.calibrate_thresholds(small_model, negatives) for negatives in (free, windows))
+        assert (by_clip.tau_right, by_clip.tau_wrong, clip_flag) == \
+            (by_window.tau_right, by_window.tau_wrong, window_flag)
 
 
 class TestEvaluate:
@@ -343,20 +349,19 @@ class TestEvaluate:
         monkeypatch.setattr(detection, "exemplar_features",
                             lambda paths, config: np.array([[label[p]] for p in paths]))
         monkeypatch.setattr(detection, "p_right", lambda rule, X: X[:, 0])
-        result = detection.evaluate([small_model], test, root)
-        table = result.tables[0]
+        (table,) = detection.evaluate([small_model], test, root)
         assert (table.fp, table.fn) == (0, 0)
         assert table.tp == sum(e.polarity == "Right" for e in test)
         assert table.tn == sum(e.polarity == "Wrong" for e in test)
-        assert result.accuracy == 1.0
+        assert table.accuracy == 1.0
 
     def test_one_scoring_call_per_rule(self, small_corpus, small_model, decision_calls):
         root, entries = small_corpus
         # a second rule: the same SVM under the other rule's name
         rules = [small_model, replace(small_model, rule_id="tarqeeq_lam")]
         test = [e for e in entries if e.split == "test" and e.polarity and e.onset_s is None]
-        result = detection.evaluate(rules, test, root)
-        assert len(decision_calls) == len(rules) == len(result.tables)
+        tables = detection.evaluate(rules, test, root)
+        assert len(decision_calls) == len(rules) == len(tables)
         assert sum(len(X) for X in decision_calls) == len(test)
 
     def test_trained_model_separates_test_split(self, small_corpus, small_model):
@@ -365,8 +370,8 @@ class TestEvaluate:
         root, entries = small_corpus
         test = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "test"
                 and e.polarity and e.onset_s is None]
-        result = detection.evaluate([small_model], test, root)
-        assert result.tables[0].accuracy >= 0.8
+        (table,) = detection.evaluate([small_model], test, root)
+        assert table.accuracy >= 0.8
 
     def test_missing_model(self, small_corpus, small_model):
         # the model's rule has no test-split exemplar among these entries
@@ -394,6 +399,13 @@ class TestEvaluate:
                        "True Negative", "False Negative"):
             assert column in text
         assert "Edgham Meem" in text
+
+    def test_overall_accuracy_pools_the_clips_of_all_tables(self):
+        # 9 of 10 and 1 of 2 clips right: 10 of 12 pooled, not the mean 0.7 of the two rates
+        tables = (detection.ConfusionTable("edgham_meem", tp=5, fp=1, tn=4, fn=0),
+                  detection.ConfusionTable("tarqeeq_lam", tp=1, fp=0, tn=0, fn=1))
+        text = detection.format_confusion_tables(tables)
+        assert text.splitlines()[-1] == "Overall accuracy: 0.8333"
 
 
 class TestTimeline:
