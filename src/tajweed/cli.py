@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -62,7 +61,7 @@ def train_rule_model(entries, audio_root, rule_id, C, gamma, seed,
 
     neg_entries = [e for e in entries
                    if e.rule_id == rule_id and e.split == "train" and e.polarity is None]
-    negatives = [audio.load_clip(dataset.resolve_path(audio_root, e.path)) for e in neg_entries]
+    negatives = [audio.load_clip(os.path.join(audio_root, e.path)) for e in neg_entries]
 
     dataset_hash = hashlib.sha256(
         (_entry_rows(train_entries + neg_entries) + config.fingerprint()).encode()
@@ -179,7 +178,7 @@ def _cmd_detect(args) -> int:
         dataset.write_csv(args.out, [list(rows[0]), *(row.values() for row in rows)])
     if args.verdict_out:
         verdict = {"audio_path": args.audio, "rule_id": rule.rule_id,
-                   "verdict": report.verdict and asdict(report.verdict)}
+                   "verdict": report.verdict and vars(report.verdict)}
         dataset.write_file(args.verdict_out, json.dumps(verdict, sort_keys=True).encode() + b"\n")
     return 0
 
@@ -198,7 +197,7 @@ def _cmd_review(args) -> int:
         print(f"record {stored.record_id} appended")
     elif args.review_cmd == "list":
         for r in dataset.review_list(args.queue, status=args.status):
-            print(json.dumps(asdict(r), sort_keys=True))
+            print(json.dumps(vars(r), sort_keys=True))
     else:
         r = dataset.review_label(args.queue, args.id, args.status,
                                  label=args.label, force=args.force)

@@ -2,10 +2,11 @@
 corpus generator used in place of recorded recitations.
 
 Manifest format: CSV with header `path,rule_id,polarity,onset_s,split`,
-UTF-8, LF line endings. `path` is relative to the manifest's directory,
-`polarity` is Right/Wrong or empty for rule-free material, `onset_s` is
-empty unless an event start is known (verse files; finite seconds >= 0),
-`split` is train/test/unassigned.
+UTF-8, LF line endings. `path` is joined to the manifest's directory with
+`os.path.join`, so an absolute path is used as written. `polarity` is
+Right/Wrong or empty for rule-free material, `onset_s` is empty unless an
+event start is known (verse files; finite seconds >= 0), `split` is
+train/test/unassigned.
 
 Review queue format: newline-delimited JSON events after a schema header
 line; records are append-only and labels are appended as transition events,
@@ -64,10 +65,6 @@ class ManifestEntry:
     split: str = "unassigned"
 
 
-def resolve_path(root, path) -> str:
-    return path if os.path.isabs(path) else os.path.join(root, path)
-
-
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse a manifest; bytes that are not UTF-8 and malformed rows raise
     ParseError naming the path and line, rows pointing at missing audio
@@ -103,7 +100,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise ParseError(str(exc), max(rows.line_num, 1), path) from exc
 
     root = os.path.dirname(os.path.abspath(path))
-    missing = [e.path for e in entries if not os.path.isfile(resolve_path(root, e.path))]
+    missing = [e.path for e in entries if not os.path.isfile(os.path.join(root, e.path))]
     if missing:
         warnings.warn(DanglingPathWarning(f"{len(missing)} missing audio files: "
                                           + ", ".join(missing[:5])))

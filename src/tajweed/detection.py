@@ -12,6 +12,7 @@ that rule-free material produces zero verdicts by construction.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,7 +79,7 @@ def exemplars(entries, audio_root, rule_id, split, config: features.FeatureConfi
               and e.polarity in dataset.POLARITIES and e.onset_s is None]
     if not chosen:
         raise DatasetError(f"manifest has no {split}-split exemplars for {rule_id}")
-    X = exemplar_features([dataset.resolve_path(audio_root, e.path) for e in chosen], config)
+    X = exemplar_features([os.path.join(audio_root, e.path) for e in chosen], config)
     y = np.array([1.0 if e.polarity == "Right" else -1.0 for e in chosen])
     return chosen, X, y
 

@@ -70,6 +70,21 @@ def patched_header(model_path, tmp_path, mutate):
     return str(bad)
 
 
+def fmt_chunk(rate=8000, align=2):
+    """A 16-byte PCM fmt chunk body: mono, 16-bit, with this rate and block align."""
+    return struct.pack("<HHIIHH", 1, 1, rate, rate * align, align, 16)
+
+
+FMT = fmt_chunk()
+
+
+def riff(chunks):
+    """A RIFF/WAVE file of these (id, body) chunks, each odd body followed by its pad byte."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 MISSING = object()
 CRAFTED_KEYS = [*features.FeatureConfig().header(), "log_floor"]
 # explicit sets, sizes among them: load refuses every config but the two train
@@ -92,13 +107,20 @@ class TestExitCodes:
         assert run(["split", "--manifest", "m.csv", "--seed", "1"]) == code
         assert capsys.readouterr().err == "error: refused\n"
 
-    def test_malformed_manifest_row_names_its_path_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row, message", [
+        ("b.wav,edgham_meem,Sideways,,test", "bad polarity 'Sideways'"),
+        ("b.wav,edgham_meem,Right,test", "expected 5 fields, got 4"),
+        (",edgham_meem,Right,,test", "path and rule_id are required"),
+        ("b.wav,,Right,,test", "path and rule_id are required"),
+        ("b.wav,edgham_meem,Right,,dev", "bad split 'dev'"),
+    ], ids=["bad_polarity", "field_count", "empty_path", "empty_rule_id", "bad_split"])
+    def test_malformed_manifest_row_names_its_path_and_line(self, tmp_path, capsys, row,
+                                                            message):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,rule_id,polarity,onset_s,split\n"
-                            "a.wav,edgham_meem,Right,,test\n"
-                            "b.wav,edgham_meem,Sideways,,test\n")
+                            f"a.wav,edgham_meem,Right,,test\n{row}\n")
         assert run(["evaluate", "--manifest", str(manifest), "--model", "m.model"]) == 7
-        assert capsys.readouterr().err == f"error: {manifest}:3: bad polarity 'Sideways'\n"
+        assert capsys.readouterr().err == f"error: {manifest}:3: {message}\n"
 
     def test_malformed_queue_line_names_its_path_and_line(self, tmp_path, capsys):
         verdict = tmp_path / "verdict.json"
@@ -140,6 +162,20 @@ class TestExitCodes:
                     "--seed", "1", "--model", str(tmp_path / "m.model")])
         assert code == 7
 
+    def test_train_split_without_a_polarity_is_dataset_error(self, small_corpus, tmp_path,
+                                                             capsys):
+        root, entries = small_corpus
+        manifest = str(tmp_path / dataset.MANIFEST_NAME)
+        dataset.save_manifest([replace(e, path=os.path.join(root, e.path),
+                                       split="test" if e.polarity == "Wrong" else e.split)
+                               for e in entries], manifest)
+        model = tmp_path / "m.model"
+        code = run(["train", "--manifest", manifest, "--rule", "edgham_meem",
+                    "--seed", "1", "--model", str(model)])
+        assert code == 7
+        assert capsys.readouterr().err == "error: no train-split Wrong exemplars for edgham_meem\n"
+        assert not model.exists()
+
     def test_bad_model_file_is_persistence_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
         bad.write_bytes(b"garbage")
@@ -152,6 +188,25 @@ class TestExitCodes:
         code = run(["detect", "--audio", str(tmp_path / "none.wav"),
                     "--rule", "edgham_meem", "--model", trained_model_path])
         assert code == 3
+
+    @pytest.mark.parametrize("chunks, message", [
+        ([(b"fmt ", FMT[:12]), (b"data", b"\0\0")], "fmt chunk too small"),
+        ([(b"data", b"\0\0")], "missing fmt or data chunk"),
+        ([(b"fmt ", FMT)], "missing fmt or data chunk"),
+        ([(b"fmt ", fmt_chunk(rate=999)), (b"data", b"\0\0")], "sample rate 999 Hz below 1000"),
+        ([(b"fmt ", fmt_chunk(align=4)), (b"data", b"\0\0")], "block align 4 != 2"),
+        ([(b"fmt ", FMT), (b"data", b"\0\0\0")], "data chunk not a whole number of frames"),
+        ([(b"fmt ", FMT), (b"data", b"")], "empty data chunk"),
+    ], ids=["short_fmt", "no_fmt", "no_data", "low_rate", "block_align", "partial_frame",
+            "empty_data"])
+    def test_unreadable_wav_is_audio_error(self, trained_model_path, tmp_path, capsys,
+                                           chunks, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(chunks))
+        code = run(["detect", "--audio", str(path), "--rule", "edgham_meem",
+                    "--model", trained_model_path])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_model_header_without_dim_is_persistence_error(self, trained_model_path,
                                                             tmp_path):
@@ -412,6 +467,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cmd, option, value, message", [
         ("train", "--c", "0", "a finite number > 0"),
+        ("train", "--c", "abc", "a finite number > 0"),
         ("train", "--gamma", "nan", "a finite number > 0"),
         ("gridsearch", "--folds", "1", "an integer >= 2"),
         ("gridsearch", "--c-grid", "1,-1", "a finite number > 0"),
@@ -558,6 +614,27 @@ class TestTrain:
         coverage = float(out.split("positive_coverage=")[1].split()[0])
         assert 0.0 <= coverage <= 1.0
 
+    def test_absolute_manifest_paths_train_and_evaluate_as_relative_ones(
+            self, small_corpus, manifest, tmp_path, capsys):
+        # a manifest elsewhere whose rows name each file by its absolute path
+        root, entries = small_corpus
+        absolute = str(tmp_path / dataset.MANIFEST_NAME)
+        dataset.save_manifest([replace(e, path=os.path.join(root, e.path)) for e in entries],
+                              absolute)
+        models = [str(tmp_path / "relative.model"), str(tmp_path / "absolute.model")]
+        outs = []
+        for path, model in zip((manifest, absolute), models):
+            assert run(["train", "--manifest", path, "--rule", "edgham_meem",
+                        "--seed", "5", "--model", model]) == 0
+            assert run(["evaluate", "--manifest", path, "--model", model]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        # the models differ only in their hash of the rows as written
+        blobs = [open(model, "rb").read() for model in models]
+        hashes = [persistence.load_model(model).dataset_hash.encode() for model in models]
+        assert hashes[0] != hashes[1]
+        assert blobs[1].replace(hashes[1], hashes[0]) == blobs[0]
+
     def test_features_extracted_once_per_exemplar(self, small_corpus, monkeypatch):
         root, entries = small_corpus
         extract, calls = features.extract_features, []
@@ -569,7 +646,7 @@ class TestTrain:
         negatives = [e for e in mine if e.polarity is None]
         # each exemplar, then each rule-free recording for the taus
         assert [len(clip) for clip in calls] == [32000] * len(exemplars) + [
-            len(audio.load_wav(dataset.resolve_path(root, e.path))) for e in negatives]
+            len(audio.load_wav(os.path.join(root, e.path))) for e in negatives]
 
     def test_coverage_scored_in_one_call(self, small_corpus, decision_calls):
         root, entries = small_corpus
@@ -783,6 +860,13 @@ class TestSynthAndSplit:
         entries = dataset.load_manifest(os.path.join(out, "manifest.csv"))
         assert all(e.split in ("train", "test") for e in entries)
 
+    def test_fraction_outside_the_unit_interval_exits_2(self, manifest, tmp_path, capsys):
+        out = tmp_path / "split.csv"
+        assert run(["split", "--manifest", manifest, "--fraction", "1.5", "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: train_fraction must be in (0, 1)\n"
+        assert not out.exists()
+
 
 class TestAllOrNothingWrites:
     """Every file the CLI writes: a write that fails keeps the target's bytes."""
@@ -855,6 +939,23 @@ class TestReview:
                     "--status", "corrected", "--label", "Wrong"]) == 0
         assert run(["review", "label", "--queue", q, "--id", "1",
                     "--status", "approved"]) == 7  # a relabel without force
+
+    def test_list_prints_a_deeply_nested_verdict(self, tmp_path, capsys):
+        # 600 levels: within what a queue read accepts (about 987), past what a
+        # recursive copy of the record survives, so list must print the record as read
+        verdict = {}
+        for _ in range(599):
+            verdict = {"v": verdict}
+        record = {"record_id": 1, "audio_path": "v.wav", "rule_id": "edgham_meem",
+                  "verdict": verdict, "created_at": "2026-01-01T00:00:00+00:00"}
+        q = tmp_path / "q.jsonl"
+        q.write_text(json.dumps({"schema_version": dataset.QUEUE_SCHEMA_VERSION}) + "\n"
+                     + json.dumps({"kind": "record", **record}) + "\n")
+        assert run(["review", "list", "--queue", str(q)]) == 0
+        out, err = capsys.readouterr()
+        assert out == json.dumps({**record, "status": "pending", "corrected_label": None},
+                                 sort_keys=True) + "\n"
+        assert err == ""
 
     def test_label_a_read_would_reject_exits_2_and_leaves_the_queue(self, tmp_path, capsys):
         verdict = tmp_path / "verdict.json"

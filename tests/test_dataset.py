@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import stat
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -114,6 +115,24 @@ class TestManifest:
         with pytest.warns(dataset.DanglingPathWarning, match="missing.wav"):
             entries = dataset.load_manifest(str(p))
         assert len(entries) == 1
+
+    def test_absolute_paths_warn_only_when_missing(self, tmp_path):
+        audio_dir, manifest_dir = tmp_path / "audio", tmp_path / "manifest"
+        audio_dir.mkdir()
+        manifest_dir.mkdir()
+        (audio_dir / "a.wav").write_bytes(b"")
+        present, missing = audio_dir / "a.wav", audio_dir / "missing.wav"
+        p = manifest_dir / "m.csv"
+        p.write_text("path,rule_id,polarity,onset_s,split\n"
+                     f"{present},edgham_meem,Right,,train\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [e.path for e in dataset.load_manifest(str(p))] == [str(present)]
+        with open(p, "a") as fh:
+            fh.write(f"{missing},edgham_meem,Wrong,,train\n")
+        with pytest.warns(dataset.DanglingPathWarning) as record:
+            dataset.load_manifest(str(p))
+        assert [str(w.message) for w in record] == [f"1 missing audio files: {missing}"]
 
 
 class TestWriteFile:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tajweed import audio, dataset, detection, features, svm
+from tajweed import audio, detection, features, svm
 from tajweed.errors import DatasetError, DetectionError, SvmError
 
 
@@ -345,7 +345,7 @@ class TestEvaluate:
         root, entries = small_corpus
         test = [e for e in entries if e.rule_id == "edgham_meem" and e.split == "test"
                 and e.polarity and e.onset_s is None]
-        label = {dataset.resolve_path(root, e.path): float(e.polarity == "Right") for e in test}
+        label = {os.path.join(root, e.path): float(e.polarity == "Right") for e in test}
         monkeypatch.setattr(detection, "exemplar_features",
                             lambda paths, config: np.array([[label[p]] for p in paths]))
         monkeypatch.setattr(detection, "p_right", lambda rule, X: X[:, 0])

@@ -267,6 +267,24 @@ def test_layout_other_than_train_writes_is_schema_error(model_blob, tmp_path, ed
         persistence.load_model(str(bad))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda path: persistence.MAGIC + struct.pack("<I", 2) + b"[]",
+     "header is not a JSON object"),
+    (lambda path: _patch_array(open(path, "rb").read(), "log_floor",
+                               lambda v: v.__setitem__(0, 1e-9)), "log floor is not 1e-10"),
+    (lambda path: _patch_header(path, lambda h: h.update(rule_id="")),
+     "rule_id must be a non-empty identifier"),
+    (lambda path: _patch_array(open(path, "rb").read(), "scalars",
+                               lambda v: v.__setitem__(6, 0.3)), "tau_wrong must lie in [0.5, 1]"),
+], ids=["array_header", "log_floor", "empty_rule_id", "tau_wrong"])
+def test_refused_model_exits_8_through_detect(model_path, tmp_path, capsys, edit, message):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(edit(model_path))
+    assert cli.main(["detect", "--audio", "x.wav", "--rule", "edgham_meem",
+                     "--model", str(bad)]) == 8
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_relaid_identity_loads(model_blob, tmp_path):
     path = tmp_path / "same.model"
     path.write_bytes(_relaid(model_blob, lambda parts: parts))
